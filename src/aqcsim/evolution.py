@@ -11,6 +11,11 @@ Stepping is unitary by construction: each lam cell applies the exact
 exponential of the midpoint Hamiltonian, exp(-i H(lam_mid) dt), through its
 eigendecomposition.  Norm drift is therefore a genuine error indicator
 (roundoff only), and accuracy in lam is second order in the cell width.
+The state is carried as coefficients in the eigenbasis of the current cell:
+a step is a phase per level followed by the fixed real overlap
+O_s = V_{s+1}^T V_s into the next cell's basis.  The overlaps do not depend
+on time, so a block of sweeps with different total times (one column each)
+shares every step and every matmul.
 
 The lam grid is not uniform.  Cells are distributed by blending a uniform
 measure with the rotation rate of the instantaneous ground state, found by
@@ -33,17 +38,14 @@ from . import spectral
 from .errors import InvalidStateError
 from .state import WaveState
 
-try:
-    import numba
-except ImportError:  # pragma: no cover - exercised only without numba
-    numba = None
-
 __all__ = [
     "PaceController",
     "RunRecord",
     "BackactionWindow",
     "SchedulePlan",
     "build_schedule",
+    "initial_coefficients",
+    "propagate",
     "pace",
     "evolve",
     "gain_for_time",
@@ -65,6 +67,7 @@ _ROT_MAX = 0.08  # max ground-state rotation per grid cell, radians
 _BASE_CELLS = 64  # uniform cells seeding the adaptive bisection
 _MIN_CELL = 1e-7  # bisection width guard
 _ROT_WEIGHT = 0.5  # blend between uniform and rotation-proportional measure
+_PHASE_CHUNK = 64  # cells whose phases and norms are computed in one call
 
 
 @dataclass(frozen=True)
@@ -146,11 +149,14 @@ class BackactionWindow:
 
 @dataclass(frozen=True)
 class SchedulePlan:
-    """Precomputed lam grid and midpoint eigensystems for one instance.
+    """Precomputed lam grid, midpoint eigensystems and frame overlaps.
 
     Building the plan costs one eigendecomposition per cell; every run on
     the instance (any controller, any T) then reuses it, which is what makes
-    the time-to-target scans affordable.
+    the time-to-target scans affordable.  frame_maps[s] = V_{s+1}^T V_s
+    carries eigenframe coefficients from cell s into cell s + 1; the last
+    one is V_{cells-1} itself, back to the computational basis.  With them
+    propagate() steps many total times in one pass.
     """
 
     pair: ham.HamiltonianPair
@@ -159,6 +165,7 @@ class SchedulePlan:
     widths: np.ndarray  # positive cell widths in lam
     mid_energies: np.ndarray  # (cells, dim)
     mid_states: np.ndarray  # (cells, dim, dim)
+    frame_maps: np.ndarray  # (cells, dim, dim)
     psi0: np.ndarray  # ground state of H(1)
     ground_index: int
 
@@ -235,6 +242,9 @@ def build_schedule(pair: ham.HamiltonianPair, steps: int = 2048) -> SchedulePlan
         es = ham.spectrum_at(pair, lam)
         mid_energies[s] = es.energies
         mid_states[s] = es.states
+    frame_maps = np.empty_like(mid_states)
+    np.matmul(mid_states[1:].transpose(0, 2, 1), mid_states[:-1], out=frame_maps[:-1])
+    frame_maps[-1] = mid_states[-1]
 
     psi0 = ham.spectrum_at(pair, 1.0).states[:, 0].astype(complex)
     return SchedulePlan(
@@ -244,52 +254,51 @@ def build_schedule(pair: ham.HamiltonianPair, steps: int = 2048) -> SchedulePlan
         widths=cell_widths,
         mid_energies=mid_energies,
         mid_states=mid_states,
+        frame_maps=frame_maps,
         psi0=psi0,
         ground_index=ham.problem_ground_index(pair),
     )
 
 
-def _propagate_chain_py(Vs, ws, dts, psi0):
-    """Numpy fallback for the stepping kernel (same contract as the jitted one)."""
-    psi = psi0.copy()
-    drift = 0.0
-    for s in range(Vs.shape[0]):
-        V = Vs[s]
-        coeff = (V.T @ psi) * np.exp(-1j * ws[s] * dts[s])
-        psi = V @ coeff
-        drift = max(drift, abs(np.linalg.norm(psi) - 1.0))
-    return psi, drift
+def initial_coefficients(plan: SchedulePlan, columns: int = 1) -> np.ndarray:
+    """psi0 in the eigenbasis of the first cell, repeated over `columns` sweeps."""
+    c0 = plan.mid_states[0].T @ plan.psi0
+    return np.repeat(c0[:, None], columns, axis=1)
 
 
-if numba is not None:
+def propagate(plan: SchedulePlan, dts, coeffs, start: int = 0, stop: int | None = None):
+    """Step eigenframe coefficients of a block of sweeps through cells [start, stop).
 
-    @numba.njit(cache=True)
-    def _propagate_chain(Vs, ws, dts, psi0):  # pragma: no cover - jitted
-        steps, dim = ws.shape
-        psi = psi0.copy()
-        tmp = np.empty(dim, dtype=np.complex128)
-        drift = 0.0
-        for s in range(steps):
-            V = Vs[s]
-            for i in range(dim):
-                acc = 0j
-                for k in range(dim):
-                    acc += V[k, i] * psi[k]
-                tmp[i] = acc * np.exp(-1j * ws[s, i] * dts[s])
-            norm2 = 0.0
-            for i in range(dim):
-                acc = 0j
-                for k in range(dim):
-                    acc += V[i, k] * tmp[k]
-                psi[i] = acc
-                norm2 += acc.real**2 + acc.imag**2
-            d = abs(math.sqrt(norm2) - 1.0)
-            if d > drift:
-                drift = d
-        return psi, drift
-
-else:  # pragma: no cover - exercised only without numba
-    _propagate_chain = _propagate_chain_py
+    coeffs is (dim, nT): column j holds the amplitudes of sweep j in the
+    eigenbasis of cell `start`, and dts is (cells, nT), each column the
+    per-cell times of its sweep.  Each cell applies
+    c <- O_s (exp(-i w_s dt_s) * c), one matmul shared by every column.
+    Returns the coefficients in the eigenbasis of cell `stop` (the
+    computational basis when stop == cells) and each column's largest norm
+    drift over the steps; a non-finite state reports drift NaN.
+    """
+    stop = plan.cells if stop is None else stop
+    c = np.ascontiguousarray(coeffs, dtype=complex)
+    drift = np.zeros(c.shape[1])
+    scaled = np.empty_like(c)
+    for a in range(start, stop, _PHASE_CHUNK):
+        b = min(a + _PHASE_CHUNK, stop)
+        # exp(-i w dt) as cos + i sin of -w dt, cheaper than a complex exp
+        theta = -(plan.mid_energies[a:b, :, None] * dts[a:b, None, :])
+        phases = np.empty(theta.shape, dtype=complex)
+        np.cos(theta, out=phases.real)
+        np.sin(theta, out=phases.imag)
+        states = np.empty((b - a, *c.shape), dtype=complex)  # c after each step
+        for i, s in enumerate(range(a, b)):
+            np.multiply(c, phases[i], out=scaled)
+            c = states[i]
+            # frame_maps[s] is real: one real matmul on the interleaved (re, im) view
+            np.matmul(plan.frame_maps[s], scaled.view(float), out=c.view(float))
+        flat = states.view(float)
+        norm2 = np.einsum("kij,kij->kj", flat, flat)
+        norms = np.sqrt(norm2[:, 0::2] + norm2[:, 1::2])
+        drift = np.maximum(drift, np.abs(norms - 1.0).max(axis=0))
+    return c.copy(), drift
 
 
 def pace(controller: PaceController, c2: float) -> float:
@@ -389,24 +398,23 @@ def evolve(
     )
     dts = _cell_times(plan, pace_nodes, pace_mids)
 
-    Vs, ws = plan.mid_states, plan.mid_energies
+    c = initial_coefficients(plan)
     if sample_stride > 0:
-        marks = list(range(0, plan.lams.size - 1, sample_stride))
-        if marks[-1] != plan.lams.size - 1:
-            marks.append(plan.lams.size - 1)
-        rows = []
-        psi = plan.psi0.copy()
-        drift = 0.0
+        marks = [*range(0, plan.cells, sample_stride), plan.cells]
         t_cum = np.concatenate([[0.0], np.cumsum(dts)])
-        rows.append(_sample_row(pair, plan.lams[0], 0.0, psi))
+        drift = np.zeros(1)
+        rows = [_sample_row(pair, plan.lams[0], 0.0, plan.psi0)]
         for a, b in zip(marks[:-1], marks[1:]):
-            psi, d = _propagate_chain(Vs[a:b], ws[a:b], dts[a:b], psi)
-            drift = max(drift, d)
+            c, d = propagate(plan, dts[:, None], c, a, b)
+            drift = np.maximum(drift, d)
+            # between cells the coefficients live in cell b's eigenbasis
+            psi = c[:, 0] if b == plan.cells else plan.mid_states[b] @ c[:, 0]
             rows.append(_sample_row(pair, plan.lams[b], t_cum[b], psi))
         samples = np.array(rows)
     else:
-        psi, drift = _propagate_chain(Vs, ws, dts, plan.psi0.copy())
+        c, drift = propagate(plan, dts[:, None], c)
         samples = None
+    psi = c[:, 0]
 
     T = float(dts.sum())
     final = WaveState(amplitudes=psi, lam=0.0, t_elapsed=T)
@@ -415,7 +423,7 @@ def evolve(
         controller=controller,
         P=success_probability(final, pair, ground_index=plan.ground_index),
         T=T,
-        norm_drift=float(drift),
+        norm_drift=float(drift[0]),
         psi=final,
         samples=samples,
     )

@@ -1,8 +1,10 @@
 """Seeded ensemble experiments: P(T) sweeps, time-to-target scaling, gain study.
 
 Per-instance work factors through an _InstanceContext holding the schedule
-plan, the level flow and the unit-gain pace integral, so that scanning many
-total times or gains costs one propagation each instead of one plan each.
+plan, the level flow and the unit-gain pace integral.  Every total time
+scanned on an instance -- a P(T) grid, a gain grid with both controllers,
+the doubling ladder of a time-to-target scan -- is one column of a single
+batched propagation through the plan's cached eigensystems.
 
 Instance seeding: instance_seed(master_seed, n, index) feeds the tuple
 (master_seed, n, index) through numpy's SeedSequence and keeps the first
@@ -153,18 +155,25 @@ class _InstanceContext:
             self._t_ad = evo.adiabatic_time(self.pair, self._resolution)
         return self._t_ad
 
-    def run(self, family: str, T: float) -> float:
-        """P after a sweep of realized total time T for the given family."""
+    def cell_times(self, family: str, T) -> np.ndarray:
+        """(cells, len(T)) per-cell times of sweeps of realized total times T."""
+        T = np.atleast_1d(np.asarray(T, dtype=float))
         if family == "linear":
-            dts = T * self.plan.widths
-        elif family == "feedback":
-            dts = (T / self.unit_time) * self._unit_dts
-        else:
-            raise ValueError(f"unknown controller family {family!r}")
-        psi, _ = evo._propagate_chain(
-            self.plan.mid_states, self.plan.mid_energies, dts, self.plan.psi0.copy()
-        )
-        return float(abs(psi[self.plan.ground_index]) ** 2)
+            return np.multiply.outer(self.plan.widths, T)
+        if family == "feedback":
+            return np.multiply.outer(self._unit_dts, T / self.unit_time)
+        raise ValueError(f"unknown controller family {family!r}")
+
+    def success(self, dts: np.ndarray) -> np.ndarray:
+        """P of every sweep (column of dts), stepped together in one pass."""
+        c0 = evo.initial_coefficients(self.plan, dts.shape[1])
+        c, _ = evo.propagate(self.plan, dts, c0)
+        return np.abs(c[self.plan.ground_index]) ** 2
+
+    def run(self, family: str, T) -> np.ndarray:
+        """P after sweeps of realized total times T (scalar or array) for a family."""
+        T = np.asarray(T, dtype=float)
+        return self.success(self.cell_times(family, T)).reshape(T.shape)
 
     def gain_to_time(self, k: float) -> float:
         return k * self.unit_time
@@ -187,10 +196,9 @@ def sweep_T(
     if np.any(T_values <= 0) or np.any(np.diff(T_values) <= 0):
         raise ValueError("T_values must be positive and strictly ascending")
     ctx = _InstanceContext(pair, steps=steps, curvature_floor=curvature_floor)
-    curves = {}
-    for fam in families:
-        curves[fam] = np.array([(T, ctx.run(fam, T)) for T in T_values])
-    return curves
+    dts = np.hstack([ctx.cell_times(fam, T_values) for fam in families])
+    P = ctx.success(dts).reshape(len(families), T_values.size)
+    return {fam: np.column_stack([T_values, p]) for fam, p in zip(families, P)}
 
 
 _SUDDEN_FLOOR = 1e-9  # lower scan bound, in units of T_ad
@@ -215,36 +223,45 @@ def time_to_target(
     adiabatic time, so the bracket is the first crossing of the scan; any
     non-monotone probe sequence is flagged in the result, not hidden.
     Raises UnreachableTargetError beyond cap_factor * T_ad.
+
+    The whole ladder, down to the sudden floor or up to the cap, runs as one
+    batched propagation; probes records only the rungs up to the first
+    crossing, exactly those a rung-by-rung scan would have evaluated.
     """
     ctx = context or _InstanceContext(pair, steps=steps)
     T_ad = ctx.T_ad
     probes = []
 
     def P(T: float) -> float:
-        p = ctx.run(family, T)
+        p = float(ctx.run(family, T))
         probes.append((T, p))
         return p
 
     T = _SCAN_START * T_ad
     p = P(T)
-    if p >= target_P:
+    above = p >= target_P
+    rungs = []
+    if above:
         # Already above target: walk down to find where it is lost (if ever).
-        while p >= target_P and T > _SUDDEN_FLOOR * T_ad:
+        while T > _SUDDEN_FLOOR * T_ad:
             T /= 2.0
-            p = P(T)
-        if p >= target_P:  # reachable even in the sudden limit
-            return _finish(T, p, probes)
-        lo, hi = T, 2.0 * T
+            rungs.append(T)
     else:
-        while p < target_P:
+        while 2.0 * T <= cap_factor * T_ad:
             T *= 2.0
-            if T > cap_factor * T_ad:
-                raise UnreachableTargetError(
-                    f"{family} sweep did not reach P >= {target_P} below "
-                    f"T = {cap_factor:g} * T_ad = {cap_factor * T_ad:.3g}"
-                )
-            p = P(T)
-        lo, hi = T / 2.0, T
+            rungs.append(T)
+    for T, p in zip(rungs, ctx.run(family, rungs).tolist() if rungs else ()):
+        probes.append((T, p))
+        if (p >= target_P) != above:
+            break
+    if (p >= target_P) == above:  # the ladder never crossed the target
+        if above:  # reachable even in the sudden limit
+            return _finish(T, p, probes)
+        raise UnreachableTargetError(
+            f"{family} sweep did not reach P >= {target_P} below "
+            f"T = {cap_factor:g} * T_ad = {cap_factor * T_ad:.3g}"
+        )
+    lo, hi = (T, 2.0 * T) if above else (T / 2.0, T)
 
     p_hi = p
     while hi / lo > 1.0 + rtol:
@@ -376,15 +393,12 @@ def _deltap_task(args):
     except DegenerateGroundError:
         return None
     ctx = _InstanceContext(pair, steps=steps)
-    rows = []
-    for k in k_values:
-        T = ctx.gain_to_time(k)
-        p_fb = ctx.run("feedback", T)
-        p_lin = ctx.run("linear", T)
-        if p_lin == 0.0:
-            return None
-        rows.append((p_fb - p_lin) / p_lin)
-    return rows
+    T = np.array([ctx.gain_to_time(k) for k in k_values])
+    dts = np.hstack([ctx.cell_times("feedback", T), ctx.cell_times("linear", T)])
+    p_fb, p_lin = ctx.success(dts).reshape(2, T.size)
+    if np.any(p_lin == 0.0):
+        return None
+    return list((p_fb - p_lin) / p_lin)
 
 
 def delta_p_sweep(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import expm
 
 from aqcsim import evolution as evo
 from aqcsim import hamiltonians as ham
@@ -85,18 +86,41 @@ def test_schedule_refines_near_small_gaps():
 # ------------------------------------------------------------------- evolving
 
 
-def test_python_fallback_kernel_matches_jit_kernel():
-    pair = ham.pair_from_seed(2, 11)
+def _expm_chain(plan, dts):
+    """Reference sweep: psi <- expm(-i H(lam_mid) dt) psi, cell by cell."""
+    psi = plan.psi0.copy()
+    for lam, dt in zip(plan.mids, dts):
+        psi = expm(-1j * ham.total_hamiltonian(plan.pair, lam) * dt) @ psi
+    return psi
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_batched_kernel_matches_expm_chain(n):
+    pair = ham.pair_from_seed(n, 11)
     plan = evo.build_schedule(pair, steps=64)
-    dts = 0.5 * plan.widths
-    fast, drift_fast = evo._propagate_chain(
-        plan.mid_states, plan.mid_energies, dts, plan.psi0.copy()
-    )
-    slow, drift_slow = evo._propagate_chain_py(
-        plan.mid_states, plan.mid_energies, dts, plan.psi0.copy()
-    )
-    np.testing.assert_allclose(fast, slow, atol=1e-12)
-    assert drift_fast == pytest.approx(drift_slow, abs=1e-12)
+    Ts = np.array([0.3, 2.0, 15.0])
+    dts = np.multiply.outer(plan.widths, Ts)
+    block, drift = evo.propagate(plan, dts, evo.initial_coefficients(plan, Ts.size))
+    assert np.all(drift < 1e-12)
+    for j in range(Ts.size):
+        np.testing.assert_allclose(block[:, j], _expm_chain(plan, dts[:, j]), atol=1e-12)
+        one, one_drift = evo.propagate(plan, dts[:, j : j + 1], evo.initial_coefficients(plan))
+        np.testing.assert_allclose(block[:, j], one[:, 0], atol=1e-12)
+        assert drift[j] == pytest.approx(one_drift[0], abs=1e-12)
+
+
+def test_norm_drift_reports_non_finite_steps_as_nan():
+    pair = ham.pair_from_seed(2, 3)
+    plan = evo.build_schedule(pair, steps=64)
+    dts = np.multiply.outer(plan.widths, [0.5, 0.5])
+    dts[10, 1] = np.nan
+    with np.errstate(invalid="ignore"):
+        _, drift = evo.propagate(plan, dts, evo.initial_coefficients(plan, 2))
+        assert drift[0] < 1e-12 and np.isnan(drift[1])  # columns stay independent
+        for stride in (0, 16):
+            rec = evo.evolve(pair, evo.PaceController.linear(np.inf), plan=plan,
+                             sample_stride=stride)
+            assert np.isnan(rec.norm_drift)
 
 
 def test_linear_run_realizes_exactly_its_time():

@@ -69,6 +69,16 @@ def test_sweep_t_feedback_hits_each_time_exactly():
     assert rec.T == pytest.approx(0.73, rel=1e-9)
 
 
+def test_sweep_t_batch_matches_single_runs():
+    pair = ham.pair_from_seed(3, 4)
+    grid = np.geomspace(0.05, 40.0, 9)
+    curves = xp.sweep_T(pair, grid, steps=256)
+    ctx = xp._InstanceContext(pair, steps=256)
+    for fam, arr in curves.items():
+        single = [float(ctx.run(fam, T)) for T in grid]
+        np.testing.assert_allclose(arr[:, 1], single, atol=1e-12)
+
+
 def test_sweep_t_validates_grid():
     pair = ham.pair_from_seed(2, 4)
     with pytest.raises(ValueError):
@@ -109,6 +119,63 @@ def test_time_to_target_sudden_reachable():
     res = xp.time_to_target(pair, "linear", target, steps=256)
     assert res.P_at_T >= target
     assert res.T <= 1e-3 * evo.adiabatic_time(pair)
+
+
+def _rung_by_rung_time_to_target(ctx, family, target_P, cap_factor=1e6, rtol=0.01):
+    """The scan with one single-T ctx.run per probe, as the reference."""
+    T_ad, probes = ctx.T_ad, []
+
+    def P(T):
+        probes.append((T, float(ctx.run(family, T))))
+        return probes[-1][1]
+
+    T = xp._SCAN_START * T_ad
+    p = P(T)
+    if p >= target_P:
+        while p >= target_P and T > xp._SUDDEN_FLOOR * T_ad:
+            T /= 2.0
+            p = P(T)
+        if p >= target_P:
+            return xp._finish(T, p, probes)
+        lo, hi = T, 2.0 * T
+    else:
+        while p < target_P:
+            T *= 2.0
+            if T > cap_factor * T_ad:
+                raise UnreachableTargetError(family)
+            p = P(T)
+        lo, hi = T / 2.0, T
+    p_hi = p
+    while hi / lo > 1.0 + rtol:
+        mid = np.sqrt(lo * hi)
+        p_mid = P(mid)
+        if p_mid >= target_P:
+            hi, p_hi = mid, p_mid
+        else:
+            lo = mid
+    return xp._finish(hi, p_hi, probes)
+
+
+# (seed, target, walks down): up to a crossing; down to a crossing (the
+# first probe already meets 0.4, the sudden limit does not); down to the
+# sudden floor without one (0.25 is met even by an instantaneous sweep)
+@pytest.mark.parametrize(
+    "seed, target, walks_down", [(1, 0.9, False), (1, 0.4, True), (5, 0.25, True)]
+)
+def test_batched_ladder_matches_rung_by_rung_scan(seed, target, walks_down):
+    pair = ham.pair_from_seed(2, seed)
+    ctx = xp._InstanceContext(pair, steps=512)
+    for family in xp.CONTROLLER_FAMILIES:
+        got = xp.time_to_target(pair, family, target, context=ctx)
+        want = _rung_by_rung_time_to_target(ctx, family, target)
+        assert (got.probes[1][0] < got.probes[0][0]) == walks_down
+        assert [t for t, _ in got.probes] == [t for t, _ in want.probes]
+        np.testing.assert_allclose(
+            [p for _, p in got.probes], [p for _, p in want.probes], atol=1e-12
+        )
+        assert got.non_monotone == want.non_monotone
+        assert got.T == want.T
+        assert got.P_at_T == pytest.approx(want.P_at_T, abs=1e-12)
 
 
 def test_time_to_target_unreachable_under_cap():
@@ -203,3 +270,18 @@ def test_delta_p_equal_time_comparison_is_fair():
     p_fb = ctx.run("feedback", T)
     p_lin = ctx.run("linear", T)
     assert p_fb > 0.99 and p_lin > 0.99
+
+
+def test_delta_p_rows_match_single_runs():
+    ks = tuple(np.geomspace(3e-3, 3.0, 13))
+    master_seed, steps = 9, 256
+    rows = xp._deltap_task((2, 0, master_seed, ks, steps))
+    ctx = xp._InstanceContext(
+        xp.make_instance(2, xp.instance_seed(master_seed, 2, 0)), steps=steps
+    )
+    want = []
+    for k in ks:
+        T = ctx.gain_to_time(k)
+        p_fb, p_lin = float(ctx.run("feedback", T)), float(ctx.run("linear", T))
+        want.append((p_fb - p_lin) / p_lin)
+    np.testing.assert_allclose(rows, want, rtol=0, atol=1e-12)
