@@ -45,8 +45,6 @@ from .spectral import (
     curvature_from_spectrum,
     curvature_profile,
     init_spectrum,
-    integrate_py,
-    py_rhs,
     solve_levels,
 )
 from .evolution import (

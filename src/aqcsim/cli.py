@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -206,6 +207,10 @@ def _read_config_file(path: str) -> dict:
 
 def _validate(command: str, v: dict) -> None:
     """Reject combinations the commands cannot honor, field by field."""
+    for key, value in v.items():
+        if _CONVERTERS[key] in (float, _float_list) and value is not None:
+            if not all(math.isfinite(x) for x in np.atleast_1d(value)):
+                raise ValueError(f"--{key.replace('_', '-')} must be finite")
     if command == "run":
         if v["controller"] == "linear":
             if v["t_total"] is None:
@@ -293,7 +298,8 @@ def emit_tables(results: dict, out_dir: str, manifest: dict | None = None):
         written.append(path)
     if manifest is not None:
         path = os.path.join(out_dir, "manifest.json")
-        _atomic_write(path, json.dumps(manifest, indent=2, default=str) + "\n")
+        text = json.dumps(manifest, indent=2, default=str, allow_nan=False)
+        _atomic_write(path, text + "\n")
         written.append(path)
     return written
 
@@ -340,6 +346,8 @@ def replay_profile(path: str):
                 raise ProfileFormatError(
                     f"non-numeric row: {line!r}", line=lineno
                 ) from None
+            if not (math.isfinite(lam) and math.isfinite(c2)):
+                raise ProfileFormatError(f"non-finite value: {line!r}", line=lineno)
             if lams and lam >= lams[-1]:
                 raise ProfileFormatError(
                     f"lambda must descend strictly (got {lam} after {lams[-1]})",
@@ -389,6 +397,8 @@ def _cmd_run(cfg: RunConfig) -> dict:
     record = evo.evolve(
         pair, controller, steps=cfg["steps"], sample_stride=cfg["sample_stride"]
     )
+    if not (math.isfinite(record.P) and math.isfinite(record.T)):
+        raise SimulationError(f"sweep gave P = {record.P!r}, T = {record.T!r}")
     tables = {}
     if record.samples is not None:
         tables["trajectory.csv"] = (evo.SAMPLE_COLUMNS, record.samples)

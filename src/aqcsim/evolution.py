@@ -149,14 +149,16 @@ class BackactionWindow:
 
 @dataclass(frozen=True)
 class SchedulePlan:
-    """Precomputed lam grid, midpoint eigensystems and frame overlaps.
+    """Precomputed lam grid, midpoint energies and frame overlaps.
 
     Building the plan costs one eigendecomposition per cell; every run on
     the instance (any controller, any T) then reuses it, which is what makes
     the time-to-target scans affordable.  frame_maps[s] = V_{s+1}^T V_s
     carries eigenframe coefficients from cell s into cell s + 1; the last
     one is V_{cells-1} itself, back to the computational basis.  With them
-    propagate() steps many total times in one pass.
+    propagate() steps many total times in one pass.  The midpoint
+    eigenvectors themselves are not kept: c0 holds psi0 in the first
+    cell's eigenbasis, which is all a sweep needs to start.
     """
 
     pair: ham.HamiltonianPair
@@ -164,9 +166,9 @@ class SchedulePlan:
     mids: np.ndarray
     widths: np.ndarray  # positive cell widths in lam
     mid_energies: np.ndarray  # (cells, dim)
-    mid_states: np.ndarray  # (cells, dim, dim)
     frame_maps: np.ndarray  # (cells, dim, dim)
     psi0: np.ndarray  # ground state of H(1)
+    c0: np.ndarray  # psi0 in the eigenbasis of cell 0
     ground_index: int
 
     @property
@@ -253,17 +255,16 @@ def build_schedule(pair: ham.HamiltonianPair, steps: int = 2048) -> SchedulePlan
         mids=mids,
         widths=cell_widths,
         mid_energies=mid_energies,
-        mid_states=mid_states,
         frame_maps=frame_maps,
         psi0=psi0,
+        c0=mid_states[0].T @ psi0,
         ground_index=ham.problem_ground_index(pair),
     )
 
 
 def initial_coefficients(plan: SchedulePlan, columns: int = 1) -> np.ndarray:
     """psi0 in the eigenbasis of the first cell, repeated over `columns` sweeps."""
-    c0 = plan.mid_states[0].T @ plan.psi0
-    return np.repeat(c0[:, None], columns, axis=1)
+    return np.repeat(plan.c0[:, None], columns, axis=1)
 
 
 def propagate(plan: SchedulePlan, dts, coeffs, start: int = 0, stop: int | None = None):
@@ -408,7 +409,10 @@ def evolve(
             c, d = propagate(plan, dts[:, None], c, a, b)
             drift = np.maximum(drift, d)
             # between cells the coefficients live in cell b's eigenbasis
-            psi = c[:, 0] if b == plan.cells else plan.mid_states[b] @ c[:, 0]
+            if b == plan.cells:
+                psi = c[:, 0]
+            else:
+                psi = ham.spectrum_at(pair, plan.mids[b]).states @ c[:, 0]
             rows.append(_sample_row(pair, plan.lams[b], t_cum[b], psi))
         samples = np.array(rows)
     else:
@@ -449,26 +453,35 @@ def success_probability(
     return float(abs(psi.amplitudes[ground_index]) ** 2)
 
 
-def min_gap(pair: ham.HamiltonianPair, resolution: int = 512):
-    """Minimum of E_1 - E_0 over lam in [0, 1] and its location.
+def _ground_scan(pair: ham.HamiltonianPair, lams: np.ndarray):
+    """Gap E_1 - E_0 and max_j |<0|H_b|j>| at each lam, from one stacked eigh."""
+    H = lams[:, None, None] * pair.bias
+    diagonal = np.arange(pair.dim)
+    H[:, diagonal, diagonal] += pair.problem_diag
+    w, V = np.linalg.eigh(H)
+    m = (V[:, :, 0] @ pair.bias)[:, None, :] @ V[:, :, 1:]
+    return w[:, 1] - w[:, 0], np.abs(m[:, 0, :]).max(axis=1)
 
-    Dense scan at `resolution` points, then golden-section refinement in the
-    bracketing cells (boundary minima included -- the single-qubit model has
-    its minimum exactly at lam = 0).
-    """
+
+def _scan_grid(resolution: int) -> np.ndarray:
     if resolution < 16:
         raise ValueError(f"resolution must be >= 16, got {resolution}")
-    lams = np.linspace(0.0, 1.0, resolution)
+    return np.linspace(0.0, 1.0, resolution)
+
+
+def _bracket(lams: np.ndarray, i: int):
+    """The scan cells on either side of grid point i."""
+    return lams[max(i - 1, 0)], lams[min(i + 1, lams.size - 1)]
+
+
+def _refine_min_gap(pair: ham.HamiltonianPair, lams: np.ndarray, gaps: np.ndarray):
     diag = pair.problem_diag
 
     def gap(lam: float) -> float:
         w = np.linalg.eigvalsh(np.diag(diag) + lam * pair.bias)
         return float(w[1] - w[0])
 
-    gaps = np.array([gap(lam) for lam in lams])
-    i = int(np.argmin(gaps))
-    lo = lams[max(i - 1, 0)]
-    hi = lams[min(i + 1, resolution - 1)]
+    lo, hi = _bracket(lams, int(np.argmin(gaps)))
     res = minimize_scalar(gap, bounds=(lo, hi), method="bounded", options={"xatol": 1e-10})
     best_lam, best_gap = float(res.x), float(res.fun)
     # The bounded minimizer cannot land exactly on a boundary; check them too.
@@ -479,31 +492,41 @@ def min_gap(pair: ham.HamiltonianPair, resolution: int = 512):
     return best_gap, best_lam
 
 
+def min_gap(pair: ham.HamiltonianPair, resolution: int = 512):
+    """Minimum of E_1 - E_0 over lam in [0, 1] and its location.
+
+    Dense scan at `resolution` points, then golden-section refinement in the
+    bracketing cells (boundary minima included -- the single-qubit model has
+    its minimum exactly at lam = 0).
+    """
+    lams = _scan_grid(resolution)
+    gaps, _ = _ground_scan(pair, lams)
+    return _refine_min_gap(pair, lams, gaps)
+
+
 def adiabatic_time(pair: ham.HamiltonianPair, resolution: int = 512) -> float:
     """max over excited levels and lam of |<j|H_b|0>|, over the squared minimum gap.
 
     The timescale beyond which a sweep is effectively adiabatic; linear runs
-    at T >> this value reach P ~ 1.
+    at T >> this value reach P ~ 1.  One scan of the lam grid serves both
+    the coupling peak and the minimum gap.
     """
-    if resolution < 16:
-        raise ValueError(f"resolution must be >= 16, got {resolution}")
-    lams = np.linspace(0.0, 1.0, resolution)
+    lams = _scan_grid(resolution)
+    gaps, values = _ground_scan(pair, lams)
 
     def coupling(lam: float) -> float:
         es = ham.spectrum_at(pair, lam)
         m = es.states[:, 0] @ pair.bias @ es.states[:, 1:]
         return float(np.max(np.abs(m)))
 
-    values = np.array([coupling(lam) for lam in lams])
     i = int(np.argmax(values))
-    lo = lams[max(i - 1, 0)]
-    hi = lams[min(i + 1, resolution - 1)]
+    lo, hi = _bracket(lams, i)
     res = minimize_scalar(
         lambda lam: -coupling(lam), bounds=(lo, hi), method="bounded",
         options={"xatol": 1e-10},
     )
     peak = max(values[i], -float(res.fun))
-    gap_min, _ = min_gap(pair, resolution)
+    gap_min, _ = _refine_min_gap(pair, lams, gaps)
     return peak / gap_min**2
 
 

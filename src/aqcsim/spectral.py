@@ -9,6 +9,12 @@ v_l = <l|H_b|l> and couplings l_lj = (E_l - E_j) <l|H_b|j>:
     dv_l/dlam = sum_{k != l}    2 |l_lk|^2 / (E_l - E_k)^3
     dl_lj/dlam = sum_{k != l,j} l_lk l_kj (1/(E_l - E_k)^2 - 1/(E_j - E_k)^2)
 
+Every H(lam) built here is real symmetric, so the eigenvectors are real and
+the coupling matrix is real antisymmetric: the state [E, v, L] is carried
+as one float64 vector.  With the symmetric weights W[l, k] = 1/(E_l - E_k)^2
+(zero diagonal), M = L * W is antisymmetric and the coupling equation reads
+dL = M L - (M L)^T, one matrix product per right-hand-side evaluation.
+
 The ground-state curvature d^2 E_0 / dlam^2 is the l = 0 line of the
 velocity equation; its two-level truncation keeps only the k = 1 term.
 Both are exposed: the feedback controller uses the full sum, and the pair
@@ -33,9 +39,7 @@ __all__ = [
     "CurvatureSample",
     "LevelFlow",
     "init_spectrum",
-    "py_rhs",
     "solve_levels",
-    "integrate_py",
     "curvature",
     "curvature_from_spectrum",
     "curvature_profile",
@@ -54,7 +58,7 @@ class SpectrumState:
     E: level energies (ascending at lam = 1; the flow preserves order for
        the nondegenerate ensemble).
     v: level velocities <l|H_b|l>.
-    L: coupling matrix l_lj, zero diagonal, L[l, j] == -conj(L[j, l]).
+    L: real coupling matrix l_lj, zero diagonal, L[l, j] == -L[j, l].
     """
 
     lam: float
@@ -95,39 +99,15 @@ def init_spectrum(pair: ham.HamiltonianPair) -> SpectrumState:
     v = np.diag(M).copy()
     L = (es.energies[:, None] - es.energies[None, :]) * M
     np.fill_diagonal(L, 0.0)
-    return SpectrumState(lam=1.0, E=es.energies.copy(), v=v, L=L.astype(complex))
-
-
-def py_rhs(state: SpectrumState):
-    """Right-hand side of the equations of motion; returns (dE, dv, dL).
-
-    All pair sums are evaluated with matrix algebra: the difference matrix
-    D[l, k] = E_l - E_k gets a dummy unit diagonal, and weight matrices with
-    zeroed diagonals make the k != l (and k != j) exclusions automatic --
-    the j-column/l-row terms the triple sum would exclude cancel identically
-    because L has zero diagonal.
-    """
-    scale = float(np.max(state.E) - np.min(state.E)) or 1.0
-    _check_separation(state.E, state.lam, scale)
-    E, L = state.E, state.L
-    D = E[:, None] - E[None, :]
-    np.fill_diagonal(D, 1.0)
-    W = 1.0 / D**2
-    np.fill_diagonal(W, 0.0)
-    A = 2.0 * np.abs(L) ** 2 / D**3
-    np.fill_diagonal(A, 0.0)
-    dv = A.sum(axis=1)
-    dL = (L * W) @ L - L @ (L * W.T)
-    np.fill_diagonal(dL, 0.0)
-    return state.v.copy(), dv, dL
+    return SpectrumState(lam=1.0, E=es.energies.copy(), v=v, L=L)
 
 
 def _pack(E, v, L):
-    return np.concatenate([E.astype(complex), v.astype(complex), L.ravel()])
+    return np.concatenate([E, v, L.ravel()])
 
 
 def _unpack(y, dim):
-    return y[:dim].real, y[dim : 2 * dim].real, y[2 * dim :].reshape(dim, dim)
+    return y[:dim], y[dim : 2 * dim], y[2 * dim :].reshape(dim, dim)
 
 
 class LevelFlow:
@@ -148,16 +128,23 @@ class LevelFlow:
     def energies(self, lams) -> np.ndarray:
         """Levels at each requested lam, shape (dim, len(lams))."""
         y = self._sol.sol(np.atleast_1d(lams))
-        return y[: self.pair.dim].real
+        return y[: self.pair.dim]
+
+    def states_on(self, grid) -> list[SpectrumState]:
+        """Phase-space points on a lam grid descending from 1 to 0."""
+        grid = np.asarray(grid, dtype=float)
+        if grid[0] != 1.0 or grid[-1] != 0.0 or np.any(np.diff(grid) >= 0):
+            raise ValueError("grid must descend strictly from 1 to 0")
+        return [self.state_at(lam) for lam in grid]
 
     def curvatures(self, lams) -> tuple[np.ndarray, np.ndarray]:
         """(c2_full, c2_pair) arrays at the requested lam values."""
         lams = np.atleast_1d(np.asarray(lams, dtype=float))
         dim = self.pair.dim
         y = self._sol.sol(np.clip(lams, 0.0, 1.0))
-        E = y[:dim].real
+        E = y[:dim]
         L0 = y[2 * dim : 2 * dim + dim]  # row l = 0 of L
-        num = 2.0 * np.abs(L0[1:]) ** 2
+        num = 2.0 * L0[1:] ** 2
         den = (E[1:] - E[0:1]) ** 3
         c2_full = -np.sum(num / den, axis=0)
         c2_pair = -num[0] / den[0]
@@ -173,19 +160,18 @@ def solve_levels(
     scale = float(np.max(start.E) - np.min(start.E)) or 1.0
 
     def rhs(lam, y):
-        E = y[:dim].real
+        # Pair sums as matrix algebra over D[l, k] = E_l - E_k, whose
+        # diagonal is a dummy 1: L has zero diagonal, so every k == l (and
+        # k == j) term of the sums vanishes without being masked.
+        E = y[:dim]
         L = y[2 * dim :].reshape(dim, dim)
         _check_separation(E, lam, scale)
-        D = E[:, None] - E[None, :]
+        D = np.subtract.outer(E, E)
         np.fill_diagonal(D, 1.0)
-        W = 1.0 / D**2
-        np.fill_diagonal(W, 0.0)
-        A = 2.0 * np.abs(L) ** 2 / D**3
-        np.fill_diagonal(A, 0.0)
-        dv = A.sum(axis=1)
-        dL = (L * W) @ L - L @ (L * W.T)
-        np.fill_diagonal(dL, 0.0)
-        return np.concatenate([y[dim : 2 * dim], dv.astype(complex), dL.ravel()])
+        D2 = D * D
+        ML = (L / D2) @ L
+        dv = (2.0 * L**2 / (D2 * D)).sum(axis=1)
+        return np.concatenate([y[dim : 2 * dim], dv, (ML - ML.T).ravel()])
 
     sol = solve_ivp(
         rhs,
@@ -199,18 +185,6 @@ def solve_levels(
     if sol.status != 0:
         raise IntegrationFailureError(f"level integration stopped: {sol.message}")
     return LevelFlow(pair, sol)
-
-
-def integrate_py(pair: ham.HamiltonianPair, grid, rtol=1e-8, atol=1e-10):
-    """Solve the level equations and sample them on the given lam grid.
-
-    The grid must descend from 1 to 0 (the direction of the sweep).
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid[0] != 1.0 or grid[-1] != 0.0 or np.any(np.diff(grid) >= 0):
-        raise ValueError("grid must descend strictly from 1 to 0")
-    flow = solve_levels(pair, rtol=rtol, atol=atol)
-    return [flow.state_at(lam) for lam in grid]
 
 
 def curvature(state: SpectrumState) -> CurvatureSample:
@@ -227,7 +201,7 @@ def curvature(state: SpectrumState) -> CurvatureSample:
             f"E1 - E0 = {E[1] - E[0]:.3e}",
             pair=(0, 1),
         )
-    num = 2.0 * np.abs(L[0, 1:]) ** 2
+    num = 2.0 * L[0, 1:] ** 2
     den = (E[1:] - E[0]) ** 3
     c2_full = -float(np.sum(num / den))
     c2_pair = -float(num[0] / den[0])

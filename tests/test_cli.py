@@ -159,6 +159,55 @@ def test_replay_profile_rejects_bad_files(tmp_path):
         cli.replay_profile(write("empty.csv", "lambda,c2_full\n"))
 
 
+@pytest.mark.parametrize("bad_row", ["0.5,nan", "nan,-0.3", "0.5,-inf"])
+def test_non_finite_replay_row_exits_2_without_manifest(tmp_path, capsys, bad_row):
+    profile = tmp_path / "p.csv"
+    profile.write_text(f"lambda,c2\n1.0,-1.0\n{bad_row}\n0.0,-2.0\n")
+    with pytest.raises(ProfileFormatError, match="line 3"):
+        cli.replay_profile(str(profile))
+    out = tmp_path / "o"
+    code = cli.main(
+        ["run", "--n", "2", "--seed", "6", "--controller", "feedback", "--k", "0.08",
+         "--source", "replay", "--replay", str(profile), "--out", str(out)]
+    )
+    assert code == 2
+    assert "line 3" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_epsilon_exits_2_without_manifest(tmp_path, value):
+    out = tmp_path / "o"
+    code = cli.main(
+        ["run", "--n", "1", "--epsilon", value, "--controller", "linear",
+         "--t-total", "1.0", "--out", str(out)]
+    )
+    assert code == 2
+    assert not (out / "manifest.json").exists()
+
+
+def test_non_finite_sweep_exits_3_without_manifest(tmp_path, capsys):
+    # finite inputs whose pace overflows: k * |c2| = 1e10 * 1e308 is inf
+    profile = tmp_path / "p.csv"
+    profile.write_text("lambda,c2\n1.0,-1e308\n0.0,-1e308\n")
+    out = tmp_path / "o"
+    with np.errstate(all="ignore"):
+        code = cli.main(
+            ["run", "--n", "2", "--seed", "6", "--controller", "feedback",
+             "--k", "1e10", "--source", "replay", "--replay", str(profile),
+             "--out", str(out)]
+        )
+    assert code == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_manifest_refuses_non_finite_numbers(tmp_path):
+    with pytest.raises(ValueError):
+        cli.emit_tables({}, str(tmp_path), {"results": {"P": float("nan")}})
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_replay_profile_tolerates_header_and_extra_columns(tmp_path):
     p = tmp_path / "p.csv"
     p.write_text("lambda,c2_full,c2_pair\n1.0,-1.5,-1.0\n0.5,-9.0,-8.0\n0.0,-2.0,-1.0\n")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.linalg import expm
+from scipy.optimize import minimize_scalar
 
 from aqcsim import evolution as evo
 from aqcsim import hamiltonians as ham
@@ -248,6 +249,24 @@ def test_trajectory_sampling_contracts():
     assert np.all(s[:, 3] > 0)  # gaps
 
 
+def test_trajectory_rows_match_expm_chain():
+    pair = ham.pair_from_seed(3, 11)
+    plan = evo.build_schedule(pair, steps=256)
+    controller = evo.PaceController.linear(2.0)
+    rec = evo.evolve(pair, controller, plan=plan, sample_stride=16)
+    dts = plan.widths * 2.0
+    marks = [*range(0, plan.cells, 16), plan.cells]
+    assert rec.samples.shape[0] == len(marks)
+    for row, b in zip(rec.samples, marks):
+        assert row[0] == plan.lams[b]
+        psi = _expm_chain(plan, dts[:b])  # stopped at node b
+        ground = ham.spectrum_at(pair, plan.lams[b]).states[:, 0]
+        assert row[2] == pytest.approx(abs(ground @ psi) ** 2, abs=1e-12)
+    whole = evo.evolve(pair, controller, plan=plan)
+    assert rec.samples[-1, 2] == pytest.approx(whole.P, abs=1e-12)
+    assert rec.P == whole.P
+
+
 def test_success_probability_requires_final_state():
     pair = ham.pair_from_seed(2, 2)
     mid = WaveState(amplitudes=np.ones(4) / 2.0, lam=0.5)
@@ -302,6 +321,50 @@ def test_sweep_slower_than_adiabatic_time_succeeds_everywhere():
         T = 30.0 * evo.adiabatic_time(pair)
         rec = evo.evolve(pair, evo.PaceController.linear(T), steps=1024)
         assert rec.P > 0.9
+
+
+def _scalar_min_gap(pair, lams):
+    """Per-lam scan of the gap, then the same bounded refinement."""
+
+    def gap(lam):
+        w = np.linalg.eigvalsh(np.diag(pair.problem_diag) + lam * pair.bias)
+        return float(w[1] - w[0])
+
+    i = int(np.argmin([gap(lam) for lam in lams]))
+    lo, hi = lams[max(i - 1, 0)], lams[min(i + 1, lams.size - 1)]
+    res = minimize_scalar(gap, bounds=(lo, hi), method="bounded",
+                          options={"xatol": 1e-10})
+    return min((float(res.fun), float(res.x)), (gap(lo), lo), (gap(hi), hi))
+
+
+def _scalar_adiabatic_time(pair, lams):
+    """Per-lam spectrum_at scan of the coupling, then the same refinements."""
+
+    def coupling(lam):
+        es = ham.spectrum_at(pair, lam)
+        return float(np.max(np.abs(es.states[:, 0] @ pair.bias @ es.states[:, 1:])))
+
+    values = np.array([coupling(lam) for lam in lams])
+    i = int(np.argmax(values))
+    lo, hi = lams[max(i - 1, 0)], lams[min(i + 1, lams.size - 1)]
+    res = minimize_scalar(lambda lam: -coupling(lam), bounds=(lo, hi),
+                          method="bounded", options={"xatol": 1e-10})
+    peak = max(values[i], -float(res.fun))
+    return peak / _scalar_min_gap(pair, lams)[0] ** 2
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_batched_scan_matches_scalar_reference(n):
+    lams = np.linspace(0.0, 1.0, 512)
+    for seed in (3, 8):
+        pair = ham.pair_from_seed(n, seed)
+        gap, lam_star = evo.min_gap(pair)
+        want_gap, want_lam = _scalar_min_gap(pair, lams)
+        assert gap == pytest.approx(want_gap, rel=1e-12)
+        assert lam_star == pytest.approx(want_lam, rel=1e-12, abs=1e-12)
+        assert evo.adiabatic_time(pair) == pytest.approx(
+            _scalar_adiabatic_time(pair, lams), rel=1e-12
+        )
 
 
 # ----------------------------------------------------------------- backaction

@@ -56,7 +56,8 @@ def test_init_spectrum_structure():
     # velocities are the diagonal of the bias in the eigenbasis
     M = es.states.T @ pair.bias @ es.states
     np.testing.assert_allclose(s.v, np.diag(M), atol=1e-12)
-    # couplings are gap-weighted off-diagonals, antisymmetric, zero diagonal
+    # couplings are gap-weighted off-diagonals, real, antisymmetric, zero diagonal
+    assert s.L.dtype == np.float64
     np.testing.assert_allclose(s.L, -s.L.T, atol=1e-12)
     assert np.all(np.diag(s.L) == 0)
     # velocities sum to the (zero) trace of the bias term
@@ -108,13 +109,18 @@ def test_curvature_matches_finite_difference(n, seed):
             assert c2_full[0] == pytest.approx(fd, rel=1e-3)
 
 
-def test_two_route_agreement_along_sweep():
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_two_route_agreement_along_sweep(n):
     # the dynamical curvature and the one-shot perturbation sum are
     # independent computations of the same derivative
-    pair = ham.pair_from_seed(2, 44)
+    pair = ham.pair_from_seed(n, 44)
     flow = spectral.solve_levels(pair)
-    for lam in (0.1, 0.35, 0.8):
-        s = spectral.curvature(flow.state_at(lam))
+    for lam in np.linspace(1.0, 0.0, 64):
+        state = flow.state_at(lam)
+        assert state.L.dtype == np.float64
+        scale = np.abs(state.L).max()
+        np.testing.assert_allclose(state.L, -state.L.T, rtol=0, atol=1e-12 * scale)
+        s = spectral.curvature(state)
         d = spectral.curvature_from_spectrum(ham.spectrum_at(pair, lam), pair.bias)
         assert s.c2_full == pytest.approx(d.c2_full, rel=1e-6)
         assert s.c2_pair == pytest.approx(d.c2_pair, rel=1e-6)
@@ -130,13 +136,13 @@ def test_ground_curvature_is_nonpositive():
         assert np.all(c2_full <= c2_pair + 1e-15)  # full sum is more negative
 
 
-def test_integrate_py_grid_validation():
-    pair = ham.pair_from_seed(2, 3)
+def test_states_on_grid_validation():
+    flow = spectral.solve_levels(ham.pair_from_seed(2, 3))
     with pytest.raises(ValueError):
-        spectral.integrate_py(pair, np.linspace(0.0, 1.0, 5))  # ascending
+        flow.states_on(np.linspace(0.0, 1.0, 5))  # ascending
     with pytest.raises(ValueError):
-        spectral.integrate_py(pair, np.array([1.0, 0.5, 0.1]))  # stops short
-    states = spectral.integrate_py(pair, np.linspace(1.0, 0.0, 5))
+        flow.states_on(np.array([1.0, 0.5, 0.1]))  # stops short
+    states = flow.states_on(np.linspace(1.0, 0.0, 5))
     assert [s.lam for s in states] == [1.0, 0.75, 0.5, 0.25, 0.0]
 
 
@@ -154,7 +160,7 @@ def test_curvature_refuses_inverted_levels():
         lam=0.5,
         E=np.array([1.0, 1.0 - 1e-15]),
         v=np.zeros(2),
-        L=np.zeros((2, 2), dtype=complex),
+        L=np.zeros((2, 2)),
     )
     with pytest.raises(NearDegeneracyError):
         spectral.curvature(s)
