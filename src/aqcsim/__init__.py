@@ -49,6 +49,7 @@ from .spectral import (
 )
 from .evolution import (
     BackactionWindow,
+    Instance,
     PaceController,
     RunRecord,
     SchedulePlan,
@@ -71,6 +72,7 @@ from .experiments import (
     delta_p_sweep,
     instance_seed,
     make_instance,
+    map_instances,
     scaling_study,
     sweep_T,
     time_to_target,

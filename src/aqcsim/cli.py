@@ -60,102 +60,48 @@ def _bool(text: str):
     raise ValueError(f"not a boolean: {text!r}")
 
 
-# Option registry: key -> (converter, help).  Keys double as config-file keys
-# and as --flags with dashes.  A key is available to the commands listed in
-# _COMMAND_OPTIONS below; defaults live in _DEFAULTS.
-_CONVERTERS = {
-    "n": int,
-    "seed": int,
-    "epsilon": _float_list,
-    "controller": str,
-    "t_total": float,
-    "k": float,
-    "curvature_floor": float,
-    "source": str,
-    "replay": str,
-    "steps": int,
-    "sample_stride": int,
-    "resolution": int,
-    "t_min": float,
-    "t_max": float,
-    "t_points": int,
-    "t_units": str,
-    "n_values": _int_list,
-    "samples": int,
-    "master_seed": int,
-    "target_p": float,
-    "k_grid": _float_list,
-    "out": str,
-    "plots": _bool,
-    "workers": int,
+# Option registry: key -> (converter, default, help).  Keys double as
+# config-file keys and as --flags with dashes.  A key is available to the
+# commands listed in _COMMAND_OPTIONS below.
+_OPTIONS = {
+    "n": (int, 2, "qubit count"),
+    "seed": (int, 7, "instance seed"),
+    "epsilon": (_float_list, None, "explicit coupling list c1,c2,... (overrides sampling)"),
+    "controller": (str, "linear", "linear or feedback"),
+    "t_total": (float, None, "total sweep time (linear controller)"),
+    "k": (float, None, "controller gain (feedback controller)"),
+    "curvature_floor": (float, None, "pace floor on |c2| (default: 1e-6 of the profile max)"),
+    "source": (str, "live", "curvature source for feedback: live or replay"),
+    "replay": (str, None, "path to a (lambda, c2) profile CSV for --source replay"),
+    "steps": (int, 2048, "number of schedule cells"),
+    "sample_stride": (int, 0, "trajectory rows every N nodes (0 = no dump)"),
+    "resolution": (int, 1024, "number of lambda samples"),
+    "t_min": (float, 0.5, "smallest sweep time in the grid"),
+    "t_max": (float, 2.0, "largest sweep time in the grid"),
+    "t_points": (int, 16, "number of grid points"),
+    "t_units": (str, "tad", "'tad' (multiples of the adiabatic time) or 'abs'"),
+    "n_values": (_int_list, (2, 3, 4, 5), "comma-separated qubit counts, e.g. 2,3,4,5"),
+    "samples": (int, 100, "instances per ensemble cell"),
+    "master_seed": (int, 7, "seed from which all instance seeds derive"),
+    "target_p": (float, 0.9, "success probability to reach"),
+    "k_grid": (_float_list, tuple(np.geomspace(3e-3, 3.0, 13)),
+               "gain values: comma list or lo:hi:count (geometric)"),
+    # None: resolved against the environment in parse_config
+    "out": (str, None, f"output directory (default ${OUTDIR_ENV} or ./aqcsim_out)"),
+    "plots": (_bool, False, "also write simple SVG line plots"),
+    "workers": (int, 0, "process-pool size (0 = in-process; at most the CPU count)"),
 }
 
-_COMMON = ("out", "plots", "workers")
 _COMMAND_OPTIONS = {
-    "run": _COMMON
-    + ("n", "seed", "epsilon", "controller", "t_total", "k", "curvature_floor",
-       "source", "replay", "steps", "sample_stride"),
-    "profile": _COMMON + ("n", "seed", "epsilon", "resolution"),
-    "sweep-t": _COMMON
-    + ("n", "seed", "epsilon", "steps", "curvature_floor",
-       "t_min", "t_max", "t_points", "t_units"),
-    "scaling": _COMMON
-    + ("n_values", "samples", "master_seed", "target_p", "steps"),
-    "deltap": _COMMON + ("n", "samples", "master_seed", "k_grid", "steps"),
-}
-
-_DEFAULTS = {
-    "out": None,  # resolved against the environment below
-    "plots": False,
-    "workers": 0,
-    "n": 2,
-    "seed": 7,
-    "epsilon": None,
-    "controller": "linear",
-    "t_total": None,
-    "k": None,
-    "curvature_floor": None,
-    "source": "live",
-    "replay": None,
-    "steps": 2048,
-    "sample_stride": 0,
-    "resolution": 1024,
-    "t_min": 0.5,
-    "t_max": 2.0,
-    "t_points": 16,
-    "t_units": "tad",
-    "n_values": (2, 3, 4, 5),
-    "samples": 100,
-    "master_seed": 7,
-    "target_p": 0.9,
-    "k_grid": tuple(np.geomspace(3e-3, 3.0, 13)),
-}
-
-_HELP = {
-    "n": "qubit count",
-    "seed": "instance seed",
-    "epsilon": "explicit coupling list c1,c2,... (overrides sampling)",
-    "controller": "linear or feedback",
-    "t_total": "total sweep time (linear controller)",
-    "k": "controller gain (feedback controller)",
-    "curvature_floor": "pace floor on |c2| (default: 1e-6 of the profile max)",
-    "source": "curvature source for feedback: live or replay",
-    "replay": "path to a (lambda, c2) profile CSV for --source replay",
-    "steps": "number of schedule cells",
-    "sample_stride": "trajectory rows every N nodes (0 = no dump)",
-    "resolution": "number of lambda samples",
-    "t_min": "smallest sweep time in the grid",
-    "t_max": "largest sweep time in the grid",
-    "t_points": "number of grid points",
-    "t_units": "'tad' (multiples of the adiabatic time) or 'abs'",
-    "n_values": "comma-separated qubit counts, e.g. 2,3,4,5",
-    "samples": "instances per ensemble cell",
-    "master_seed": "seed from which all instance seeds derive",
-    "target_p": "success probability to reach",
-    "k_grid": "gain values: comma list or lo:hi:count (geometric)",
-    "out": f"output directory (default ${OUTDIR_ENV} or ./aqcsim_out)",
-    "plots": "also write simple SVG line plots",
-    "workers": "process-pool size for ensembles (0 = in-process)",
+    "run": ("out", "n", "seed", "epsilon", "controller", "t_total", "k",
+            "curvature_floor", "source", "replay", "steps", "sample_stride"),
+    "profile": ("out", "plots", "n", "seed", "epsilon", "resolution"),
+    "sweep-t": ("out", "plots", "n", "seed", "epsilon", "steps", "curvature_floor",
+                "t_min", "t_max", "t_points", "t_units"),
+    "scaling": ("out", "plots", "workers",
+                "n_values", "samples", "master_seed", "target_p", "steps"),
+    "deltap": ("out", "plots", "workers",
+               "n", "samples", "master_seed", "k_grid", "steps"),
 }
 
 
@@ -183,10 +129,10 @@ def _build_parser() -> argparse.ArgumentParser:
             flag = "--" + key.replace("_", "-")
             if key == "plots":
                 p.add_argument(flag, action="store_const", const=True,
-                               default=None, help=_HELP[key])
+                               default=None, help=_OPTIONS[key][2])
             else:
-                p.add_argument(flag, type=_CONVERTERS[key], default=None,
-                               help=_HELP[key])
+                p.add_argument(flag, type=_OPTIONS[key][0], default=None,
+                               help=_OPTIONS[key][2])
     return parser
 
 
@@ -208,7 +154,7 @@ def _read_config_file(path: str) -> dict:
 def _validate(command: str, v: dict) -> None:
     """Reject combinations the commands cannot honor, field by field."""
     for key, value in v.items():
-        if _CONVERTERS[key] in (float, _float_list) and value is not None:
+        if _OPTIONS[key][0] in (float, _float_list) and value is not None:
             if not all(math.isfinite(x) for x in np.atleast_1d(value)):
                 raise ValueError(f"--{key.replace('_', '-')} must be finite")
     if command == "run":
@@ -235,6 +181,15 @@ def _validate(command: str, v: dict) -> None:
         want = 2 ** v["n"] - 1
         if len(v["epsilon"]) != want:
             raise ValueError(f"--epsilon needs {want} values for n={v['n']}")
+    # dense bias plus the plan's frame maps; 8 * 4**64 B exceeds any memory
+    n = max(v["n_values"]) if "n_values" in v else v["n"]
+    need = 8 * 4 ** min(n, 64) * (1 + v.get("steps", 0))
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise ValueError(
+            f"n = {n} needs at least {need:.3g} bytes (dense bias and schedule), "
+            f"more than the {have:.3g} bytes of memory"
+        )
 
 
 def parse_config(argv=None) -> RunConfig:
@@ -254,10 +209,10 @@ def parse_config(argv=None) -> RunConfig:
         if flag_value is not None:
             values[key], provenance[key] = flag_value, "flag"
         elif key in file_values:
-            values[key] = _CONVERTERS[key](file_values[key])
+            values[key] = _OPTIONS[key][0](file_values[key])
             provenance[key] = "config"
         else:
-            values[key], provenance[key] = _DEFAULTS[key], "default"
+            values[key], provenance[key] = _OPTIONS[key][1], "default"
     if values["out"] is None:
         values["out"] = os.environ.get(OUTDIR_ENV, "aqcsim_out")
         if provenance["out"] == "default" and OUTDIR_ENV in os.environ:
@@ -478,6 +433,7 @@ def _cmd_scaling(cfg: RunConfig) -> dict:
     results["excluded"] = {
         f"n={c.n},{c.controller}": c.excluded for c in summary.cells if c.excluded
     }
+    results["exclusions"] = summary.exclusions
     emit_tables(
         {"fig3_scaling.csv": (("n", "controller", "meanT", "stdT", "count"), rows)},
         cfg["out"], _manifest(cfg, results),
@@ -512,6 +468,7 @@ def _cmd_deltap(cfg: RunConfig) -> dict:
         "best_k": float(res.k_values[best]),
         "best_mean_dP": float(res.mean_dP[best]),
         "excluded": res.excluded,
+        "exclusions": res.exclusions,
     }
     emit_tables(
         {"fig4_deltap.csv": (("k", "mean_dP", "std_dP", "count"), rows)},

@@ -23,12 +23,17 @@ adaptive bisection.  Narrow avoided crossings -- where the ground state can
 turn by nearly pi/2 over a tiny lam interval, and where all the interesting
 physics happens -- are resolved automatically this way; uniform grids of
 practical size step right over them.
+
+An Instance holds one problem instance's plan, curvature source, pace
+floor and unit-gain pace; evolve, gain_for_time and the ensembles in the
+experiments module all run their sweeps through it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -43,13 +48,13 @@ __all__ = [
     "RunRecord",
     "BackactionWindow",
     "SchedulePlan",
+    "Instance",
     "build_schedule",
     "initial_coefficients",
     "propagate",
     "pace",
     "evolve",
     "gain_for_time",
-    "pace_time_integral",
     "success_probability",
     "min_gap",
     "adiabatic_time",
@@ -151,14 +156,15 @@ class BackactionWindow:
 class SchedulePlan:
     """Precomputed lam grid, midpoint energies and frame overlaps.
 
-    Building the plan costs one eigendecomposition per cell; every run on
-    the instance (any controller, any T) then reuses it, which is what makes
-    the time-to-target scans affordable.  frame_maps[s] = V_{s+1}^T V_s
-    carries eigenframe coefficients from cell s into cell s + 1; the last
-    one is V_{cells-1} itself, back to the computational basis.  With them
-    propagate() steps many total times in one pass.  The midpoint
-    eigenvectors themselves are not kept: c0 holds psi0 in the first
-    cell's eigenbasis, which is all a sweep needs to start.
+    Building the plan costs one stacked eigendecomposition of the cell
+    midpoints; every run on the instance (any controller, any T) then
+    reuses it, which is what makes the time-to-target scans affordable.
+    frame_maps[s] = V_{s+1}^T V_s carries eigenframe coefficients from cell
+    s into cell s + 1; the last one is V_{cells-1} itself, back to the
+    computational basis.  With them propagate() steps many total times in
+    one pass.  The midpoint eigenvectors themselves are not kept: c0 holds
+    psi0 in the first cell's eigenbasis, which is all a sweep needs to
+    start.
     """
 
     pair: ham.HamiltonianPair
@@ -237,16 +243,11 @@ def build_schedule(pair: ham.HamiltonianPair, steps: int = 2048) -> SchedulePlan
     mids = 0.5 * (lams[:-1] + lams[1:])
     cell_widths = lams[:-1] - lams[1:]
 
-    dim = pair.dim
-    mid_energies = np.empty((mids.size, dim))
-    mid_states = np.empty((mids.size, dim, dim))
-    for s, lam in enumerate(mids):
-        es = ham.spectrum_at(pair, lam)
-        mid_energies[s] = es.energies
-        mid_states[s] = es.states
-    frame_maps = np.empty_like(mid_states)
-    np.matmul(mid_states[1:].transpose(0, 2, 1), mid_states[:-1], out=frame_maps[:-1])
-    frame_maps[-1] = mid_states[-1]
+    mid = ham.spectrum_at(pair, mids)
+    V = mid.states
+    frame_maps = np.empty_like(V)
+    np.matmul(V[1:].transpose(0, 2, 1), V[:-1], out=frame_maps[:-1])
+    frame_maps[-1] = V[-1]
 
     psi0 = ham.spectrum_at(pair, 1.0).states[:, 0].astype(complex)
     return SchedulePlan(
@@ -254,10 +255,10 @@ def build_schedule(pair: ham.HamiltonianPair, steps: int = 2048) -> SchedulePlan
         lams=lams,
         mids=mids,
         widths=cell_widths,
-        mid_energies=mid_energies,
+        mid_energies=mid.energies,
         frame_maps=frame_maps,
         psi0=psi0,
-        c0=mid_states[0].T @ psi0,
+        c0=V[0].T @ psi0,
         ground_index=ham.problem_ground_index(pair),
     )
 
@@ -314,47 +315,86 @@ def pace(controller: PaceController, c2: float) -> float:
     return controller.k * max(abs(c2), controller.curvature_floor)
 
 
-def _curvature_on_grid(controller, plan, flow):
-    """|c2| at the plan's nodes and midpoints, per the controller's source."""
-    lams_all = np.concatenate([plan.lams, plan.mids])
-    if controller.source == "replay":
-        lam_tab, c2_tab = controller.profile
-        # np.interp wants ascending abscissae; profiles are stored descending.
-        values = np.interp(lams_all[::-1], lam_tab[::-1], c2_tab[::-1])[::-1]
-        abs_c2 = np.abs(values)
-    else:
-        if flow is None:
-            flow = spectral.solve_levels(plan.pair)
-        c2_full, _ = flow.curvatures(lams_all)
-        abs_c2 = np.abs(c2_full)
-    n_nodes = plan.lams.size
-    return abs_c2[:n_nodes], abs_c2[n_nodes:], flow
+class Instance:
+    """One problem instance's precomputations, shared by every sweep on it.
 
+    Holds the plan, the curvature source (a replayed (lam, c2) profile, or
+    the level flow, solved on first use, so linear sweeps never solve it),
+    the resolved pace floor and the unit-gain cell times unit_dts.  A
+    feedback sweep of gain k takes cells k * unit_dts and time
+    k * unit_time; a linear sweep of total time T takes widths * T.
+    """
 
-def _resolve_controller(controller, plan, flow):
-    """Fill in the default curvature floor; return pace values on the grid."""
-    if controller.kind == "linear":
-        nodes = np.full(plan.lams.size, controller.T_total)
-        mids = np.full(plan.mids.size, controller.T_total)
-        return controller, nodes, mids, flow
-    c2_nodes, c2_mids, flow = _curvature_on_grid(controller, plan, flow)
-    if controller.curvature_floor is None:
-        peak = max(float(c2_nodes.max()), float(c2_mids.max()))
-        controller = replace(controller, curvature_floor=DEFAULT_FLOOR_FRACTION * peak)
-    floor = controller.curvature_floor
-    nodes = controller.k * np.maximum(c2_nodes, floor)
-    mids = controller.k * np.maximum(c2_mids, floor)
-    return controller, nodes, mids, flow
+    def __init__(
+        self,
+        pair: ham.HamiltonianPair,
+        steps: int = 2048,
+        curvature_floor: float | None = None,
+        *,
+        plan: SchedulePlan | None = None,
+        flow: spectral.LevelFlow | None = None,
+        profile: tuple | None = None,
+    ):
+        self.pair = pair
+        self.plan = build_schedule(pair, steps) if plan is None else plan
+        self.flow = flow
+        self.profile = profile
+        if curvature_floor is not None:
+            self.floor = curvature_floor  # else resolved on first use
 
+    @cached_property
+    def _abs_c2(self) -> np.ndarray:
+        """|c2| at the plan's nodes, then at its midpoints."""
+        lams = np.concatenate([self.plan.lams, self.plan.mids])
+        if self.profile is not None:
+            lam_tab, c2_tab = self.profile
+            # np.interp wants ascending abscissae; profiles are stored descending.
+            c2 = np.interp(lams[::-1], lam_tab[::-1], c2_tab[::-1])[::-1]
+        else:
+            if self.flow is None:
+                self.flow = spectral.solve_levels(self.pair)
+            c2, _ = self.flow.curvatures(lams)
+        return np.abs(c2)
 
-def _cell_times(plan, pace_nodes, pace_mids):
-    """Per-cell dt by Simpson's rule on the pace: (h/6)(left + 4 mid + right)."""
-    return (plan.widths / 6.0) * (pace_nodes[:-1] + 4.0 * pace_mids + pace_nodes[1:])
+    @cached_property
+    def floor(self) -> float:
+        """The pace floor: as given, else DEFAULT_FLOOR_FRACTION of the |c2| peak."""
+        return DEFAULT_FLOOR_FRACTION * float(self._abs_c2.max())
 
+    @cached_property
+    def unit_dts(self) -> np.ndarray:
+        """Per-cell times at gain 1, by Simpson's rule on the pace max(|c2|, floor)."""
+        unit_pace = np.maximum(self._abs_c2, self.floor)
+        nodes, mids = unit_pace[: self.plan.lams.size], unit_pace[self.plan.lams.size :]
+        return (self.plan.widths / 6.0) * (nodes[:-1] + 4.0 * mids + nodes[1:])
 
-def pace_time_integral(plan, pace_nodes, pace_mids) -> float:
-    """Total time of a schedule: the integral of the pace over lam in [0, 1]."""
-    return float(_cell_times(plan, pace_nodes, pace_mids).sum())
+    @cached_property
+    def unit_time(self) -> float:
+        return float(self.unit_dts.sum())
+
+    @cached_property
+    def T_ad(self) -> float:
+        return adiabatic_time(self.pair)
+
+    def cell_times(self, family: str, T) -> np.ndarray:
+        """(cells, len(T)) per-cell times of sweeps of realized total times T."""
+        T = np.atleast_1d(np.asarray(T, dtype=float))
+        if family == "linear":
+            return np.multiply.outer(self.plan.widths, T)
+        if family == "feedback":
+            return np.multiply.outer(self.unit_dts, T / self.unit_time)
+        raise ValueError(f"unknown controller family {family!r}")
+
+    def success(self, dts: np.ndarray) -> np.ndarray:
+        """P of every sweep (column of dts), stepped together in one pass."""
+        c0 = initial_coefficients(self.plan, dts.shape[1])
+        c, _ = propagate(self.plan, dts, c0)
+        return np.abs(c[self.plan.ground_index]) ** 2
+
+    def run(self, family: str, T) -> np.ndarray:
+        """P after sweeps of realized total times T (scalar or array) for a family."""
+        T = np.asarray(T, dtype=float)
+        return self.success(self.cell_times(family, T)).reshape(T.shape)
 
 
 def gain_for_time(
@@ -369,11 +409,8 @@ def gain_for_time(
     unit gain, so k = T_target / integral.  Returns (controller, flow) with
     the floor resolved, reusing the level flow across calls.
     """
-    probe = PaceController.feedback(k=1.0, curvature_floor=curvature_floor)
-    probe, nodes, mids, flow = _resolve_controller(probe, plan, flow)
-    unit_time = pace_time_integral(plan, nodes, mids)
-    controller = replace(probe, k=T_target / unit_time)
-    return controller, flow
+    inst = Instance(plan.pair, curvature_floor=curvature_floor, plan=plan, flow=flow)
+    return PaceController.feedback(T_target / inst.unit_time, inst.floor), inst.flow
 
 
 def evolve(
@@ -392,12 +429,16 @@ def evolve(
     gap, and |c2| recomputed from the spectrum at the node.  plan and flow
     allow reuse of the per-instance precomputations across runs.
     """
-    if plan is None:
-        plan = build_schedule(pair, steps)
-    controller, pace_nodes, pace_mids, flow = _resolve_controller(
-        controller, plan, flow
+    inst = Instance(
+        pair, steps, controller.curvature_floor,
+        plan=plan, flow=flow, profile=controller.profile,
     )
-    dts = _cell_times(plan, pace_nodes, pace_mids)
+    plan = inst.plan
+    if controller.kind == "linear":
+        dts = plan.widths * controller.T_total
+    else:
+        dts = controller.k * inst.unit_dts
+        controller = replace(controller, curvature_floor=inst.floor)
 
     c = initial_coefficients(plan)
     if sample_stride > 0:
@@ -418,15 +459,13 @@ def evolve(
     else:
         c, drift = propagate(plan, dts[:, None], c)
         samples = None
-    psi = c[:, 0]
 
-    T = float(dts.sum())
-    final = WaveState(amplitudes=psi, lam=0.0, t_elapsed=T)
+    final = WaveState(amplitudes=c[:, 0], lam=0.0)
     return RunRecord(
         pair=pair,
         controller=controller,
         P=success_probability(final, pair, ground_index=plan.ground_index),
-        T=T,
+        T=float(dts.sum()),
         norm_drift=float(drift[0]),
         psi=final,
         samples=samples,
@@ -455,10 +494,7 @@ def success_probability(
 
 def _ground_scan(pair: ham.HamiltonianPair, lams: np.ndarray):
     """Gap E_1 - E_0 and max_j |<0|H_b|j>| at each lam, from one stacked eigh."""
-    H = lams[:, None, None] * pair.bias
-    diagonal = np.arange(pair.dim)
-    H[:, diagonal, diagonal] += pair.problem_diag
-    w, V = np.linalg.eigh(H)
+    w, V = np.linalg.eigh(ham.total_hamiltonian(pair, lams))
     m = (V[:, :, 0] @ pair.bias)[:, None, :] @ V[:, :, 1:]
     return w[:, 1] - w[:, 0], np.abs(m[:, 0, :]).max(axis=1)
 
@@ -475,10 +511,8 @@ def _bracket(lams: np.ndarray, i: int):
 
 
 def _refine_min_gap(pair: ham.HamiltonianPair, lams: np.ndarray, gaps: np.ndarray):
-    diag = pair.problem_diag
-
     def gap(lam: float) -> float:
-        w = np.linalg.eigvalsh(np.diag(diag) + lam * pair.bias)
+        w = np.linalg.eigvalsh(ham.total_hamiltonian(pair, lam))
         return float(w[1] - w[0])
 
     lo, hi = _bracket(lams, int(np.argmin(gaps)))

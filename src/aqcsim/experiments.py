@@ -1,10 +1,14 @@
 """Seeded ensemble experiments: P(T) sweeps, time-to-target scaling, gain study.
 
-Per-instance work factors through an _InstanceContext holding the schedule
-plan, the level flow and the unit-gain pace integral.  Every total time
+Per-instance work goes through an evolution.Instance holding the schedule
+plan, the curvature source and the unit-gain pace.  Every total time
 scanned on an instance -- a P(T) grid, a gain grid with both controllers,
 the doubling ladder of a time-to-target scan -- is one column of a single
 batched propagation through the plan's cached eigensystems.
+
+Both ensembles run through map_instances, which seeds each instance, skips
+degenerate ones, optionally fans out over a process pool and returns one
+result (or exclusion reason) per instance in instance order.
 
 Instance seeding: instance_seed(master_seed, n, index) feeds the tuple
 (master_seed, n, index) through numpy's SeedSequence and keeps the first
@@ -16,14 +20,16 @@ instance exactly via sample_problem(n, seed).
 from __future__ import annotations
 
 import math
+import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import evolution as evo
 from . import hamiltonians as ham
-from . import spectral
 from .errors import (
     DegenerateGroundError,
     FitUnderdeterminedError,
@@ -39,6 +45,7 @@ __all__ = [
     "DeltaPResult",
     "instance_seed",
     "make_instance",
+    "map_instances",
     "sweep_T",
     "time_to_target",
     "scaling_study",
@@ -103,6 +110,7 @@ class EnsembleSummary:
     spec: EnsembleSpec
     cells: tuple
     fits: dict
+    exclusions: dict  # reason -> count over (instance, controller) pairs
 
 
 @dataclass(frozen=True)
@@ -129,54 +137,42 @@ class DeltaPResult:
     mean_dP: np.ndarray
     std_dP: np.ndarray
     count: int
-    excluded: int
-
-
-class _InstanceContext:
-    """Shared per-instance precomputations for repeated runs."""
-
-    def __init__(self, pair, steps=2048, curvature_floor=None, resolution=512):
-        self.pair = pair
-        self.plan = evo.build_schedule(pair, steps)
-        self.flow = spectral.solve_levels(pair)
-        probe = evo.PaceController.feedback(k=1.0, curvature_floor=curvature_floor)
-        probe, nodes, mids, self.flow = evo._resolve_controller(
-            probe, self.plan, self.flow
-        )
-        self.floor = probe.curvature_floor
-        self._unit_dts = evo._cell_times(self.plan, nodes, mids)
-        self.unit_time = float(self._unit_dts.sum())
-        self._t_ad = None
-        self._resolution = resolution
+    exclusions: dict  # reason -> count of excluded instances
 
     @property
-    def T_ad(self) -> float:
-        if self._t_ad is None:
-            self._t_ad = evo.adiabatic_time(self.pair, self._resolution)
-        return self._t_ad
+    def excluded(self) -> int:
+        return sum(self.exclusions.values())
 
-    def cell_times(self, family: str, T) -> np.ndarray:
-        """(cells, len(T)) per-cell times of sweeps of realized total times T."""
-        T = np.atleast_1d(np.asarray(T, dtype=float))
-        if family == "linear":
-            return np.multiply.outer(self.plan.widths, T)
-        if family == "feedback":
-            return np.multiply.outer(self._unit_dts, T / self.unit_time)
-        raise ValueError(f"unknown controller family {family!r}")
 
-    def success(self, dts: np.ndarray) -> np.ndarray:
-        """P of every sweep (column of dts), stepped together in one pass."""
-        c0 = evo.initial_coefficients(self.plan, dts.shape[1])
-        c, _ = evo.propagate(self.plan, dts, c0)
-        return np.abs(c[self.plan.ground_index]) ** 2
+def map_instances(task, n_values, samples: int, master_seed: int, workers: int = 0):
+    """task(pair) on `samples` seeded instances per n, in (n, index) order.
 
-    def run(self, family: str, T) -> np.ndarray:
-        """P after sweeps of realized total times T (scalar or array) for a family."""
-        T = np.asarray(T, dtype=float)
-        return self.success(self.cell_times(family, T)).reshape(T.shape)
+    Instance (n, index) is make_instance(n, instance_seed(master_seed, n,
+    index)).  An instance whose problem ground state is degenerate is not
+    run; its entry is the exclusion reason "degenerate".  workers > 1 runs
+    the instances in a process pool, so task must pickle (a
+    functools.partial of a top-level function does); results come back in
+    instance order either way, so the output does not depend on workers.
+    """
+    cpus = os.cpu_count() or 1
+    if not 0 <= workers <= cpus:
+        raise ValueError(f"workers must lie in [0, {cpus}] (the CPU count), got {workers}")
+    ns = [n for n in n_values for _ in range(samples)]
+    seeds = [instance_seed(master_seed, n, i) for n in n_values for i in range(samples)]
+    run = partial(_run_instance, task)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(run, ns, seeds, chunksize=4))
+    return list(map(run, ns, seeds))
 
-    def gain_to_time(self, k: float) -> float:
-        return k * self.unit_time
+
+def _run_instance(task, n: int, seed: int):
+    try:
+        pair = make_instance(n, seed)
+        ham.problem_ground_index(pair)  # degeneracy guard
+    except DegenerateGroundError:
+        return "degenerate"
+    return task(pair)
 
 
 def sweep_T(
@@ -195,9 +191,9 @@ def sweep_T(
     T_values = np.asarray(T_values, dtype=float)
     if np.any(T_values <= 0) or np.any(np.diff(T_values) <= 0):
         raise ValueError("T_values must be positive and strictly ascending")
-    ctx = _InstanceContext(pair, steps=steps, curvature_floor=curvature_floor)
-    dts = np.hstack([ctx.cell_times(fam, T_values) for fam in families])
-    P = ctx.success(dts).reshape(len(families), T_values.size)
+    inst = evo.Instance(pair, steps, curvature_floor)
+    dts = np.hstack([inst.cell_times(fam, T_values) for fam in families])
+    P = inst.success(dts).reshape(len(families), T_values.size)
     return {fam: np.column_stack([T_values, p]) for fam, p in zip(families, P)}
 
 
@@ -213,7 +209,7 @@ def time_to_target(
     steps: int = 2048,
     cap_factor: float = 1e6,
     rtol: float = 0.01,
-    context: _InstanceContext | None = None,
+    context: evo.Instance | None = None,
 ) -> TargetResult:
     """Minimal total time whose sweep reaches P >= target_P.
 
@@ -228,12 +224,12 @@ def time_to_target(
     batched propagation; probes records only the rungs up to the first
     crossing, exactly those a rung-by-rung scan would have evaluated.
     """
-    ctx = context or _InstanceContext(pair, steps=steps)
-    T_ad = ctx.T_ad
+    inst = context or evo.Instance(pair, steps)
+    T_ad = inst.T_ad
     probes = []
 
     def P(T: float) -> float:
-        p = float(ctx.run(family, T))
+        p = float(inst.run(family, T))
         probes.append((T, p))
         return p
 
@@ -250,7 +246,7 @@ def time_to_target(
         while 2.0 * T <= cap_factor * T_ad:
             T *= 2.0
             rungs.append(T)
-    for T, p in zip(rungs, ctx.run(family, rungs).tolist() if rungs else ()):
+    for T, p in zip(rungs, inst.run(family, rungs).tolist() if rungs else ()):
         probes.append((T, p))
         if (p >= target_P) != above:
             break
@@ -284,25 +280,17 @@ def _finish(T, p, probes) -> TargetResult:
     )
 
 
-def _scaling_task(args):
-    """One instance of the scaling study; top level so worker pools can pickle it."""
-    n, index, master_seed, target_P, families, steps, cap_factor = args
-    seed = instance_seed(master_seed, n, index)
-    try:
-        pair = make_instance(n, seed)
-        ham.problem_ground_index(pair)  # degeneracy guard
-    except DegenerateGroundError:
-        return {fam: ("degenerate", None) for fam in families}
-    ctx = _InstanceContext(pair, steps=steps)
+def _instance_times(pair, target_P, families, steps, cap_factor):
+    """Time to target per family on one instance, or the exclusion reason."""
+    inst = evo.Instance(pair, steps)
     out = {}
     for fam in families:
         try:
-            res = time_to_target(
-                pair, fam, target_P, steps=steps, cap_factor=cap_factor, context=ctx
-            )
-            out[fam] = ("ok", res.T)
+            out[fam] = time_to_target(
+                pair, fam, target_P, cap_factor=cap_factor, context=inst
+            ).T
         except UnreachableTargetError:
-            out[fam] = ("unreachable", None)
+            out[fam] = "unreachable"
     return out
 
 
@@ -332,25 +320,20 @@ def scaling_study(
             f"power-law fit needs >= 3 distinct sizes, got {sorted(set(n_values))}"
         )
 
-    tasks = [
-        (n, idx, spec.master_seed, spec.target_P, spec.controller_families,
-         steps, cap_factor)
-        for n in n_values
-        for idx in range(spec.samples_per_n)
-    ]
-    if workers and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scaling_task, tasks, chunksize=4))
-    else:
-        results = [_scaling_task(t) for t in tasks]
+    task = partial(
+        _instance_times, target_P=spec.target_P, families=spec.controller_families,
+        steps=steps, cap_factor=cap_factor,
+    )
+    results = map_instances(task, n_values, spec.samples_per_n, spec.master_seed, workers)
 
     cells = []
-    times: dict[str, list] = {fam: [] for fam in spec.controller_families}
+    exclusions: Counter = Counter()
     for i, n in enumerate(n_values):
         block = results[i * spec.samples_per_n : (i + 1) * spec.samples_per_n]
         for fam in spec.controller_families:
-            ok = [r[fam][1] for r in block if r[fam][0] == "ok"]
-            excluded = spec.samples_per_n - len(ok)
+            outcomes = [r if isinstance(r, str) else r[fam] for r in block]
+            ok = [t for t in outcomes if not isinstance(t, str)]
+            exclusions.update(t for t in outcomes if isinstance(t, str))
             arr = np.array(ok, dtype=float)
             cells.append(
                 ScalingCell(
@@ -359,14 +342,17 @@ def scaling_study(
                     mean_T=float(arr.mean()) if ok else float("nan"),
                     std_T=float(arr.std()) if ok else float("nan"),
                     count=len(ok),
-                    excluded=excluded,
+                    excluded=len(outcomes) - len(ok),
                 )
             )
-            times[fam].append(arr)
 
-    fits = {fam: fit_power_law(n_values, [a.mean() for a in times[fam]])
-            for fam in spec.controller_families}
-    return EnsembleSummary(spec=spec, cells=tuple(cells), fits=fits)
+    fits = {
+        fam: fit_power_law(n_values, [c.mean_T for c in cells if c.controller == fam])
+        for fam in spec.controller_families
+    }
+    return EnsembleSummary(
+        spec=spec, cells=tuple(cells), fits=fits, exclusions=dict(exclusions)
+    )
 
 
 def fit_power_law(n_values, mean_times) -> PowerLawFit:
@@ -383,21 +369,14 @@ def fit_power_law(n_values, mean_times) -> PowerLawFit:
     )
 
 
-def _deltap_task(args):
-    """delta-P rows for one instance; top level for pickling."""
-    n, index, master_seed, k_values, steps = args
-    seed = instance_seed(master_seed, n, index)
-    try:
-        pair = make_instance(n, seed)
-        ham.problem_ground_index(pair)
-    except DegenerateGroundError:
-        return None
-    ctx = _InstanceContext(pair, steps=steps)
-    T = np.array([ctx.gain_to_time(k) for k in k_values])
-    dts = np.hstack([ctx.cell_times("feedback", T), ctx.cell_times("linear", T)])
-    p_fb, p_lin = ctx.success(dts).reshape(2, T.size)
+def _instance_delta_p(pair, k_values, steps):
+    """dP per gain on one instance, or the exclusion reason "zero P_lin"."""
+    inst = evo.Instance(pair, steps)
+    T = np.asarray(k_values) * inst.unit_time
+    dts = np.hstack([inst.cell_times("feedback", T), inst.cell_times("linear", T)])
+    p_fb, p_lin = inst.success(dts).reshape(2, T.size)
     if np.any(p_lin == 0.0):
-        return None
+        return "zero P_lin"
     return list((p_fb - p_lin) / p_lin)
 
 
@@ -421,22 +400,18 @@ def delta_p_sweep(
     k_values = np.asarray(k_values, dtype=float)
     if np.any(k_values <= 0) or np.any(np.diff(k_values) <= 0):
         raise ValueError("k_values must be positive and strictly ascending")
-    tasks = [(n, idx, master_seed, tuple(k_values), steps) for idx in range(samples)]
-    if workers and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_deltap_task, tasks, chunksize=4))
-    else:
-        results = [_deltap_task(t) for t in tasks]
+    task = partial(_instance_delta_p, k_values=k_values, steps=steps)
+    results = map_instances(task, (n,), samples, master_seed, workers)
 
-    kept = np.array([r for r in results if r is not None])
-    excluded = sum(1 for r in results if r is None)
+    kept = np.array([r for r in results if not isinstance(r, str)])
+    exclusions = dict(Counter(r for r in results if isinstance(r, str)))
     if kept.size == 0:
         empty = np.full(k_values.size, float("nan"))
-        return DeltaPResult(k_values, empty, empty.copy(), 0, excluded)
+        return DeltaPResult(k_values, empty, empty.copy(), 0, exclusions)
     return DeltaPResult(
         k_values=k_values,
         mean_dP=kept.mean(axis=0),
         std_dP=kept.std(axis=0),
         count=kept.shape[0],
-        excluded=excluded,
+        exclusions=exclusions,
     )

@@ -125,9 +125,13 @@ class HamiltonianPair:
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Instantaneous spectrum of H(lam): sorted energies and eigencolumns."""
+    """Instantaneous spectrum of H(lam): sorted energies and eigencolumns.
 
-    lam: float | None
+    For a stack of lam values, energies is (..., dim) and states
+    (..., dim, dim); gap() is defined for a single spectrum only.
+    """
+
+    lam: float | np.ndarray | None
     energies: np.ndarray
     states: np.ndarray
 
@@ -197,32 +201,40 @@ def pair_from_seed(n: int, seed: int, Z: float | None = None) -> HamiltonianPair
     return make_pair(sample_problem(n, seed), bias)
 
 
-def total_hamiltonian(pair: HamiltonianPair, lam: float) -> np.ndarray:
-    if not 0.0 <= lam <= 1.0:
+def total_hamiltonian(pair: HamiltonianPair, lam) -> np.ndarray:
+    """H(lam) = H_p + lam * H_b; an array of lam gives the stack of matrices."""
+    lam = np.asarray(lam, dtype=float)
+    if not np.all((lam >= 0.0) & (lam <= 1.0)):
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")
-    return np.diag(pair.problem_diag) + lam * pair.bias
+    H = lam[..., None, None] * pair.bias
+    diagonal = np.arange(pair.dim)
+    H[..., diagonal, diagonal] += pair.problem_diag
+    return H
 
 
-def diagonalize(H: np.ndarray, lam: float | None = None) -> EigenSystem:
+def diagonalize(H: np.ndarray, lam=None) -> EigenSystem:
     """Full eigendecomposition with a reproducible eigenvector phase.
 
-    Eigenvalues come out ascending.  Each eigenvector is flipped so that its
-    largest-magnitude component is real positive; without this, matrix
-    elements between eigenstates would depend on LAPACK internals.
+    H may be one matrix or a stack of them (leading axes); each is checked
+    and decomposed on its own.  Eigenvalues come out ascending.  Each
+    eigenvector is flipped so that its largest-magnitude component is real
+    positive; without this, matrix elements between eigenstates would
+    depend on LAPACK internals.
     """
     H = np.asarray(H)
-    hnorm = np.linalg.norm(H)
-    if hnorm > 0 and np.linalg.norm(H - H.conj().T) > 1e-10 * hnorm:
+    hnorm = np.linalg.norm(H, axis=(-2, -1))
+    asym = np.linalg.norm(H - np.swapaxes(H, -2, -1).conj(), axis=(-2, -1))
+    if np.any((hnorm > 0) & (asym > 1e-10 * hnorm)):
         raise ValueError("matrix is not Hermitian")
     w, V = np.linalg.eigh(H)
-    lead = np.argmax(np.abs(V), axis=0)
-    signs = np.sign(V[lead, np.arange(V.shape[1])].real)
+    lead = np.argmax(np.abs(V), axis=-2)[..., None, :]
+    signs = np.sign(np.take_along_axis(V, lead, axis=-2).real)
     signs[signs == 0] = 1.0
-    V = V * signs
-    return EigenSystem(lam=lam, energies=w, states=V)
+    return EigenSystem(lam=lam, energies=w, states=V * signs)
 
 
-def spectrum_at(pair: HamiltonianPair, lam: float) -> EigenSystem:
+def spectrum_at(pair: HamiltonianPair, lam) -> EigenSystem:
+    """EigenSystem of H(lam); an array of lam gives stacked energies and states."""
     return diagonalize(total_hamiltonian(pair, lam), lam)
 
 

@@ -79,10 +79,11 @@ class CurvatureSample:
 
 
 def _check_separation(E: np.ndarray, lam: float, scale: float) -> None:
+    # runs on every RHS evaluation: locate the pair only when the check fails
     E_sorted = np.sort(E)
-    gaps = np.diff(E_sorted)
-    k = int(np.argmin(gaps))
-    if gaps[k] < COLLISION_FLOOR * scale:
+    gaps = E_sorted[1:] - E_sorted[:-1]
+    if gaps.min() < COLLISION_FLOOR * scale:
+        k = int(gaps.argmin())
         raise NearDegeneracyError(
             f"levels {k} and {k + 1} separated by {gaps[k]:.3e} at "
             f"lambda={lam:.6f} (floor {COLLISION_FLOOR * scale:.3e})",

@@ -12,23 +12,14 @@ class WaveState:
     amplitudes: complex vector of length 2**n in the computational basis.
     lam: current interpolation parameter in [0, 1], or None when the state
         is not attached to a sweep (e.g. the bare bias ground state).
-    t_elapsed: accumulated physical time since the start of the sweep.
     """
 
     amplitudes: np.ndarray
     lam: float | None = None
-    t_elapsed: float = 0.0
 
     def __post_init__(self):
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
 
-    @property
-    def n(self) -> int:
-        return int(np.log2(self.amplitudes.size))
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def overlap2(self, other: np.ndarray) -> float:
-        """|<other|self>|^2 against a raw vector."""
-        return float(abs(np.vdot(other, self.amplitudes)) ** 2)

@@ -1,4 +1,8 @@
+import numpy as np
 import pytest
+
+from aqcsim import experiments as xp
+from aqcsim import hamiltonians as ham
 
 
 def pytest_configure(config):
@@ -23,6 +27,23 @@ def acceptance(request):
         return ok
 
     return record
+
+
+@pytest.fixture
+def degenerate_seed(monkeypatch):
+    """Call with a seed to make experiments.make_instance return all couplings
+    zero (tied ground states) for that seed."""
+    real = xp.make_instance
+
+    def make_degenerate(target):
+        def make_instance(n, seed):
+            if seed == target:
+                return ham.make_pair(ham.ProblemSpec(n, np.zeros(2**n - 1), seed))
+            return real(n, seed)
+
+        monkeypatch.setattr(xp, "make_instance", make_instance)
+
+    return make_degenerate
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

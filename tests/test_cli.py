@@ -66,6 +66,46 @@ def test_unknown_flag_exits_2():
     assert err.value.code == 2
 
 
+def test_size_and_worker_limits_exit_2(tmp_path, capsys):
+    # refused before any instance is built or any worker process started
+    out = ["--out", str(tmp_path / "o")]
+    assert cli.main(["run", "--n", "40", "--t-total", "1", *out]) == 2
+    assert cli.main(["profile", "--n", "40", *out]) == 2
+    assert cli.main(["scaling", "--n-values", "2,3,40", *out]) == 2
+    assert cli.main(["deltap", "--workers", "-1", *out]) == 2
+    assert cli.main(["scaling", "--workers", str((os.cpu_count() or 1) + 1), *out]) == 2
+    err = capsys.readouterr().err
+    assert err.count("bytes of memory") == 3 and err.count("CPU count") == 2
+    assert not (tmp_path / "o").exists()
+    # the plan's frame maps count: n = 13 fits with one cell, not with 2048
+    cli.parse_config(["run", "--n", "13", "--t-total", "1", "--steps", "1"])
+    with pytest.raises(ValueError, match="bytes of memory"):
+        cli.parse_config(["run", "--n", "13", "--t-total", "1"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["run", "--plots"], ["run", "--workers", "2"], ["profile", "--workers", "2"],
+     ["sweep-t", "--workers", "2"]],
+)
+def test_options_a_command_never_reads_are_refused(argv):
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 2
+
+
+def test_manifest_counts_exclusions_by_reason(tmp_path, degenerate_seed):
+    from aqcsim import experiments as xp
+
+    degenerate_seed(xp.instance_seed(9, 2, 0))
+    out = tmp_path / "o"
+    assert cli.main(["deltap", "--samples", "2", "--master-seed", "9", "--steps",
+                     "128", "--k-grid", "0.1,0.3", "--out", str(out)]) == 0
+    results = json.loads((out / "manifest.json").read_text())["results"]
+    assert results["excluded"] == 1
+    assert results["exclusions"] == {"degenerate": 1}
+
+
 def test_numerical_failure_exits_3(tmp_path, capsys):
     # all-zero couplings leave the problem ground state degenerate
     code = cli.main(

@@ -203,6 +203,20 @@ def test_feedback_time_matches_quadrature():
     assert rec.T == pytest.approx(want, rel=1e-6)
 
 
+def test_explicit_floor_is_kept_and_paces_the_sweep():
+    # a floor far above every |c2| makes the pace constant: T = k * floor
+    pair = ham.pair_from_seed(2, 7)
+    plan = evo.build_schedule(pair, steps=256)
+    c2_full, _ = spectral.solve_levels(pair).curvatures(np.linspace(1.0, 0.0, 2001))
+    floor = 10.0 * float(np.abs(c2_full).max())
+    rec = evo.evolve(pair, evo.PaceController.feedback(k=0.5, curvature_floor=floor),
+                     plan=plan)
+    assert rec.controller.curvature_floor == floor
+    assert rec.T == pytest.approx(0.5 * floor, rel=1e-12)
+    controller, _ = evo.gain_for_time(plan, 3.0, curvature_floor=floor)
+    assert controller.k == pytest.approx(3.0 / floor, rel=1e-12)
+
+
 def test_replay_profile_reproduces_live_run():
     pair = ham.pair_from_seed(2, 9)
     flow = spectral.solve_levels(pair)

@@ -1,5 +1,7 @@
 """Ensemble machinery: seeding, target scans, scaling fits, gain sweeps."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -58,9 +60,9 @@ def test_sweep_t_feedback_hits_each_time_exactly():
     # realized time is engineered to equal the requested T, so the curves
     # are an equal-time comparison by construction
     pair = ham.pair_from_seed(2, 4)
-    ctx = xp._InstanceContext(pair, steps=512)
+    ctx = evo.Instance(pair, 512)
     k = 0.73 / ctx.unit_time
-    assert ctx.gain_to_time(k) == pytest.approx(0.73, rel=1e-12)
+    assert k * ctx.unit_time == pytest.approx(0.73, rel=1e-12)
     rec = evo.evolve(
         pair,
         evo.PaceController.feedback(k=k, curvature_floor=ctx.floor),
@@ -73,7 +75,7 @@ def test_sweep_t_batch_matches_single_runs():
     pair = ham.pair_from_seed(3, 4)
     grid = np.geomspace(0.05, 40.0, 9)
     curves = xp.sweep_T(pair, grid, steps=256)
-    ctx = xp._InstanceContext(pair, steps=256)
+    ctx = evo.Instance(pair, 256)
     for fam, arr in curves.items():
         single = [float(ctx.run(fam, T)) for T in grid]
         np.testing.assert_allclose(arr[:, 1], single, atol=1e-12)
@@ -164,7 +166,7 @@ def _rung_by_rung_time_to_target(ctx, family, target_P, cap_factor=1e6, rtol=0.0
 )
 def test_batched_ladder_matches_rung_by_rung_scan(seed, target, walks_down):
     pair = ham.pair_from_seed(2, seed)
-    ctx = xp._InstanceContext(pair, steps=512)
+    ctx = evo.Instance(pair, 512)
     for family in xp.CONTROLLER_FAMILIES:
         got = xp.time_to_target(pair, family, target, context=ctx)
         want = _rung_by_rung_time_to_target(ctx, family, target)
@@ -228,6 +230,36 @@ def test_scaling_study_worker_pool_matches_serial():
         assert a == b
 
 
+def test_map_instances_keeps_order_and_exclusion_reason(degenerate_seed):
+    degenerate_seed(xp.instance_seed(5, 3, 0))
+    got = xp.map_instances(lambda pair: (pair.n, pair.seed), (2, 3), 2, 5)
+    assert got == [
+        (2, xp.instance_seed(5, 2, 0)),
+        (2, xp.instance_seed(5, 2, 1)),
+        "degenerate",
+        (3, xp.instance_seed(5, 3, 1)),
+    ]
+
+
+@pytest.mark.parametrize("workers", [-1, (os.cpu_count() or 1) + 1])
+def test_map_instances_rejects_worker_counts_before_any_work(workers):
+    def task(pair):
+        raise AssertionError("no instance may run")
+
+    with pytest.raises(ValueError, match="workers"):
+        xp.map_instances(task, (2,), 1, 7, workers)
+
+
+def test_ensembles_count_exclusions_by_reason(degenerate_seed):
+    degenerate_seed(xp.instance_seed(9, 2, 1))
+    res = xp.delta_p_sweep([0.1, 0.3], n=2, samples=3, master_seed=9, steps=128)
+    assert (res.count, res.excluded, res.exclusions) == (2, 1, {"degenerate": 1})
+    spec = xp.EnsembleSpec(n_values=(2, 3, 4), samples_per_n=2, master_seed=9)
+    summary = xp.scaling_study(spec, steps=128)
+    assert summary.exclusions == {"degenerate": 2}  # one instance, both families
+    assert [c.excluded for c in summary.cells] == [1, 1, 0, 0, 0, 0]
+
+
 def test_power_law_fit_recovers_exact_law():
     n = np.array([2, 3, 4, 5])
     times = 0.7 * n**2.5
@@ -253,6 +285,15 @@ def test_delta_p_sweep_contracts():
     np.testing.assert_array_equal(res.mean_dP, again.mean_dP)
 
 
+def test_delta_p_sweep_worker_pool_matches_serial():
+    ks = np.array([0.03, 0.1, 0.3])
+    serial = xp.delta_p_sweep(ks, n=2, samples=4, master_seed=3, steps=256, workers=0)
+    pooled = xp.delta_p_sweep(ks, n=2, samples=4, master_seed=3, steps=256, workers=2)
+    np.testing.assert_array_equal(serial.mean_dP, pooled.mean_dP)
+    np.testing.assert_array_equal(serial.std_dP, pooled.std_dP)
+    assert (serial.count, serial.exclusions) == (pooled.count, pooled.exclusions)
+
+
 def test_delta_p_sweep_validates_gains():
     with pytest.raises(ValueError):
         xp.delta_p_sweep([0.3, 0.1], samples=2)
@@ -264,9 +305,9 @@ def test_delta_p_equal_time_comparison_is_fair():
     # the linear arm runs at the feedback arm's realized time, so a gain
     # whose schedule is very long should push both arms adiabatic (dP -> 0)
     pair = xp.make_instance(2, xp.instance_seed(9, 2, 0))
-    ctx = xp._InstanceContext(pair, steps=512)
+    ctx = evo.Instance(pair, 512)
     k_slow = 200.0 * ctx.T_ad / ctx.unit_time
-    T = ctx.gain_to_time(k_slow)
+    T = k_slow * ctx.unit_time
     p_fb = ctx.run("feedback", T)
     p_lin = ctx.run("linear", T)
     assert p_fb > 0.99 and p_lin > 0.99
@@ -275,13 +316,12 @@ def test_delta_p_equal_time_comparison_is_fair():
 def test_delta_p_rows_match_single_runs():
     ks = tuple(np.geomspace(3e-3, 3.0, 13))
     master_seed, steps = 9, 256
-    rows = xp._deltap_task((2, 0, master_seed, ks, steps))
-    ctx = xp._InstanceContext(
-        xp.make_instance(2, xp.instance_seed(master_seed, 2, 0)), steps=steps
-    )
+    pair = xp.make_instance(2, xp.instance_seed(master_seed, 2, 0))
+    rows = xp._instance_delta_p(pair, ks, steps)
+    ctx = evo.Instance(pair, steps)
     want = []
     for k in ks:
-        T = ctx.gain_to_time(k)
+        T = k * ctx.unit_time
         p_fb, p_lin = float(ctx.run("feedback", T)), float(ctx.run("linear", T))
         want.append((p_fb - p_lin) / p_lin)
     np.testing.assert_allclose(rows, want, rtol=0, atol=1e-12)
