@@ -241,20 +241,22 @@ def emit_tables(results: dict, out_dir: str, manifest: dict | None = None):
 
     results maps file name -> (column names, row iterable).  Rows may be
     empty; the header is still written so downstream tooling sees the
-    schema.  Returns the written paths.
+    schema.  Every file is serialized before the first is written, so a
+    refused manifest leaves nothing behind.  Returns the written paths.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
+    files = {}
     for name, (columns, rows) in results.items():
         lines = [",".join(columns)]
         lines.extend(",".join(_format_cell(cell) for cell in row) for row in rows)
-        path = os.path.join(out_dir, name)
-        _atomic_write(path, "\n".join(lines) + "\n")
-        written.append(path)
+        files[name] = "\n".join(lines) + "\n"
     if manifest is not None:
-        path = os.path.join(out_dir, "manifest.json")
         text = json.dumps(manifest, indent=2, default=str, allow_nan=False)
-        _atomic_write(path, text + "\n")
+        files["manifest.json"] = text + "\n"
+    os.makedirs(out_dir, exist_ok=True)
+    written = []
+    for name, text in files.items():
+        path = os.path.join(out_dir, name)
+        _atomic_write(path, text)
         written.append(path)
     return written
 
@@ -419,6 +421,12 @@ def _cmd_scaling(cfg: RunConfig) -> dict:
         target_P=cfg["target_p"],
     )
     summary = xp.scaling_study(spec, steps=cfg["steps"], workers=cfg["workers"])
+    for c in summary.cells:
+        if c.count == 0:
+            raise SimulationError(
+                f"no instance left for n={c.n}, {c.controller}: all {c.excluded} "
+                f"excluded (ensemble exclusions {summary.exclusions})"
+            )
     rows = [
         (c.n, c.controller, c.mean_T, c.std_T, c.count) for c in summary.cells
     ]
@@ -459,6 +467,11 @@ def _cmd_deltap(cfg: RunConfig) -> dict:
         steps=cfg["steps"],
         workers=cfg["workers"],
     )
+    if res.count == 0:
+        raise SimulationError(
+            f"no instance left for n={cfg['n']}: all {res.excluded} excluded "
+            f"({res.exclusions})"
+        )
     rows = [
         (k, m, s, res.count)
         for k, m, s in zip(res.k_values, res.mean_dP, res.std_dP)

@@ -183,32 +183,33 @@ class SchedulePlan:
 
 
 def _ground_rotation_cells(pair: ham.HamiltonianPair):
-    """Bisect [1, 0] until the ground state turns <= _ROT_MAX per cell."""
-    vec_cache: dict[float, np.ndarray] = {}
+    """Bisect [1, 0] until the ground state turns <= _ROT_MAX per cell.
 
-    def ground(lam: float) -> np.ndarray:
-        v = vec_cache.get(lam)
-        if v is None:
-            v = ham.spectrum_at(pair, lam).states[:, 0]
-            vec_cache[lam] = v
-        return v
+    Breadth first: the _BASE_CELLS + 1 base nodes, then each level's new
+    midpoints, take one stacked eigendecomposition each.  Returns
+    (a, b, rotation) per cell, in descending lam.
+    """
 
-    def rotation(a: float, b: float) -> float:
-        overlap = min(1.0, abs(float(ground(a) @ ground(b))))
-        return math.acos(overlap)
+    def grounds(lams) -> dict:
+        states = ham.spectrum_at(pair, np.asarray(lams)).states
+        return dict(zip(lams, states[..., 0]))
 
-    base = np.linspace(1.0, 0.0, _BASE_CELLS + 1)
-    stack = [(base[i], base[i + 1]) for i in range(_BASE_CELLS)]
+    base = np.linspace(1.0, 0.0, _BASE_CELLS + 1).tolist()
+    ground = grounds(base)
+    level = list(zip(base[:-1], base[1:]))
     cells = []
-    while stack:
-        a, b = stack.pop()
-        rot = rotation(a, b)
-        if rot > _ROT_MAX and (a - b) > _MIN_CELL:
-            m = 0.5 * (a + b)
-            stack.append((a, m))
-            stack.append((m, b))
-        else:
-            cells.append((a, b, rot))
+    while level:
+        split = []
+        for a, b in level:
+            overlap = min(1.0, abs(float(ground[a] @ ground[b])))
+            rot = math.acos(overlap)
+            if rot > _ROT_MAX and (a - b) > _MIN_CELL:
+                split.append((a, b, 0.5 * (a + b)))
+            else:
+                cells.append((a, b, rot))
+        if split:
+            ground.update(grounds([m for _, _, m in split]))
+        level = [half for a, b, m in split for half in ((a, m), (m, b))]
     cells.sort(key=lambda cell: -cell[0])
     return cells
 

@@ -2,9 +2,12 @@
 
 Per-instance work goes through an evolution.Instance holding the schedule
 plan, the curvature source and the unit-gain pace.  Every total time
-scanned on an instance -- a P(T) grid, a gain grid with both controllers,
-the doubling ladder of a time-to-target scan -- is one column of a single
-batched propagation through the plan's cached eigensystems.
+scanned on an instance -- a P(T) grid, a gain grid with both controllers
+-- is one column of a single batched propagation through the plan's
+cached eigensystems.  A time-to-target scan decides its probes one at a
+time, but evaluates them in a few such passes: each pass holds every probe
+the scan may need next (ladder rungs, or a few levels of the bisection
+tree), and the scan replays its own decisions on those values.
 
 Both ensembles run through map_instances, which seeds each instance, skips
 degenerate ones, optionally fans out over a process pool and returns one
@@ -117,10 +120,10 @@ class EnsembleSummary:
 class TargetResult:
     """Outcome of a time-to-target scan.
 
-    probes records every (T, P) evaluated in scan order; non_monotone flags
-    any P decrease between increasing probe times (the near-adiabatic
-    oscillations), which the caller gets to see rather than have smoothed
-    away.
+    probes records every (T, P) the scan visited, in its order;
+    non_monotone flags any P decrease between increasing probe times (the
+    near-adiabatic oscillations), which the caller gets to see rather than
+    have smoothed away.
     """
 
     T: float
@@ -199,6 +202,9 @@ def sweep_T(
 
 _SUDDEN_FLOOR = 1e-9  # lower scan bound, in units of T_ad
 _SCAN_START = 1e-3  # first probe, in units of T_ad
+# Bisection levels evaluated per propagation pass: at most 2**4 - 1 = 15
+# midpoints.  A ladder pass holds the missed rung and the 15 rungs after it.
+_LOOKAHEAD = 4
 
 
 def time_to_target(
@@ -220,54 +226,87 @@ def time_to_target(
     non-monotone probe sequence is flagged in the result, not hidden.
     Raises UnreachableTargetError beyond cap_factor * T_ad.
 
-    The whole ladder, down to the sudden floor or up to the cap, runs as one
-    batched propagation; probes records only the rungs up to the first
-    crossing, exactly those a rung-by-rung scan would have evaluated.
+    The scan is sequential, but its probes are evaluated speculatively: a
+    probe that is not yet known is evaluated in one batched propagation
+    together with every probe the scan may need next -- the next 15 rungs
+    of the doubling ladder (the whole halving ladder down to the sudden
+    floor), or the next _LOOKAHEAD levels of the bisection tree under the
+    current bracket.  Each speculative T is computed by the same arithmetic
+    as the sequential scan, so the decisions, the T and the probes (only
+    those the scan visits, in its order) are those of a probe-by-probe
+    scan; a typical scan takes three passes.
     """
     inst = context or evo.Instance(pair, steps)
     T_ad = inst.T_ad
     probes = []
+    known: dict[float, float] = {}
 
-    def P(T: float) -> float:
-        p = float(inst.run(family, T))
-        probes.append((T, p))
-        return p
+    def P(T: float, ahead) -> float:
+        if T not in known:  # evaluate T and the probes ahead() expects next
+            batch = ahead()
+            known.update(zip(batch, inst.run(family, batch).tolist()))
+        probes.append((T, known[T]))
+        return known[T]
+
+    def below_cap(T: float) -> bool:
+        return 2.0 * T <= cap_factor * T_ad
+
+    def above_floor(T: float) -> bool:
+        return T > _SUDDEN_FLOOR * T_ad
+
+    def doubling():  # the current T and up to 15 rungs above it
+        return _ladder(T, 2.0, below_cap, 2**_LOOKAHEAD)
 
     T = _SCAN_START * T_ad
-    p = P(T)
-    above = p >= target_P
-    rungs = []
-    if above:
+    p = P(T, doubling)
+    if p >= target_P:
         # Already above target: walk down to find where it is lost (if ever).
-        while T > _SUDDEN_FLOOR * T_ad:
-            T /= 2.0
-            rungs.append(T)
-    else:
-        while 2.0 * T <= cap_factor * T_ad:
-            T *= 2.0
-            rungs.append(T)
-    for T, p in zip(rungs, inst.run(family, rungs).tolist() if rungs else ()):
-        probes.append((T, p))
-        if (p >= target_P) != above:
-            break
-    if (p >= target_P) == above:  # the ladder never crossed the target
-        if above:  # reachable even in the sudden limit
+        while p >= target_P and above_floor(T):
+            T *= 0.5
+            p = P(T, lambda: _ladder(T, 0.5, above_floor))
+        if p >= target_P:  # reachable even in the sudden limit
             return _finish(T, p, probes)
-        raise UnreachableTargetError(
-            f"{family} sweep did not reach P >= {target_P} below "
-            f"T = {cap_factor:g} * T_ad = {cap_factor * T_ad:.3g}"
-        )
-    lo, hi = (T, 2.0 * T) if above else (T / 2.0, T)
+        lo, hi = T, 2.0 * T
+    else:
+        while p < target_P:
+            if not below_cap(T):
+                raise UnreachableTargetError(
+                    f"{family} sweep did not reach P >= {target_P} below "
+                    f"T = {cap_factor:g} * T_ad = {cap_factor * T_ad:.3g}"
+                )
+            T *= 2.0
+            p = P(T, doubling)
+        lo, hi = T / 2.0, T
 
     p_hi = p
     while hi / lo > 1.0 + rtol:
         mid = math.sqrt(lo * hi)
-        p_mid = P(mid)
+        p_mid = P(mid, lambda: _bisection_tree(lo, hi, rtol, _LOOKAHEAD))
         if p_mid >= target_P:
             hi, p_hi = mid, p_mid
         else:
             lo = mid
     return _finish(hi, p_hi, probes)
+
+
+def _ladder(T: float, factor: float, more, count: float = math.inf) -> list:
+    """T, T*factor, T*factor**2, ...: at most count rungs, the next one while more(last)."""
+    rungs = [T]
+    while len(rungs) < count and more(rungs[-1]):
+        rungs.append(rungs[-1] * factor)
+    return rungs
+
+
+def _bisection_tree(lo: float, hi: float, rtol: float, depth: int) -> list:
+    """Every midpoint a geometric bisection of (lo, hi) to rtol can probe in depth levels."""
+    if depth == 0 or hi / lo <= 1.0 + rtol:
+        return []
+    mid = math.sqrt(lo * hi)
+    return [
+        mid,
+        *_bisection_tree(lo, mid, rtol, depth - 1),
+        *_bisection_tree(mid, hi, rtol, depth - 1),
+    ]
 
 
 def _finish(T, p, probes) -> TargetResult:

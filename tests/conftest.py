@@ -31,13 +31,13 @@ def acceptance(request):
 
 @pytest.fixture
 def degenerate_seed(monkeypatch):
-    """Call with a seed to make experiments.make_instance return all couplings
-    zero (tied ground states) for that seed."""
+    """Call with one or more seeds to make experiments.make_instance return all
+    couplings zero (tied ground states) for those seeds."""
     real = xp.make_instance
 
-    def make_degenerate(target):
+    def make_degenerate(*targets):
         def make_instance(n, seed):
-            if seed == target:
+            if seed in targets:
                 return ham.make_pair(ham.ProblemSpec(n, np.zeros(2**n - 1), seed))
             return real(n, seed)
 

@@ -106,6 +106,26 @@ def test_manifest_counts_exclusions_by_reason(tmp_path, degenerate_seed):
     assert results["exclusions"] == {"degenerate": 1}
 
 
+@pytest.mark.parametrize("command", ["scaling", "deltap"])
+def test_ensemble_with_an_empty_cell_exits_3_and_writes_nothing(
+    tmp_path, capsys, degenerate_seed, command
+):
+    from aqcsim import experiments as xp
+
+    if command == "scaling":  # every n = 3 instance is degenerate
+        degenerate_seed(xp.instance_seed(9, 3, 0))
+        argv = ["scaling", "--n-values", "2,3,4", "--samples", "1"]
+    else:  # every instance is degenerate
+        degenerate_seed(xp.instance_seed(9, 2, 0), xp.instance_seed(9, 2, 1))
+        argv = ["deltap", "--n", "2", "--samples", "2", "--k-grid", "0.1,1"]
+    out = tmp_path / "o"
+    code = cli.main([*argv, "--master-seed", "9", "--steps", "128", "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "no instance left" in err and "'degenerate'" in err
+    assert not out.exists() or not list(out.iterdir())
+
+
 def test_numerical_failure_exits_3(tmp_path, capsys):
     # all-zero couplings leave the problem ground state degenerate
     code = cli.main(
@@ -246,6 +266,11 @@ def test_manifest_refuses_non_finite_numbers(tmp_path):
     with pytest.raises(ValueError):
         cli.emit_tables({}, str(tmp_path), {"results": {"P": float("nan")}})
     assert not (tmp_path / "manifest.json").exists()
+    # the tables of a refused manifest are not written either
+    out = tmp_path / "o"
+    with pytest.raises(ValueError):
+        cli.emit_tables({"t.csv": (("x",), [(1.0,)])}, str(out), {"fit": float("nan")})
+    assert not out.exists()
 
 
 def test_replay_profile_tolerates_header_and_extra_columns(tmp_path):

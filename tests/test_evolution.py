@@ -1,5 +1,7 @@
 """Propagator, pace laws, timescales, and limit behavior."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -82,6 +84,51 @@ def test_schedule_refines_near_small_gaps():
     density_near = near.sum() / 0.1
     density_far = (~near).sum() / 0.9
     assert density_near > 2 * density_far
+
+
+def _depth_first_rotation_cells(pair):
+    """Reference bisection: one single-lam eigendecomposition per new node."""
+    vec_cache = {}
+
+    def ground(lam):
+        v = vec_cache.get(lam)
+        if v is None:
+            v = ham.spectrum_at(pair, lam).states[:, 0]
+            vec_cache[lam] = v
+        return v
+
+    def rotation(a, b):
+        overlap = min(1.0, abs(float(ground(a) @ ground(b))))
+        return math.acos(overlap)
+
+    base = np.linspace(1.0, 0.0, evo._BASE_CELLS + 1)
+    stack = [(base[i], base[i + 1]) for i in range(evo._BASE_CELLS)]
+    cells = []
+    while stack:
+        a, b = stack.pop()
+        rot = rotation(a, b)
+        if rot > evo._ROT_MAX and (a - b) > evo._MIN_CELL:
+            m = 0.5 * (a + b)
+            stack.append((a, m))
+            stack.append((m, b))
+        else:
+            cells.append((a, b, rot))
+    cells.sort(key=lambda cell: -cell[0])
+    return cells
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_level_batched_rotation_bisection_matches_depth_first(monkeypatch, n):
+    for seed in (1, 7000):
+        pair = ham.pair_from_seed(n, seed)
+        cells = evo._ground_rotation_cells(pair)
+        assert cells == _depth_first_rotation_cells(pair)
+        plan = evo.build_schedule(pair, steps=512)
+        with monkeypatch.context() as m:
+            m.setattr(evo, "_ground_rotation_cells", _depth_first_rotation_cells)
+            want = evo.build_schedule(pair, steps=512)
+        for field in ("lams", "mids", "widths", "mid_energies", "frame_maps", "c0"):
+            np.testing.assert_array_equal(getattr(plan, field), getattr(want, field))
 
 
 # ------------------------------------------------------------------- evolving

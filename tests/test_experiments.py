@@ -158,14 +158,29 @@ def _rung_by_rung_time_to_target(ctx, family, target_P, cap_factor=1e6, rtol=0.0
     return xp._finish(hi, p_hi, probes)
 
 
-# (seed, target, walks down): up to a crossing; down to a crossing (the
-# first probe already meets 0.4, the sudden limit does not); down to the
-# sudden floor without one (0.25 is met even by an instantaneous sweep)
+# (n, seed, target, walks down, scan start): up to a crossing; down to a
+# crossing (the first probe already meets 0.4, the sudden limit does not);
+# down to the sudden floor without one (0.25 is met even by an instantaneous
+# sweep); up at n = 3..5; up from 1e-6 T_ad, which crosses after more than
+# one ladder pass (22 or more rungs)
 @pytest.mark.parametrize(
-    "seed, target, walks_down", [(1, 0.9, False), (1, 0.4, True), (5, 0.25, True)]
+    "n, seed, target, walks_down, scan_start",
+    [
+        pytest.param(2, 1, 0.9, False, 1e-3, id="1-0.9-False"),
+        pytest.param(2, 1, 0.4, True, 1e-3, id="1-0.4-True"),
+        pytest.param(2, 5, 0.25, True, 1e-3, id="5-0.25-True"),
+        pytest.param(3, 1, 0.9, False, 1e-3, id="n3-1-0.9-False"),
+        pytest.param(4, 1, 0.9, False, 1e-3, id="n4-1-0.9-False"),
+        pytest.param(5, 1, 0.9, False, 1e-3, id="n5-1-0.9-False"),
+        pytest.param(2, 1, 0.9, False, 1e-6, id="start1e-6-1-0.9-False"),
+        pytest.param(2, 4, 0.9, False, 1e-6, id="start1e-6-4-0.9-False"),
+    ],
 )
-def test_batched_ladder_matches_rung_by_rung_scan(seed, target, walks_down):
-    pair = ham.pair_from_seed(2, seed)
+def test_batched_ladder_matches_rung_by_rung_scan(
+    monkeypatch, n, seed, target, walks_down, scan_start
+):
+    monkeypatch.setattr(xp, "_SCAN_START", scan_start)
+    pair = ham.pair_from_seed(n, seed)
     ctx = evo.Instance(pair, 512)
     for family in xp.CONTROLLER_FAMILIES:
         got = xp.time_to_target(pair, family, target, context=ctx)
@@ -178,6 +193,45 @@ def test_batched_ladder_matches_rung_by_rung_scan(seed, target, walks_down):
         assert got.non_monotone == want.non_monotone
         assert got.T == want.T
         assert got.P_at_T == pytest.approx(want.P_at_T, abs=1e-12)
+
+
+def _count_passes(monkeypatch, ctx):
+    """The number of columns of every ctx.run call, appended as they happen."""
+    passes = []
+    run = ctx.run
+
+    def counted_run(family, T):
+        passes.append(np.size(T))
+        return run(family, T)
+
+    monkeypatch.setattr(ctx, "run", counted_run)
+    return passes
+
+
+def test_cap_inside_a_ladder_pass_is_unreachable_like_rung_by_rung_scan(monkeypatch):
+    # 3 T_ad stops the ladder at its 12th rung, inside the first pass
+    ctx = evo.Instance(ham.pair_from_seed(2, 5), 512)
+    for family in xp.CONTROLLER_FAMILIES:
+        with pytest.raises(UnreachableTargetError):
+            _rung_by_rung_time_to_target(ctx, family, 0.999, cap_factor=3.0)
+    passes = _count_passes(monkeypatch, ctx)
+    for family in xp.CONTROLLER_FAMILIES:
+        passes.clear()
+        with pytest.raises(UnreachableTargetError):
+            xp.time_to_target(ctx.pair, family, 0.999, cap_factor=3.0, context=ctx)
+        assert passes == [12]  # no rung beyond the cap is evaluated
+
+
+def test_scan_evaluates_its_probes_in_three_passes(monkeypatch):
+    # one ladder pass (the crossing is within 15 rungs), then the 7 levels
+    # of bisection from ratio 2 to rtol 0.01 in passes of 4 and 3 levels
+    ctx = evo.Instance(ham.pair_from_seed(2, 1), 512)
+    passes = _count_passes(monkeypatch, ctx)
+    for family in xp.CONTROLLER_FAMILIES:
+        passes.clear()
+        res = xp.time_to_target(ctx.pair, family, 0.9, context=ctx)
+        assert passes == [16, 15, 7]
+        assert len(res.probes) < sum(passes)
 
 
 def test_time_to_target_unreachable_under_cap():
