@@ -71,8 +71,8 @@ _OPTIONS = {
     "t_total": (float, None, "total sweep time (linear controller)"),
     "k": (float, None, "controller gain (feedback controller)"),
     "curvature_floor": (float, None, "pace floor on |c2| (default: 1e-6 of the profile max)"),
-    "source": (str, "live", "curvature source for feedback: live or replay"),
-    "replay": (str, None, "path to a (lambda, c2) profile CSV for --source replay"),
+    "replay": (str, None, "(lambda, c2) profile CSV that feedback replays instead of "
+                          "the live level dynamics"),
     "steps": (int, 2048, "number of schedule cells"),
     "sample_stride": (int, 0, "trajectory rows every N nodes (0 = no dump)"),
     "resolution": (int, 1024, "number of lambda samples"),
@@ -94,7 +94,7 @@ _OPTIONS = {
 
 _COMMAND_OPTIONS = {
     "run": ("out", "n", "seed", "epsilon", "controller", "t_total", "k",
-            "curvature_floor", "source", "replay", "steps", "sample_stride"),
+            "curvature_floor", "replay", "steps", "sample_stride"),
     "profile": ("out", "plots", "n", "seed", "epsilon", "resolution"),
     "sweep-t": ("out", "plots", "n", "seed", "epsilon", "steps", "curvature_floor",
                 "t_min", "t_max", "t_points", "t_units"),
@@ -171,8 +171,6 @@ def _validate(command: str, v: dict) -> None:
                 raise ValueError("--k is required for --controller feedback")
             if v["t_total"] is not None:
                 raise ValueError("--t-total is not valid for --controller feedback")
-            if (v["source"] == "replay") != (v["replay"] is not None):
-                raise ValueError("--source replay and --replay must be used together")
         else:
             raise ValueError(f"unknown controller {v['controller']!r}")
     if command == "sweep-t" and v["t_units"] not in ("tad", "abs"):
@@ -344,12 +342,9 @@ def _cmd_run(cfg: RunConfig) -> dict:
     if cfg["controller"] == "linear":
         controller = evo.PaceController.linear(cfg["t_total"])
     else:
-        profile = replay_profile(cfg["replay"]) if cfg["source"] == "replay" else None
+        profile = replay_profile(cfg["replay"]) if cfg["replay"] is not None else None
         controller = evo.PaceController.feedback(
-            cfg["k"],
-            curvature_floor=cfg["curvature_floor"],
-            source=cfg["source"],
-            profile=profile,
+            cfg["k"], curvature_floor=cfg["curvature_floor"], profile=profile
         )
     record = evo.evolve(
         pair, controller, steps=cfg["steps"], sample_stride=cfg["sample_stride"]
@@ -449,7 +444,7 @@ def _cmd_scaling(cfg: RunConfig) -> dict:
     if cfg["plots"]:
         series = [
             (fam, [(c.n, c.mean_T) for c in summary.cells if c.controller == fam])
-            for fam in spec.controller_families
+            for fam in xp.CONTROLLER_FAMILIES
         ]
         _plot_lines(os.path.join(cfg["out"], "fig3_scaling.svg"), series,
                     xlabel="n", ylabel="mean T", logx=True, logy=True)

@@ -73,6 +73,7 @@ _BASE_CELLS = 64  # uniform cells seeding the adaptive bisection
 _MIN_CELL = 1e-7  # bisection width guard
 _ROT_WEIGHT = 0.5  # blend between uniform and rotation-proportional measure
 _PHASE_CHUNK = 64  # cells whose phases and norms are computed in one call
+_SCAN_POINTS = 512  # uniform lam grid of the T_ad and min-gap scans
 
 
 @dataclass(frozen=True)
@@ -81,16 +82,16 @@ class PaceController:
 
     kind "linear": dt/dlam = T_total, constant.
     kind "feedback": dt/dlam = k * max(|c2|, curvature_floor).  The signal
-    c2 comes from the live level dynamics or from a replayed (lam, c2)
-    profile.  curvature_floor may be left None to mean "resolve to
-    DEFAULT_FLOOR_FRACTION of the profile's |c2| maximum at run time".
+    c2 comes from the live level dynamics, or from the (lam, c2) profile
+    when one is given (replay).  curvature_floor may be left None to mean
+    "resolve to DEFAULT_FLOOR_FRACTION of the profile's |c2| maximum at run
+    time".
     """
 
     kind: str
     T_total: float | None = None
     k: float | None = None
     curvature_floor: float | None = None
-    source: str = "live"
     profile: tuple | None = None  # (lam descending, c2) arrays for replay
 
     def __post_init__(self):
@@ -106,10 +107,6 @@ class PaceController:
                 raise ValueError("T_total is not a feedback-controller parameter")
             if self.curvature_floor is not None and self.curvature_floor <= 0:
                 raise ValueError("curvature_floor must be positive")
-            if self.source not in ("live", "replay"):
-                raise ValueError(f"unknown curvature source {self.source!r}")
-            if (self.source == "replay") != (self.profile is not None):
-                raise ValueError("replay source requires a profile (and only then)")
         else:
             raise ValueError(f"unknown controller kind {self.kind!r}")
 
@@ -118,14 +115,8 @@ class PaceController:
         return cls(kind="linear", T_total=T_total)
 
     @classmethod
-    def feedback(cls, k, curvature_floor=None, source="live", profile=None):
-        return cls(
-            kind="feedback",
-            k=k,
-            curvature_floor=curvature_floor,
-            source=source,
-            profile=profile,
-        )
+    def feedback(cls, k, curvature_floor=None, profile=None):
+        return cls(kind="feedback", k=k, curvature_floor=curvature_floor, profile=profile)
 
 
 @dataclass(frozen=True)
@@ -443,20 +434,17 @@ def evolve(
 
     c = initial_coefficients(plan)
     if sample_stride > 0:
-        marks = [*range(0, plan.cells, sample_stride), plan.cells]
-        t_cum = np.concatenate([[0.0], np.cumsum(dts)])
+        marks = np.array([*range(0, plan.cells, sample_stride), plan.cells])
+        # between cells the coefficients live in the next cell's eigenbasis
+        bases = ham.spectrum_at(pair, plan.mids[marks[1:-1]]).states
         drift = np.zeros(1)
-        rows = [_sample_row(pair, plan.lams[0], 0.0, plan.psi0)]
-        for a, b in zip(marks[:-1], marks[1:]):
+        psis = [plan.psi0]
+        for i, (a, b) in enumerate(zip(marks[:-1], marks[1:])):
             c, d = propagate(plan, dts[:, None], c, a, b)
             drift = np.maximum(drift, d)
-            # between cells the coefficients live in cell b's eigenbasis
-            if b == plan.cells:
-                psi = c[:, 0]
-            else:
-                psi = ham.spectrum_at(pair, plan.mids[b]).states @ c[:, 0]
-            rows.append(_sample_row(pair, plan.lams[b], t_cum[b], psi))
-        samples = np.array(rows)
+            psis.append(c[:, 0] if b == plan.cells else bases[i] @ c[:, 0])
+        t_cum = np.concatenate([[0.0], np.cumsum(dts)])
+        samples = _sample_rows(pair, plan.lams[marks], t_cum[marks], psis)
     else:
         c, drift = propagate(plan, dts[:, None], c)
         samples = None
@@ -473,11 +461,13 @@ def evolve(
     )
 
 
-def _sample_row(pair, lam, t, psi):
-    es = ham.spectrum_at(pair, lam)
+def _sample_rows(pair, lams, times, psis) -> np.ndarray:
+    """SAMPLE_COLUMNS rows at nodes lams, from one stacked diagonalization."""
+    es = ham.spectrum_at(pair, lams)
     c2 = spectral.curvature_from_spectrum(es, pair.bias)
-    p_inst = float(abs(es.states[:, 0] @ psi.conj()) ** 2)
-    return (float(lam), float(t), p_inst, es.gap(), abs(c2.c2_full))
+    p_inst = [abs(V[:, 0] @ psi.conj()) ** 2 for V, psi in zip(es.states, psis)]
+    gaps = es.energies[:, 1] - es.energies[:, 0]
+    return np.column_stack([lams, times, p_inst, gaps, np.abs(c2.c2_full)])
 
 
 def success_probability(
@@ -498,12 +488,6 @@ def _ground_scan(pair: ham.HamiltonianPair, lams: np.ndarray):
     w, V = np.linalg.eigh(ham.total_hamiltonian(pair, lams))
     m = (V[:, :, 0] @ pair.bias)[:, None, :] @ V[:, :, 1:]
     return w[:, 1] - w[:, 0], np.abs(m[:, 0, :]).max(axis=1)
-
-
-def _scan_grid(resolution: int) -> np.ndarray:
-    if resolution < 16:
-        raise ValueError(f"resolution must be >= 16, got {resolution}")
-    return np.linspace(0.0, 1.0, resolution)
 
 
 def _bracket(lams: np.ndarray, i: int):
@@ -527,26 +511,26 @@ def _refine_min_gap(pair: ham.HamiltonianPair, lams: np.ndarray, gaps: np.ndarra
     return best_gap, best_lam
 
 
-def min_gap(pair: ham.HamiltonianPair, resolution: int = 512):
+def min_gap(pair: ham.HamiltonianPair):
     """Minimum of E_1 - E_0 over lam in [0, 1] and its location.
 
-    Dense scan at `resolution` points, then golden-section refinement in the
+    Dense scan at _SCAN_POINTS points, then golden-section refinement in the
     bracketing cells (boundary minima included -- the single-qubit model has
     its minimum exactly at lam = 0).
     """
-    lams = _scan_grid(resolution)
+    lams = np.linspace(0.0, 1.0, _SCAN_POINTS)
     gaps, _ = _ground_scan(pair, lams)
     return _refine_min_gap(pair, lams, gaps)
 
 
-def adiabatic_time(pair: ham.HamiltonianPair, resolution: int = 512) -> float:
+def adiabatic_time(pair: ham.HamiltonianPair) -> float:
     """max over excited levels and lam of |<j|H_b|0>|, over the squared minimum gap.
 
     The timescale beyond which a sweep is effectively adiabatic; linear runs
     at T >> this value reach P ~ 1.  One scan of the lam grid serves both
     the coupling peak and the minimum gap.
     """
-    lams = _scan_grid(resolution)
+    lams = np.linspace(0.0, 1.0, _SCAN_POINTS)
     gaps, values = _ground_scan(pair, lams)
 
     def coupling(lam: float) -> float:

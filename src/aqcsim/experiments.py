@@ -76,7 +76,6 @@ class EnsembleSpec:
     samples_per_n: int = 100
     master_seed: int = 7
     target_P: float = 0.9
-    controller_families: tuple = CONTROLLER_FAMILIES
 
     def __post_init__(self):
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
@@ -84,9 +83,6 @@ class EnsembleSpec:
             raise ValueError("samples_per_n must be >= 1")
         if not 0.0 < self.target_P < 1.0:
             raise ValueError("target_P must lie in (0, 1)")
-        for fam in self.controller_families:
-            if fam not in CONTROLLER_FAMILIES:
-                raise ValueError(f"unknown controller family {fam!r}")
 
 
 @dataclass(frozen=True)
@@ -181,20 +177,22 @@ def _run_instance(task, n: int, seed: int):
 def sweep_T(
     pair: ham.HamiltonianPair,
     T_values,
-    families=CONTROLLER_FAMILIES,
     *,
     steps: int = 2048,
     curvature_floor: float | None = None,
 ):
     """P(T) curves for both controllers on one instance.
 
-    T_values must be positive ascending.  Feedback runs hit each target T
-    exactly by setting k = T over the unit-gain pace integral.
+    T_values must be non-empty, positive and ascending.  Feedback runs hit
+    each target T exactly by setting k = T over the unit-gain pace integral.
     """
     T_values = np.asarray(T_values, dtype=float)
+    if T_values.size == 0:
+        raise ValueError("T_values must not be empty")
     if np.any(T_values <= 0) or np.any(np.diff(T_values) <= 0):
         raise ValueError("T_values must be positive and strictly ascending")
     inst = evo.Instance(pair, steps, curvature_floor)
+    families = CONTROLLER_FAMILIES
     dts = np.hstack([inst.cell_times(fam, T_values) for fam in families])
     P = inst.success(dts).reshape(len(families), T_values.size)
     return {fam: np.column_stack([T_values, p]) for fam, p in zip(families, P)}
@@ -202,6 +200,7 @@ def sweep_T(
 
 _SUDDEN_FLOOR = 1e-9  # lower scan bound, in units of T_ad
 _SCAN_START = 1e-3  # first probe, in units of T_ad
+_RTOL = 0.01  # relative width at which the bisection stops
 # Bisection levels evaluated per propagation pass: at most 2**4 - 1 = 15
 # midpoints.  A ladder pass holds the missed rung and the 15 rungs after it.
 _LOOKAHEAD = 4
@@ -214,14 +213,13 @@ def time_to_target(
     *,
     steps: int = 2048,
     cap_factor: float = 1e6,
-    rtol: float = 0.01,
     context: evo.Instance | None = None,
 ) -> TargetResult:
     """Minimal total time whose sweep reaches P >= target_P.
 
     Doubles T from an instance-scaled floor until the target is bracketed
     (halving instead when already above it -- near-sudden targets), then
-    bisects geometrically to `rtol` relative.  P(T) oscillates near the
+    bisects geometrically to _RTOL relative.  P(T) oscillates near the
     adiabatic time, so the bracket is the first crossing of the scan; any
     non-monotone probe sequence is flagged in the result, not hidden.
     Raises UnreachableTargetError beyond cap_factor * T_ad.
@@ -279,9 +277,9 @@ def time_to_target(
         lo, hi = T / 2.0, T
 
     p_hi = p
-    while hi / lo > 1.0 + rtol:
+    while hi / lo > 1.0 + _RTOL:
         mid = math.sqrt(lo * hi)
-        p_mid = P(mid, lambda: _bisection_tree(lo, hi, rtol, _LOOKAHEAD))
+        p_mid = P(mid, lambda: _bisection_tree(lo, hi, _LOOKAHEAD))
         if p_mid >= target_P:
             hi, p_hi = mid, p_mid
         else:
@@ -297,15 +295,15 @@ def _ladder(T: float, factor: float, more, count: float = math.inf) -> list:
     return rungs
 
 
-def _bisection_tree(lo: float, hi: float, rtol: float, depth: int) -> list:
-    """Every midpoint a geometric bisection of (lo, hi) to rtol can probe in depth levels."""
-    if depth == 0 or hi / lo <= 1.0 + rtol:
+def _bisection_tree(lo: float, hi: float, depth: int) -> list:
+    """Every midpoint a geometric bisection of (lo, hi) to _RTOL can probe in depth levels."""
+    if depth == 0 or hi / lo <= 1.0 + _RTOL:
         return []
     mid = math.sqrt(lo * hi)
     return [
         mid,
-        *_bisection_tree(lo, mid, rtol, depth - 1),
-        *_bisection_tree(mid, hi, rtol, depth - 1),
+        *_bisection_tree(lo, mid, depth - 1),
+        *_bisection_tree(mid, hi, depth - 1),
     ]
 
 
@@ -319,15 +317,13 @@ def _finish(T, p, probes) -> TargetResult:
     )
 
 
-def _instance_times(pair, target_P, families, steps, cap_factor):
+def _instance_times(pair, target_P, steps):
     """Time to target per family on one instance, or the exclusion reason."""
     inst = evo.Instance(pair, steps)
     out = {}
-    for fam in families:
+    for fam in CONTROLLER_FAMILIES:
         try:
-            out[fam] = time_to_target(
-                pair, fam, target_P, cap_factor=cap_factor, context=inst
-            ).T
+            out[fam] = time_to_target(pair, fam, target_P, context=inst).T
         except UnreachableTargetError:
             out[fam] = "unreachable"
     return out
@@ -337,7 +333,6 @@ def scaling_study(
     spec: EnsembleSpec,
     *,
     steps: int = 2048,
-    cap_factor: float = 1e6,
     workers: int = 0,
 ) -> EnsembleSummary:
     """Mean time-to-target versus qubit count, with power-law fits.
@@ -359,17 +354,14 @@ def scaling_study(
             f"power-law fit needs >= 3 distinct sizes, got {sorted(set(n_values))}"
         )
 
-    task = partial(
-        _instance_times, target_P=spec.target_P, families=spec.controller_families,
-        steps=steps, cap_factor=cap_factor,
-    )
+    task = partial(_instance_times, target_P=spec.target_P, steps=steps)
     results = map_instances(task, n_values, spec.samples_per_n, spec.master_seed, workers)
 
     cells = []
     exclusions: Counter = Counter()
     for i, n in enumerate(n_values):
         block = results[i * spec.samples_per_n : (i + 1) * spec.samples_per_n]
-        for fam in spec.controller_families:
+        for fam in CONTROLLER_FAMILIES:
             outcomes = [r if isinstance(r, str) else r[fam] for r in block]
             ok = [t for t in outcomes if not isinstance(t, str)]
             exclusions.update(t for t in outcomes if isinstance(t, str))
@@ -387,7 +379,7 @@ def scaling_study(
 
     fits = {
         fam: fit_power_law(n_values, [c.mean_T for c in cells if c.controller == fam])
-        for fam in spec.controller_families
+        for fam in CONTROLLER_FAMILIES
     }
     return EnsembleSummary(
         spec=spec, cells=tuple(cells), fits=fits, exclusions=dict(exclusions)
@@ -434,11 +426,15 @@ def delta_p_sweep(
     fed to a linear sweep of the same T (the equal-time comparison the
     delta-P definition requires), and dP = (P_fb - P_lin) / P_lin.
     Instances with degenerate ground states or numerically zero P_lin are
-    excluded and counted.
+    excluded and counted.  k_values must be non-empty and samples >= 1.
     """
     k_values = np.asarray(k_values, dtype=float)
+    if k_values.size == 0:
+        raise ValueError("k_values must not be empty")
     if np.any(k_values <= 0) or np.any(np.diff(k_values) <= 0):
         raise ValueError("k_values must be positive and strictly ascending")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     task = partial(_instance_delta_p, k_values=k_values, steps=steps)
     results = map_instances(task, (n,), samples, master_seed, workers)
 

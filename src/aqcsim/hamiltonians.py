@@ -195,10 +195,9 @@ def make_pair(problem: ProblemSpec, bias: BiasSpec | None = None) -> Hamiltonian
     )
 
 
-def pair_from_seed(n: int, seed: int, Z: float | None = None) -> HamiltonianPair:
-    """Convenience: sample, build and pair up one instance."""
-    bias = BiasSpec(n=n, Z=Z) if Z is not None else None
-    return make_pair(sample_problem(n, seed), bias)
+def pair_from_seed(n: int, seed: int) -> HamiltonianPair:
+    """Convenience: sample, build and pair up one instance at the default bias."""
+    return make_pair(sample_problem(n, seed))
 
 
 def total_hamiltonian(pair: HamiltonianPair, lam) -> np.ndarray:

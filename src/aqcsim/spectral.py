@@ -73,9 +73,11 @@ class SpectrumState:
 
 @dataclass(frozen=True)
 class CurvatureSample:
-    lam: float
-    c2_pair: float
-    c2_full: float
+    """Ground-state curvature at lam; arrays over a stack of spectra."""
+
+    lam: float | np.ndarray
+    c2_pair: float | np.ndarray
+    c2_full: float | np.ndarray
 
 
 def _check_separation(E: np.ndarray, lam: float, scale: float) -> None:
@@ -143,13 +145,17 @@ class LevelFlow:
         lams = np.atleast_1d(np.asarray(lams, dtype=float))
         dim = self.pair.dim
         y = self._sol.sol(np.clip(lams, 0.0, 1.0))
-        E = y[:dim]
-        L0 = y[2 * dim : 2 * dim + dim]  # row l = 0 of L
-        num = 2.0 * L0[1:] ** 2
-        den = (E[1:] - E[0:1]) ** 3
-        c2_full = -np.sum(num / den, axis=0)
-        c2_pair = -num[0] / den[0]
-        return c2_full, c2_pair
+        return _ground_curvature(y[:dim], y[2 * dim : 3 * dim])  # L0: row l = 0 of L
+
+
+def _ground_curvature(E, L0):
+    """(c2_full, c2_pair) from energies E and coupling row L0, level axis first.
+
+    c2_full = -sum_k 2 L0k^2 / (E_k - E_0)^3 and c2_pair is its k = 1 term.
+    E and L0 are (dim, columns); every column is one spectrum point.
+    """
+    terms = 2.0 * L0[1:] ** 2 / (E[1:] - E[:1]) ** 3
+    return -np.sum(terms, axis=0), -terms[0]
 
 
 def solve_levels(
@@ -195,18 +201,18 @@ def curvature(state: SpectrumState) -> CurvatureSample:
     over every excited level and equals d^2 E_0 / dlam^2 exactly.  Both are
     <= 0 for the ground level (every term pushes E_0 down).
     """
-    E, L = state.E, state.L
+    E = state.E
     if E[1] <= E[0]:
         raise NearDegeneracyError(
             f"level order violated at lambda={state.lam:.6f}: "
             f"E1 - E0 = {E[1] - E[0]:.3e}",
             pair=(0, 1),
         )
-    num = 2.0 * L[0, 1:] ** 2
-    den = (E[1:] - E[0]) ** 3
-    c2_full = -float(np.sum(num / den))
-    c2_pair = -float(num[0] / den[0])
-    return CurvatureSample(lam=state.lam, c2_pair=c2_pair, c2_full=c2_full)
+    # one column through the flow's kernel: the sum of LevelFlow.curvatures([lam])
+    c2_full, c2_pair = _ground_curvature(E[:, None], state.L[0, :, None])
+    return CurvatureSample(
+        lam=state.lam, c2_pair=float(c2_pair[0]), c2_full=float(c2_full[0])
+    )
 
 
 def curvature_from_spectrum(es: ham.EigenSystem, bias: np.ndarray) -> CurvatureSample:
@@ -215,15 +221,16 @@ def curvature_from_spectrum(es: ham.EigenSystem, bias: np.ndarray) -> CurvatureS
     |l_0k|^2 / (E_k - E_0)^3 reduces to |<0|H_b|k>|^2 / (E_k - E_0), so this
     needs only one diagonalization.  Used as the fallback when the level
     equations hit a near-degeneracy, and as an independent cross-check.
+    A stack of spectra (leading axes, as spectrum_at returns for an array
+    of lam) gives a sample whose fields are arrays over the stack.
     """
-    w, V = es.energies, es.states
-    m = V[:, 0] @ bias @ V[:, 1:]
-    gaps = w[1:] - w[0]
-    terms = 2.0 * np.abs(m) ** 2 / gaps
+    V = es.states
+    m = (V[..., :, 0] @ bias)[..., None, :] @ V[..., :, 1:]  # <0|H_b|k>, k >= 1
+    terms = 2.0 * m[..., 0, :] ** 2 / (es.energies[..., 1:] - es.energies[..., :1])
     return CurvatureSample(
         lam=es.lam if es.lam is not None else float("nan"),
-        c2_pair=-float(terms[0]),
-        c2_full=-float(np.sum(terms)),
+        c2_pair=-terms[..., 0],
+        c2_full=-terms.sum(axis=-1),
     )
 
 
@@ -231,22 +238,19 @@ def curvature_profile(pair: ham.HamiltonianPair, resolution: int):
     """Tabulate curvature on a uniform descending lam grid.
 
     Tries the level-dynamics route first; if the instance sits too close to
-    a level collision for the equations of motion, falls back to direct
-    diagonalization at each grid point (slower, but always defined as long
-    as the ground state itself stays separated).
+    a level collision for the equations of motion, falls back to one
+    stacked diagonalization of the whole grid and the perturbation sum
+    (always defined as long as the ground state itself stays separated).
     """
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
     lams = np.linspace(1.0, 0.0, resolution)
     try:
-        flow = solve_levels(pair)
-        c2_full, c2_pair = flow.curvatures(lams)
-        return [
-            CurvatureSample(lam=float(l), c2_pair=float(p), c2_full=float(f))
-            for l, p, f in zip(lams, c2_pair, c2_full)
-        ]
+        c2_full, c2_pair = solve_levels(pair).curvatures(lams)
     except (NearDegeneracyError, IntegrationFailureError):
-        return [
-            curvature_from_spectrum(ham.spectrum_at(pair, lam), pair.bias)
-            for lam in lams
-        ]
+        s = curvature_from_spectrum(ham.spectrum_at(pair, lams), pair.bias)
+        c2_full, c2_pair = s.c2_full, s.c2_pair
+    return [
+        CurvatureSample(lam=float(l), c2_pair=float(p), c2_full=float(f))
+        for l, p, f in zip(lams, c2_pair, c2_full)
+    ]

@@ -55,8 +55,6 @@ def test_invalid_flag_combinations_exit_2(capsys):
         cli.main(["run", "--controller", "feedback", "--k", "1", "--t-total", "2"])
         == 2
     )
-    assert cli.main(["run", "--controller", "feedback", "--k", "1",
-                     "--source", "replay"]) == 2  # no profile file
     assert "aqcsim:" in capsys.readouterr().err
 
 
@@ -124,6 +122,19 @@ def test_ensemble_with_an_empty_cell_exits_3_and_writes_nothing(
     err = capsys.readouterr().err
     assert "no instance left" in err and "'degenerate'" in err
     assert not out.exists() or not list(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["deltap", "--samples", "0"], "samples must be >= 1"),
+     (["deltap", "--k-grid", "0.1:1:0"], "k_values must not be empty"),
+     (["sweep-t", "--t-points", "0"], "T_values must not be empty")],
+)
+def test_empty_ensemble_or_grid_exits_2_and_writes_nothing(tmp_path, capsys, argv, message):
+    out = tmp_path / "o"
+    assert cli.main([*argv, "--steps", "128", "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_numerical_failure_exits_3(tmp_path, capsys):
@@ -228,7 +239,7 @@ def test_non_finite_replay_row_exits_2_without_manifest(tmp_path, capsys, bad_ro
     out = tmp_path / "o"
     code = cli.main(
         ["run", "--n", "2", "--seed", "6", "--controller", "feedback", "--k", "0.08",
-         "--source", "replay", "--replay", str(profile), "--out", str(out)]
+         "--replay", str(profile), "--out", str(out)]
     )
     assert code == 2
     assert "line 3" in capsys.readouterr().err
@@ -254,7 +265,7 @@ def test_non_finite_sweep_exits_3_without_manifest(tmp_path, capsys):
     with np.errstate(all="ignore"):
         code = cli.main(
             ["run", "--n", "2", "--seed", "6", "--controller", "feedback",
-             "--k", "1e10", "--source", "replay", "--replay", str(profile),
+             "--k", "1e10", "--replay", str(profile),
              "--out", str(out)]
         )
     assert code == 3
@@ -290,8 +301,7 @@ def test_replayed_run_matches_live_run(tmp_path):
     assert cli.main(["profile", "--n", "2", "--seed", "6", "--resolution", "512",
                      "--out", str(out_prof)]) == 0
     out_replay = tmp_path / "replay"
-    assert cli.main(["run", *args, "--source", "replay",
-                     "--replay", str(out_prof / "profile.csv"),
+    assert cli.main(["run", *args, "--replay", str(out_prof / "profile.csv"),
                      "--out", str(out_replay)]) == 0
 
     live = json.loads((out_live / "manifest.json").read_text())["results"]

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import expm
 from scipy.optimize import minimize_scalar
@@ -50,8 +52,6 @@ def test_controller_validation():
         evo.PaceController(kind="linear", T_total=1.0, k=0.3)
     with pytest.raises(ValueError):
         evo.PaceController(kind="feedback", k=1.0, T_total=1.0)
-    with pytest.raises(ValueError):
-        evo.PaceController(kind="feedback", k=1.0, source="replay")  # no profile
     with pytest.raises(ValueError):
         evo.PaceController(kind="warp", T_total=1.0)
 
@@ -155,6 +155,20 @@ def test_batched_kernel_matches_expm_chain(n):
         one, one_drift = evo.propagate(plan, dts[:, j : j + 1], evo.initial_coefficients(plan))
         np.testing.assert_allclose(block[:, j], one[:, 0], atol=1e-12)
         assert drift[j] == pytest.approx(one_drift[0], abs=1e-12)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+    T=st.floats(-3.0, 4.0).map(lambda e: 10.0**e),
+)
+def test_propagate_norm_drift_is_roundoff_at_any_T(n, seed, T):
+    plan = evo.build_schedule(ham.pair_from_seed(n, seed), steps=128)
+    c, drift = evo.propagate(plan, np.multiply.outer(plan.widths, [T]),
+                             evo.initial_coefficients(plan))
+    assert drift[0] <= 1e-9
+    assert abs(np.linalg.norm(c[:, 0]) - 1.0) <= 1e-9
 
 
 def test_norm_drift_reports_non_finite_steps_as_nan():
@@ -271,9 +285,7 @@ def test_replay_profile_reproduces_live_run():
 
     lams = np.linspace(1.0, 0.0, 1024)
     c2_full, _ = flow.curvatures(lams)
-    replay = evo.PaceController.feedback(
-        k=0.08, source="replay", profile=(lams, c2_full)
-    )
+    replay = evo.PaceController.feedback(k=0.08, profile=(lams, c2_full))
     rec = evo.evolve(pair, replay, steps=1024)
     assert rec.P == pytest.approx(live.P, abs=1e-4)
     assert rec.T == pytest.approx(live.T, rel=1e-4)
@@ -321,8 +333,11 @@ def test_trajectory_rows_match_expm_chain():
     for row, b in zip(rec.samples, marks):
         assert row[0] == plan.lams[b]
         psi = _expm_chain(plan, dts[:b])  # stopped at node b
-        ground = ham.spectrum_at(pair, plan.lams[b]).states[:, 0]
-        assert row[2] == pytest.approx(abs(ground @ psi) ** 2, abs=1e-12)
+        es = ham.spectrum_at(pair, plan.lams[b])
+        assert row[2] == pytest.approx(abs(es.states[:, 0] @ psi) ** 2, abs=1e-12)
+        assert row[3] == pytest.approx(es.gap(), rel=1e-12)
+        c2 = spectral.curvature_from_spectrum(es, pair.bias)
+        assert row[4] == pytest.approx(abs(c2.c2_full), rel=1e-12)
     whole = evo.evolve(pair, controller, plan=plan)
     assert rec.samples[-1, 2] == pytest.approx(whole.P, abs=1e-12)
     assert rec.P == whole.P

@@ -39,8 +39,6 @@ def test_ensemble_spec_validation():
         xp.EnsembleSpec(n_values=(2, 3, 4), samples_per_n=0)
     with pytest.raises(ValueError):
         xp.EnsembleSpec(n_values=(2, 3, 4), target_P=1.0)
-    with pytest.raises(ValueError):
-        xp.EnsembleSpec(n_values=(2, 3, 4), controller_families=("pid",))
 
 
 # -------------------------------------------------------------------- sweep_T

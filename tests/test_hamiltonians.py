@@ -4,6 +4,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import hadamard
 
 from aqcsim import hamiltonians as ham
 from aqcsim.errors import DegenerateGroundError
@@ -37,6 +40,17 @@ def test_problem_diag_matches_reference(n, seed):
     got = ham.build_problem(spec)
     want = problem_diag_reference(n, spec.epsilon)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * max(1, np.abs(want).max()))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_problem_diag_is_the_hadamard_transform(n, seed):
+    # the signs (-1)**popcount(j & b) are the Sylvester-Hadamard matrix entries
+    spec = ham.sample_problem(n, seed)
+    want = hadamard(2**n, dtype=float) @ np.concatenate([[0.0], spec.epsilon])
+    np.testing.assert_allclose(
+        ham.build_problem(spec), want, rtol=0, atol=1e-13 * np.abs(want).max()
+    )
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aqcsim import hamiltonians as ham
 from aqcsim import spectral
@@ -194,6 +196,26 @@ def test_profile_falls_back_to_diagonalization(monkeypatch):
     np.testing.assert_allclose(
         [s.c2_pair for s in got], [s.c2_pair for s in want], rtol=1e-6
     )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 5),
+    seed=st.integers(0, 2**32 - 1),
+    lams=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+)
+def test_stacked_perturbation_sum_matches_per_lambda(n, seed, lams):
+    pair = ham.pair_from_seed(n, seed)
+    lams = np.array(lams)
+    stacked = spectral.curvature_from_spectrum(ham.spectrum_at(pair, lams), pair.bias)
+    np.testing.assert_array_equal(stacked.lam, lams)
+    for i, lam in enumerate(lams):
+        one = spectral.curvature_from_spectrum(ham.spectrum_at(pair, lam), pair.bias)
+        assert stacked.c2_full[i] == pytest.approx(one.c2_full, rel=1e-12)
+        # the k = 1 element alone can be small: relative to the full sum
+        assert stacked.c2_pair[i] == pytest.approx(
+            one.c2_pair, rel=1e-12, abs=1e-12 * abs(one.c2_full)
+        )
 
 
 def test_pair_term_dominates_at_a_narrow_crossing():
