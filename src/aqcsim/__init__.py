@@ -57,9 +57,7 @@ from .evolution import (
     backaction_window_ok,
     build_schedule,
     evolve,
-    gain_for_time,
     min_gap,
-    pace,
     success_probability,
 )
 from .experiments import (

@@ -173,6 +173,8 @@ def _validate(command: str, v: dict) -> None:
                 raise ValueError("--t-total is not valid for --controller feedback")
         else:
             raise ValueError(f"unknown controller {v['controller']!r}")
+    if v.get("sample_stride", 0) < 0:
+        raise ValueError("--sample-stride must be >= 0")
     if command == "sweep-t" and v["t_units"] not in ("tad", "abs"):
         raise ValueError("--t-units must be 'tad' or 'abs'")
     if "epsilon" in v and v["epsilon"] is not None and "n" in v:
@@ -237,13 +239,18 @@ def _atomic_write(path: str, text: str) -> None:
 def emit_tables(results: dict, out_dir: str, manifest: dict | None = None):
     """Write CSV tables (and the manifest) atomically into out_dir.
 
-    results maps file name -> (column names, row iterable).  Rows may be
-    empty; the header is still written so downstream tooling sees the
-    schema.  Every file is serialized before the first is written, so a
-    refused manifest leaves nothing behind.  Returns the written paths.
+    results maps file name -> (column names, row iterable), or -> text that
+    is written as it is (a plot).  Rows may be empty; the header is still
+    written so downstream tooling sees the schema.  Every file is
+    serialized before the first is written, so a refused manifest leaves
+    nothing behind.  Returns the written paths.
     """
     files = {}
-    for name, (columns, rows) in results.items():
+    for name, table in results.items():
+        if isinstance(table, str):
+            files[name] = table
+            continue
+        columns, rows = table
         lines = [",".join(columns)]
         lines.extend(",".join(_format_cell(cell) for cell in row) for row in rows)
         files[name] = "\n".join(lines) + "\n"
@@ -370,13 +377,12 @@ def _cmd_profile(cfg: RunConfig) -> dict:
     samples = spectral.curvature_profile(pair, cfg["resolution"])
     rows = [(s.lam, s.c2_full, s.c2_pair) for s in samples]
     tables = {"profile.csv": (("lambda", "c2_full", "c2_pair"), rows)}
-    emit_tables(tables, cfg["out"], _manifest(cfg))
     if cfg["plots"]:
-        _plot_lines(
-            os.path.join(cfg["out"], "profile.svg"),
+        tables["profile.svg"] = _plot_lines(
             [("|c2|", [(s.lam, abs(s.c2_full)) for s in samples])],
             xlabel="lambda", ylabel="|c2|", logy=True,
         )
+    emit_tables(tables, cfg["out"], _manifest(cfg))
     peak = max(samples, key=lambda s: abs(s.c2_full))
     print(f"profile written; |c2| peaks at lambda = {peak.lam!r}")
     return {"peak_lambda": peak.lam}
@@ -396,14 +402,13 @@ def _cmd_sweep_t(cfg: RunConfig) -> dict:
     rows = [
         (fam, T, P) for fam in ("linear", "feedback") for T, P in curves[fam]
     ]
-    emit_tables({"fig2_curve.csv": (("controller", "T", "P"), rows)},
-                cfg["out"], _manifest(cfg, results))
+    tables = {"fig2_curve.csv": (("controller", "T", "P"), rows)}
     if cfg["plots"]:
-        _plot_lines(
-            os.path.join(cfg["out"], "fig2_curve.svg"),
+        tables["fig2_curve.svg"] = _plot_lines(
             [(fam, [tuple(row) for row in curves[fam]]) for fam in curves],
             xlabel="T", ylabel="P",
         )
+    emit_tables(tables, cfg["out"], _manifest(cfg, results))
     print(f"sweep-t: {len(rows)} rows -> fig2_curve.csv")
     return results
 
@@ -437,17 +442,16 @@ def _cmd_scaling(cfg: RunConfig) -> dict:
         f"n={c.n},{c.controller}": c.excluded for c in summary.cells if c.excluded
     }
     results["exclusions"] = summary.exclusions
-    emit_tables(
-        {"fig3_scaling.csv": (("n", "controller", "meanT", "stdT", "count"), rows)},
-        cfg["out"], _manifest(cfg, results),
-    )
+    tables = {"fig3_scaling.csv": (("n", "controller", "meanT", "stdT", "count"), rows)}
     if cfg["plots"]:
         series = [
             (fam, [(c.n, c.mean_T) for c in summary.cells if c.controller == fam])
             for fam in xp.CONTROLLER_FAMILIES
         ]
-        _plot_lines(os.path.join(cfg["out"], "fig3_scaling.svg"), series,
-                    xlabel="n", ylabel="mean T", logx=True, logy=True)
+        tables["fig3_scaling.svg"] = _plot_lines(
+            series, xlabel="n", ylabel="mean T", logx=True, logy=True
+        )
+    emit_tables(tables, cfg["out"], _manifest(cfg, results))
     for fam, fit in summary.fits.items():
         print(f"{fam}: T ~ n^{fit.exponent:.2f} (residual {fit.residual_rms:.3f})")
     return results
@@ -478,16 +482,13 @@ def _cmd_deltap(cfg: RunConfig) -> dict:
         "excluded": res.excluded,
         "exclusions": res.exclusions,
     }
-    emit_tables(
-        {"fig4_deltap.csv": (("k", "mean_dP", "std_dP", "count"), rows)},
-        cfg["out"], _manifest(cfg, results),
-    )
+    tables = {"fig4_deltap.csv": (("k", "mean_dP", "std_dP", "count"), rows)}
     if cfg["plots"]:
-        _plot_lines(
-            os.path.join(cfg["out"], "fig4_deltap.svg"),
+        tables["fig4_deltap.svg"] = _plot_lines(
             [("mean dP", list(zip(res.k_values, res.mean_dP)))],
             xlabel="k", ylabel="mean dP", logx=True,
         )
+    emit_tables(tables, cfg["out"], _manifest(cfg, results))
     print(
         f"deltap: peak mean dP = {results['best_mean_dP']:.4f} "
         f"at k = {results['best_k']:.4g}"
@@ -498,7 +499,7 @@ def _cmd_deltap(cfg: RunConfig) -> dict:
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
 
 
-def _plot_lines(path, series, xlabel="", ylabel="", logx=False, logy=False):
+def _plot_lines(series, xlabel="", ylabel="", logx=False, logy=False) -> str:
     """Tiny dependency-free SVG line plot; enough to eyeball the tables."""
     W, H, M = 640, 440, 60
 
@@ -544,7 +545,7 @@ def _plot_lines(path, series, xlabel="", ylabel="", logx=False, logy=False):
             f'fill="{color}">{label}</text>'
         )
     parts.append("</svg>")
-    _atomic_write(path, "\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"
 
 
 _COMMANDS = {

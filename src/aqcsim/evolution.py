@@ -25,8 +25,8 @@ physics happens -- are resolved automatically this way; uniform grids of
 practical size step right over them.
 
 An Instance holds one problem instance's plan, curvature source, pace
-floor and unit-gain pace; evolve, gain_for_time and the ensembles in the
-experiments module all run their sweeps through it.
+floor and unit-gain pace; evolve and the ensembles in the experiments
+module all run their sweeps through it.
 """
 
 from __future__ import annotations
@@ -52,9 +52,7 @@ __all__ = [
     "build_schedule",
     "initial_coefficients",
     "propagate",
-    "pace",
     "evolve",
-    "gain_for_time",
     "success_probability",
     "min_gap",
     "adiabatic_time",
@@ -83,9 +81,9 @@ class PaceController:
     kind "linear": dt/dlam = T_total, constant.
     kind "feedback": dt/dlam = k * max(|c2|, curvature_floor).  The signal
     c2 comes from the live level dynamics, or from the (lam, c2) profile
-    when one is given (replay).  curvature_floor may be left None to mean
-    "resolve to DEFAULT_FLOOR_FRACTION of the profile's |c2| maximum at run
-    time".
+    when one is given (replay).  curvature_floor may be left None: evolve
+    then resolves it, through Instance.floor, to DEFAULT_FLOOR_FRACTION of
+    the |c2| maximum and returns the resolved controller in its RunRecord.
     """
 
     kind: str
@@ -295,18 +293,6 @@ def propagate(plan: SchedulePlan, dts, coeffs, start: int = 0, stop: int | None 
     return c.copy(), drift
 
 
-def pace(controller: PaceController, c2: float) -> float:
-    """|dt/dlam| at the current point; the stepper supplies the sign."""
-    if controller.kind == "linear":
-        return controller.T_total
-    if controller.curvature_floor is None:
-        raise ValueError(
-            "feedback controller has an unresolved curvature_floor; "
-            "evolve() resolves it from the curvature profile"
-        )
-    return controller.k * max(abs(c2), controller.curvature_floor)
-
-
 class Instance:
     """One problem instance's precomputations, shared by every sweep on it.
 
@@ -323,13 +309,10 @@ class Instance:
         steps: int = 2048,
         curvature_floor: float | None = None,
         *,
-        plan: SchedulePlan | None = None,
-        flow: spectral.LevelFlow | None = None,
         profile: tuple | None = None,
     ):
         self.pair = pair
-        self.plan = build_schedule(pair, steps) if plan is None else plan
-        self.flow = flow
+        self.plan = build_schedule(pair, steps)
         self.profile = profile
         if curvature_floor is not None:
             self.floor = curvature_floor  # else resolved on first use
@@ -343,9 +326,7 @@ class Instance:
             # np.interp wants ascending abscissae; profiles are stored descending.
             c2 = np.interp(lams[::-1], lam_tab[::-1], c2_tab[::-1])[::-1]
         else:
-            if self.flow is None:
-                self.flow = spectral.solve_levels(self.pair)
-            c2, _ = self.flow.curvatures(lams)
+            c2, _ = spectral.solve_levels(self.pair).curvatures(lams)
         return np.abs(c2)
 
     @cached_property
@@ -389,42 +370,20 @@ class Instance:
         return self.success(self.cell_times(family, T)).reshape(T.shape)
 
 
-def gain_for_time(
-    plan: SchedulePlan,
-    T_target: float,
-    curvature_floor: float | None = None,
-    flow: spectral.LevelFlow | None = None,
-):
-    """Feedback gain k whose schedule takes exactly T_target.
-
-    The realized time of a feedback run is k times the pace integral at
-    unit gain, so k = T_target / integral.  Returns (controller, flow) with
-    the floor resolved, reusing the level flow across calls.
-    """
-    inst = Instance(plan.pair, curvature_floor=curvature_floor, plan=plan, flow=flow)
-    return PaceController.feedback(T_target / inst.unit_time, inst.floor), inst.flow
-
-
 def evolve(
     pair: ham.HamiltonianPair,
     controller: PaceController,
     *,
     steps: int = 2048,
     sample_stride: int = 0,
-    plan: SchedulePlan | None = None,
-    flow: spectral.LevelFlow | None = None,
 ) -> RunRecord:
     """Run one sweep from lam = 1 to 0 and score it.
 
     sample_stride > 0 records a trajectory row every that-many grid nodes
     (plus the endpoints): lam, t, instantaneous ground-state population,
-    gap, and |c2| recomputed from the spectrum at the node.  plan and flow
-    allow reuse of the per-instance precomputations across runs.
+    gap, and |c2| recomputed from the spectrum at the node.
     """
-    inst = Instance(
-        pair, steps, controller.curvature_floor,
-        plan=plan, flow=flow, profile=controller.profile,
-    )
+    inst = Instance(pair, steps, controller.curvature_floor, profile=controller.profile)
     plan = inst.plan
     if controller.kind == "linear":
         dts = plan.widths * controller.T_total
@@ -466,8 +425,7 @@ def _sample_rows(pair, lams, times, psis) -> np.ndarray:
     es = ham.spectrum_at(pair, lams)
     c2 = spectral.curvature_from_spectrum(es, pair.bias)
     p_inst = [abs(V[:, 0] @ psi.conj()) ** 2 for V, psi in zip(es.states, psis)]
-    gaps = es.energies[:, 1] - es.energies[:, 0]
-    return np.column_stack([lams, times, p_inst, gaps, np.abs(c2.c2_full)])
+    return np.column_stack([lams, times, p_inst, es.gap(), np.abs(c2.c2_full)])
 
 
 def success_probability(
@@ -484,10 +442,13 @@ def success_probability(
 
 
 def _ground_scan(pair: ham.HamiltonianPair, lams: np.ndarray):
-    """Gap E_1 - E_0 and max_j |<0|H_b|j>| at each lam, from one stacked eigh."""
-    w, V = np.linalg.eigh(ham.total_hamiltonian(pair, lams))
-    m = (V[:, :, 0] @ pair.bias)[:, None, :] @ V[:, :, 1:]
-    return w[:, 1] - w[:, 0], np.abs(m[:, 0, :]).max(axis=1)
+    """Gap E_1 - E_0 and max_j |<0|H_b|j>| at each lam, from one stacked eigh.
+
+    The raw eigh output skips diagonalize's sign fixing, which changes
+    neither quantity.
+    """
+    es = ham.EigenSystem(lams, *np.linalg.eigh(ham.total_hamiltonian(pair, lams)))
+    return es.gap(), np.abs(es.ground_couplings(pair.bias)).max(axis=1)
 
 
 def _bracket(lams: np.ndarray, i: int):
@@ -534,9 +495,8 @@ def adiabatic_time(pair: ham.HamiltonianPair) -> float:
     gaps, values = _ground_scan(pair, lams)
 
     def coupling(lam: float) -> float:
-        es = ham.spectrum_at(pair, lam)
-        m = es.states[:, 0] @ pair.bias @ es.states[:, 1:]
-        return float(np.max(np.abs(m)))
+        m = ham.spectrum_at(pair, lam).ground_couplings(pair.bias)
+        return float(np.abs(m).max())
 
     i = int(np.argmax(values))
     lo, hi = _bracket(lams, i)

@@ -128,15 +128,22 @@ class EigenSystem:
     """Instantaneous spectrum of H(lam): sorted energies and eigencolumns.
 
     For a stack of lam values, energies is (..., dim) and states
-    (..., dim, dim); gap() is defined for a single spectrum only.
+    (..., dim, dim); gap() and ground_couplings() then return arrays over
+    the stack.
     """
 
     lam: float | np.ndarray | None
     energies: np.ndarray
     states: np.ndarray
 
-    def gap(self) -> float:
-        return float(self.energies[1] - self.energies[0])
+    def gap(self):
+        """E_1 - E_0."""
+        return self.energies[..., 1] - self.energies[..., 0]
+
+    def ground_couplings(self, bias: np.ndarray) -> np.ndarray:
+        """<0|H_b|k> for k >= 1, shape (..., dim - 1)."""
+        V = self.states
+        return ((V[..., :, 0] @ bias)[..., None, :] @ V[..., :, 1:])[..., 0, :]
 
 
 def sample_problem(n: int, seed: int) -> ProblemSpec:

@@ -224,9 +224,8 @@ def curvature_from_spectrum(es: ham.EigenSystem, bias: np.ndarray) -> CurvatureS
     A stack of spectra (leading axes, as spectrum_at returns for an array
     of lam) gives a sample whose fields are arrays over the stack.
     """
-    V = es.states
-    m = (V[..., :, 0] @ bias)[..., None, :] @ V[..., :, 1:]  # <0|H_b|k>, k >= 1
-    terms = 2.0 * m[..., 0, :] ** 2 / (es.energies[..., 1:] - es.energies[..., :1])
+    m = es.ground_couplings(bias)
+    terms = 2.0 * m**2 / (es.energies[..., 1:] - es.energies[..., :1])
     return CurvatureSample(
         lam=es.lam if es.lam is not None else float("nan"),
         c2_pair=-terms[..., 0],

@@ -98,14 +98,14 @@ def test_criterion_3_unitarity_and_limits(acceptance):
         plan = evo.build_schedule(pair, steps=1024)
         t_ad = evo.adiabatic_time(pair)
 
-        slow = evo.evolve(pair, evo.PaceController.linear(100.0 * t_ad), plan=plan)
+        slow = evo.evolve(pair, evo.PaceController.linear(100.0 * t_ad), steps=1024)
         worst_drift = max(worst_drift, slow.norm_drift)
         worst_slow_P = min(worst_slow_P, slow.P)
 
         frozen = evo.success_probability(
             WaveState(amplitudes=plan.psi0, lam=0.0), pair
         )
-        fast = evo.evolve(pair, evo.PaceController.linear(1e-4 * t_ad), plan=plan)
+        fast = evo.evolve(pair, evo.PaceController.linear(1e-4 * t_ad), steps=1024)
         worst_drift = max(worst_drift, fast.norm_drift)
         worst_sudden_gap = max(worst_sudden_gap, abs(fast.P - frozen))
 
@@ -121,10 +121,10 @@ def test_criterion_4_realized_time_consistency(acceptance):
     worst = 0.0
     for idx in range(20):
         pair = gate_pair(2, idx)
-        plan = evo.build_schedule(pair, steps=2048)
+        inst = evo.Instance(pair, 2048)
+        controller = evo.PaceController.feedback(1.0 / inst.unit_time, inst.floor)
+        rec = evo.evolve(pair, controller, steps=2048)
         flow = spectral.solve_levels(pair)
-        controller, flow = evo.gain_for_time(plan, 1.0, flow=flow)
-        rec = evo.evolve(pair, controller, plan=plan, flow=flow)
 
         def pace_at(lam):
             c2_full, _ = flow.curvatures(np.array([lam]))

@@ -128,7 +128,9 @@ def test_ensemble_with_an_empty_cell_exits_3_and_writes_nothing(
     "argv, message",
     [(["deltap", "--samples", "0"], "samples must be >= 1"),
      (["deltap", "--k-grid", "0.1:1:0"], "k_values must not be empty"),
-     (["sweep-t", "--t-points", "0"], "T_values must not be empty")],
+     (["sweep-t", "--t-points", "0"], "T_values must not be empty"),
+     (["run", "--n", "2", "--controller", "linear", "--t-total", "1",
+       "--sample-stride", "-3"], "--sample-stride must be >= 0")],
 )
 def test_empty_ensemble_or_grid_exits_2_and_writes_nothing(tmp_path, capsys, argv, message):
     out = tmp_path / "o"
@@ -336,11 +338,18 @@ def test_run_trajectory_dump(tmp_path):
     assert first[0] == 1.0 and first[1] == 0.0
 
 
-def test_plots_flag_writes_svg(tmp_path):
+def test_plots_flag_writes_svg(tmp_path, monkeypatch):
+    argv = ["profile", "--n", "2", "--seed", "5", "--resolution", "16", "--plots"]
     out = tmp_path / "o"
-    assert cli.main(
-        ["profile", "--n", "2", "--seed", "5", "--resolution", "16",
-         "--plots", "--out", str(out)]
-    ) == 0
+    assert cli.main([*argv, "--out", str(out)]) == 0
     svg = (out / "profile.svg").read_text()
     assert svg.startswith("<svg") and "polyline" in svg
+
+    # a plot that fails to render leaves no table and no manifest either
+    def broken_renderer(*args, **kwargs):
+        raise ValueError("cannot render")
+
+    monkeypatch.setattr(cli, "_plot_lines", broken_renderer)
+    out = tmp_path / "broken"
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    assert not out.exists()

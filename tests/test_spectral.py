@@ -207,10 +207,14 @@ def test_profile_falls_back_to_diagonalization(monkeypatch):
 def test_stacked_perturbation_sum_matches_per_lambda(n, seed, lams):
     pair = ham.pair_from_seed(n, seed)
     lams = np.array(lams)
-    stacked = spectral.curvature_from_spectrum(ham.spectrum_at(pair, lams), pair.bias)
+    es = ham.spectrum_at(pair, lams)
+    stacked = spectral.curvature_from_spectrum(es, pair.bias)
     np.testing.assert_array_equal(stacked.lam, lams)
+    assert es.gap().shape == lams.shape
     for i, lam in enumerate(lams):
-        one = spectral.curvature_from_spectrum(ham.spectrum_at(pair, lam), pair.bias)
+        es_one = ham.spectrum_at(pair, lam)
+        assert es.gap()[i] == pytest.approx(es_one.gap(), rel=1e-12)
+        one = spectral.curvature_from_spectrum(es_one, pair.bias)
         assert stacked.c2_full[i] == pytest.approx(one.c2_full, rel=1e-12)
         # the k = 1 element alone can be small: relative to the full sum
         assert stacked.c2_pair[i] == pytest.approx(
