@@ -14,7 +14,6 @@ from .errors import (
     DegenerateGroundError,
     FitUnderdeterminedError,
     IntegrationFailureError,
-    InvalidStateError,
     NearDegeneracyError,
     ProfileFormatError,
     SimulationError,
@@ -38,10 +37,8 @@ from .hamiltonians import (
     total_hamiltonian,
 )
 from .spectral import (
-    CurvatureSample,
     LevelFlow,
     SpectrumState,
-    curvature,
     curvature_from_spectrum,
     curvature_profile,
     init_spectrum,
@@ -58,7 +55,6 @@ from .evolution import (
     build_schedule,
     evolve,
     min_gap,
-    success_probability,
 )
 from .experiments import (
     DeltaPResult,
@@ -75,4 +71,3 @@ from .experiments import (
     sweep_T,
     time_to_target,
 )
-from .state import WaveState

@@ -175,6 +175,8 @@ def _validate(command: str, v: dict) -> None:
             raise ValueError(f"unknown controller {v['controller']!r}")
     if v.get("sample_stride", 0) < 0:
         raise ValueError("--sample-stride must be >= 0")
+    if command == "profile" and v["resolution"] < 2:
+        raise ValueError("--resolution must be >= 2")
     if command == "sweep-t" and v["t_units"] not in ("tad", "abs"):
         raise ValueError("--t-units must be 'tad' or 'abs'")
     if "epsilon" in v and v["epsilon"] is not None and "n" in v:
@@ -374,18 +376,19 @@ def _cmd_run(cfg: RunConfig) -> dict:
 
 def _cmd_profile(cfg: RunConfig) -> dict:
     pair = _instance(cfg)
-    samples = spectral.curvature_profile(pair, cfg["resolution"])
-    rows = [(s.lam, s.c2_full, s.c2_pair) for s in samples]
+    lams = np.linspace(1.0, 0.0, cfg["resolution"])
+    c2_full, c2_pair = spectral.curvature_profile(pair, lams)
+    rows = zip(lams, c2_full, c2_pair)
     tables = {"profile.csv": (("lambda", "c2_full", "c2_pair"), rows)}
     if cfg["plots"]:
         tables["profile.svg"] = _plot_lines(
-            [("|c2|", [(s.lam, abs(s.c2_full)) for s in samples])],
+            [("|c2|", list(zip(lams, np.abs(c2_full))))],
             xlabel="lambda", ylabel="|c2|", logy=True,
         )
     emit_tables(tables, cfg["out"], _manifest(cfg))
-    peak = max(samples, key=lambda s: abs(s.c2_full))
-    print(f"profile written; |c2| peaks at lambda = {peak.lam!r}")
-    return {"peak_lambda": peak.lam}
+    peak = float(lams[np.argmax(np.abs(c2_full))])
+    print(f"profile written; |c2| peaks at lambda = {peak!r}")
+    return {"peak_lambda": peak}
 
 
 def _cmd_sweep_t(cfg: RunConfig) -> dict:

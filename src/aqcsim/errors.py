@@ -30,10 +30,6 @@ class UnreachableTargetError(SimulationError):
     """time_to_target hit its scan cap without reaching the requested P."""
 
 
-class InvalidStateError(SimulationError):
-    """A wavefunction was used at the wrong point of the sweep."""
-
-
 class FitUnderdeterminedError(ValueError):
     """Too few distinct sizes to fit a power law."""
 

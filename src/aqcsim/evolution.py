@@ -3,7 +3,8 @@
 The sweep integrates d|psi>/dlam = -i (dt/dlam) H(lam) |psi> from lam = 1
 to 0.  The pace dt/dlam is set by a controller: constant T_total for linear
 interpolation, or k * max(|c2|, floor) for curvature feedback, where c2 is
-the ground-state curvature supplied by the spectral module (live) or by a
+the ground-state curvature supplied live by spectral.curvature_profile
+(level dynamics, or diagonalization near a level collision) or by a
 replayed profile table.  Total time T accumulates as the integral of the
 pace over lam.
 
@@ -40,8 +41,6 @@ from scipy.optimize import minimize_scalar
 
 from . import hamiltonians as ham
 from . import spectral
-from .errors import InvalidStateError
-from .state import WaveState
 
 __all__ = [
     "PaceController",
@@ -53,7 +52,6 @@ __all__ = [
     "initial_coefficients",
     "propagate",
     "evolve",
-    "success_probability",
     "min_gap",
     "adiabatic_time",
     "backaction_window_ok",
@@ -126,7 +124,7 @@ class RunRecord:
     P: float
     T: float
     norm_drift: float
-    psi: WaveState
+    psi: np.ndarray  # final amplitudes in the computational basis
     samples: np.ndarray | None = None  # rows of SAMPLE_COLUMNS
 
 
@@ -297,8 +295,10 @@ class Instance:
     """One problem instance's precomputations, shared by every sweep on it.
 
     Holds the plan, the curvature source (a replayed (lam, c2) profile, or
-    the level flow, solved on first use, so linear sweeps never solve it),
-    the resolved pace floor and the unit-gain cell times unit_dts.  A
+    spectral.curvature_profile on the plan's nodes and midpoints -- the
+    level flow, or its diagonalization fallback near a level collision --
+    computed on first use, so linear sweeps never need it), the resolved
+    pace floor and the unit-gain cell times unit_dts.  A
     feedback sweep of gain k takes cells k * unit_dts and time
     k * unit_time; a linear sweep of total time T takes widths * T.
     """
@@ -326,7 +326,7 @@ class Instance:
             # np.interp wants ascending abscissae; profiles are stored descending.
             c2 = np.interp(lams[::-1], lam_tab[::-1], c2_tab[::-1])[::-1]
         else:
-            c2, _ = spectral.solve_levels(self.pair).curvatures(lams)
+            c2, _ = spectral.curvature_profile(self.pair, lams)
         return np.abs(c2)
 
     @cached_property
@@ -383,6 +383,8 @@ def evolve(
     (plus the endpoints): lam, t, instantaneous ground-state population,
     gap, and |c2| recomputed from the spectrum at the node.
     """
+    if sample_stride < 0:
+        raise ValueError(f"sample_stride must be >= 0, got {sample_stride}")
     inst = Instance(pair, steps, controller.curvature_floor, profile=controller.profile)
     plan = inst.plan
     if controller.kind == "linear":
@@ -408,14 +410,13 @@ def evolve(
         c, drift = propagate(plan, dts[:, None], c)
         samples = None
 
-    final = WaveState(amplitudes=c[:, 0], lam=0.0)
     return RunRecord(
         pair=pair,
         controller=controller,
-        P=success_probability(final, pair, ground_index=plan.ground_index),
+        P=float(abs(c[plan.ground_index, 0]) ** 2),
         T=float(dts.sum()),
         norm_drift=float(drift[0]),
-        psi=final,
+        psi=c[:, 0],
         samples=samples,
     )
 
@@ -423,22 +424,9 @@ def evolve(
 def _sample_rows(pair, lams, times, psis) -> np.ndarray:
     """SAMPLE_COLUMNS rows at nodes lams, from one stacked diagonalization."""
     es = ham.spectrum_at(pair, lams)
-    c2 = spectral.curvature_from_spectrum(es, pair.bias)
+    c2_full, _ = spectral.curvature_from_spectrum(es, pair.bias)
     p_inst = [abs(V[:, 0] @ psi.conj()) ** 2 for V, psi in zip(es.states, psis)]
-    return np.column_stack([lams, times, p_inst, es.gap(), np.abs(c2.c2_full)])
-
-
-def success_probability(
-    psi: WaveState, pair: ham.HamiltonianPair, ground_index: int | None = None
-) -> float:
-    """|<0(lam=0)|psi>|^2: the population of the problem ground basis state."""
-    if psi.lam is None or abs(psi.lam) > 1e-12:
-        raise InvalidStateError(
-            f"success probability is defined at lambda = 0, state is at {psi.lam}"
-        )
-    if ground_index is None:
-        ground_index = ham.problem_ground_index(pair)
-    return float(abs(psi.amplitudes[ground_index]) ** 2)
+    return np.column_stack([lams, times, p_inst, es.gap(), np.abs(c2_full)])
 
 
 def _ground_scan(pair: ham.HamiltonianPair, lams: np.ndarray):

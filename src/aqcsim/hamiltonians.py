@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGroundError
-from .state import WaveState
 
 __all__ = [
     "ProblemSpec",
@@ -244,12 +243,12 @@ def spectrum_at(pair: HamiltonianPair, lam) -> EigenSystem:
     return diagonalize(total_hamiltonian(pair, lam), lam)
 
 
-def bias_ground_state(n: int) -> WaveState:
+def bias_ground_state(n: int) -> np.ndarray:
     """Equal superposition of all 2**n basis states (ground state of H_b)."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     dim = 2**n
-    return WaveState(amplitudes=np.full(dim, dim**-0.5, dtype=complex), lam=1.0)
+    return np.full(dim, dim**-0.5, dtype=complex)
 
 
 def problem_ground_index(pair: HamiltonianPair) -> int:

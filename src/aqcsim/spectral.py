@@ -17,8 +17,12 @@ dL = M L - (M L)^T, one matrix product per right-hand-side evaluation.
 
 The ground-state curvature d^2 E_0 / dlam^2 is the l = 0 line of the
 velocity equation; its two-level truncation keeps only the k = 1 term.
-Both are exposed: the feedback controller uses the full sum, and the pair
-term documents how dominant the nearest level is.
+Every curvature function returns both as a (c2_full, c2_pair) pair of
+arrays: the feedback controller uses the full sum, and the pair term
+documents how dominant the nearest level is.  curvature_profile is the one
+place that chooses the route on a lam grid: the level equations, or, when
+they hit a near-degeneracy or fail, one stacked diagonalization and the
+perturbation sum.
 
 Everything here is a pure function of the Hamiltonian pair; trajectories
 for different instances can be computed concurrently without shared state.
@@ -36,18 +40,16 @@ from .errors import IntegrationFailureError, NearDegeneracyError
 
 __all__ = [
     "SpectrumState",
-    "CurvatureSample",
     "LevelFlow",
     "init_spectrum",
     "solve_levels",
-    "curvature",
     "curvature_from_spectrum",
     "curvature_profile",
 ]
 
 # Levels closer than this fraction of the spectral spread make the equations
 # of motion singular; the integrator refuses to continue rather than produce
-# garbage, and callers fall back to direct diagonalization.
+# garbage, and curvature_profile falls back to direct diagonalization.
 COLLISION_FLOOR = 1e-12
 
 
@@ -69,15 +71,6 @@ class SpectrumState:
     @property
     def dim(self) -> int:
         return self.E.size
-
-
-@dataclass(frozen=True)
-class CurvatureSample:
-    """Ground-state curvature at lam; arrays over a stack of spectra."""
-
-    lam: float | np.ndarray
-    c2_pair: float | np.ndarray
-    c2_full: float | np.ndarray
 
 
 def _check_separation(E: np.ndarray, lam: float, scale: float) -> None:
@@ -133,29 +126,18 @@ class LevelFlow:
         y = self._sol.sol(np.atleast_1d(lams))
         return y[: self.pair.dim]
 
-    def states_on(self, grid) -> list[SpectrumState]:
-        """Phase-space points on a lam grid descending from 1 to 0."""
-        grid = np.asarray(grid, dtype=float)
-        if grid[0] != 1.0 or grid[-1] != 0.0 or np.any(np.diff(grid) >= 0):
-            raise ValueError("grid must descend strictly from 1 to 0")
-        return [self.state_at(lam) for lam in grid]
-
     def curvatures(self, lams) -> tuple[np.ndarray, np.ndarray]:
-        """(c2_full, c2_pair) arrays at the requested lam values."""
+        """(c2_full, c2_pair) arrays at the requested lam values.
+
+        c2_full = -sum_k 2 L0k^2 / (E_k - E_0)^3 over row l = 0 of L, and
+        c2_pair is its k = 1 term.  Both are <= 0 for the ground level.
+        """
         lams = np.atleast_1d(np.asarray(lams, dtype=float))
         dim = self.pair.dim
         y = self._sol.sol(np.clip(lams, 0.0, 1.0))
-        return _ground_curvature(y[:dim], y[2 * dim : 3 * dim])  # L0: row l = 0 of L
-
-
-def _ground_curvature(E, L0):
-    """(c2_full, c2_pair) from energies E and coupling row L0, level axis first.
-
-    c2_full = -sum_k 2 L0k^2 / (E_k - E_0)^3 and c2_pair is its k = 1 term.
-    E and L0 are (dim, columns); every column is one spectrum point.
-    """
-    terms = 2.0 * L0[1:] ** 2 / (E[1:] - E[:1]) ** 3
-    return -np.sum(terms, axis=0), -terms[0]
+        E, L0 = y[:dim], y[2 * dim : 3 * dim]
+        terms = 2.0 * L0[1:] ** 2 / (E[1:] - E[:1]) ** 3
+        return -np.sum(terms, axis=0), -terms[0]
 
 
 def solve_levels(
@@ -194,62 +176,31 @@ def solve_levels(
     return LevelFlow(pair, sol)
 
 
-def curvature(state: SpectrumState) -> CurvatureSample:
-    """Ground-state curvature from one spectrum point.
-
-    c2_pair keeps only the coupling to the first excited level; c2_full sums
-    over every excited level and equals d^2 E_0 / dlam^2 exactly.  Both are
-    <= 0 for the ground level (every term pushes E_0 down).
-    """
-    E = state.E
-    if E[1] <= E[0]:
-        raise NearDegeneracyError(
-            f"level order violated at lambda={state.lam:.6f}: "
-            f"E1 - E0 = {E[1] - E[0]:.3e}",
-            pair=(0, 1),
-        )
-    # one column through the flow's kernel: the sum of LevelFlow.curvatures([lam])
-    c2_full, c2_pair = _ground_curvature(E[:, None], state.L[0, :, None])
-    return CurvatureSample(
-        lam=state.lam, c2_pair=float(c2_pair[0]), c2_full=float(c2_full[0])
-    )
-
-
-def curvature_from_spectrum(es: ham.EigenSystem, bias: np.ndarray) -> CurvatureSample:
-    """Curvature directly from eigenvectors (second-order perturbation sum).
+def curvature_from_spectrum(es: ham.EigenSystem, bias: np.ndarray):
+    """(c2_full, c2_pair) from eigenvectors (second-order perturbation sum).
 
     |l_0k|^2 / (E_k - E_0)^3 reduces to |<0|H_b|k>|^2 / (E_k - E_0), so this
     needs only one diagonalization.  Used as the fallback when the level
     equations hit a near-degeneracy, and as an independent cross-check.
     A stack of spectra (leading axes, as spectrum_at returns for an array
-    of lam) gives a sample whose fields are arrays over the stack.
+    of lam) gives arrays over the stack.
     """
     m = es.ground_couplings(bias)
     terms = 2.0 * m**2 / (es.energies[..., 1:] - es.energies[..., :1])
-    return CurvatureSample(
-        lam=es.lam if es.lam is not None else float("nan"),
-        c2_pair=-terms[..., 0],
-        c2_full=-terms.sum(axis=-1),
-    )
+    return -terms.sum(axis=-1), -terms[..., 0]
 
 
-def curvature_profile(pair: ham.HamiltonianPair, resolution: int):
-    """Tabulate curvature on a uniform descending lam grid.
+def curvature_profile(pair: ham.HamiltonianPair, lams):
+    """(c2_full, c2_pair) at each lam of the grid: the one choice of route.
 
     Tries the level-dynamics route first; if the instance sits too close to
     a level collision for the equations of motion, falls back to one
     stacked diagonalization of the whole grid and the perturbation sum
     (always defined as long as the ground state itself stays separated).
+    Both routes return 1-D arrays over the grid.
     """
-    if resolution < 2:
-        raise ValueError(f"resolution must be >= 2, got {resolution}")
-    lams = np.linspace(1.0, 0.0, resolution)
+    lams = np.atleast_1d(np.asarray(lams, dtype=float))
     try:
-        c2_full, c2_pair = solve_levels(pair).curvatures(lams)
+        return solve_levels(pair).curvatures(lams)
     except (NearDegeneracyError, IntegrationFailureError):
-        s = curvature_from_spectrum(ham.spectrum_at(pair, lams), pair.bias)
-        c2_full, c2_pair = s.c2_full, s.c2_pair
-    return [
-        CurvatureSample(lam=float(l), c2_pair=float(p), c2_full=float(f))
-        for l, p, f in zip(lams, c2_pair, c2_full)
-    ]
+        return curvature_from_spectrum(ham.spectrum_at(pair, lams), pair.bias)

@@ -5,8 +5,12 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from aqcsim import cli
+from aqcsim import hamiltonians as ham
+from aqcsim import spectral
 from aqcsim.errors import ProfileFormatError
 
 
@@ -126,15 +130,16 @@ def test_ensemble_with_an_empty_cell_exits_3_and_writes_nothing(
 
 @pytest.mark.parametrize(
     "argv, message",
-    [(["deltap", "--samples", "0"], "samples must be >= 1"),
-     (["deltap", "--k-grid", "0.1:1:0"], "k_values must not be empty"),
-     (["sweep-t", "--t-points", "0"], "T_values must not be empty"),
+    [(["deltap", "--samples", "0", "--steps", "128"], "samples must be >= 1"),
+     (["deltap", "--k-grid", "0.1:1:0", "--steps", "128"], "k_values must not be empty"),
+     (["sweep-t", "--t-points", "0", "--steps", "128"], "T_values must not be empty"),
      (["run", "--n", "2", "--controller", "linear", "--t-total", "1",
-       "--sample-stride", "-3"], "--sample-stride must be >= 0")],
+       "--sample-stride", "-3", "--steps", "128"], "--sample-stride must be >= 0"),
+     (["profile", "--resolution", "1"], "--resolution must be >= 2")],
 )
 def test_empty_ensemble_or_grid_exits_2_and_writes_nothing(tmp_path, capsys, argv, message):
     out = tmp_path / "o"
-    assert cli.main([*argv, "--steps", "128", "--out", str(out)]) == 2
+    assert cli.main([*argv, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
 
@@ -202,16 +207,24 @@ def test_manifest_records_provenance_for_every_key(tmp_path):
 # -------------------------------------------------------------- replay_profile
 
 
-def test_replay_profile_round_trip(tmp_path):
-    out = tmp_path / "p"
+@settings(max_examples=20, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=st.integers(2, 4), seed=st.integers(0, 2**32 - 1), resolution=st.integers(2, 256))
+def test_replay_profile_round_trip(tmp_path, n, seed, resolution):
+    # the written profile, read back, is the curvature_profile arrays bit for bit
+    out = tmp_path / f"p{n}-{seed}-{resolution}"
     assert cli.main(
-        ["profile", "--n", "2", "--seed", "6", "--resolution", "33",
+        ["profile", "--n", str(n), "--seed", str(seed), "--resolution", str(resolution),
          "--out", str(out)]
     ) == 0
     lams, c2 = cli.replay_profile(str(out / "profile.csv"))
-    assert lams[0] == 1.0 and lams[-1] == 0.0 and len(lams) == 33
+    assert lams[0] == 1.0 and lams[-1] == 0.0 and len(lams) == resolution
     assert np.all(np.diff(lams) < 0)
     assert np.all(c2 <= 0)
+    grid = np.linspace(1.0, 0.0, resolution)
+    c2_full, _ = spectral.curvature_profile(ham.pair_from_seed(n, seed), grid)
+    np.testing.assert_array_equal(lams, grid)
+    np.testing.assert_array_equal(c2, c2_full)
 
 
 def test_replay_profile_rejects_bad_files(tmp_path):
@@ -294,13 +307,21 @@ def test_replay_profile_tolerates_header_and_extra_columns(tmp_path):
     np.testing.assert_array_equal(c2, [-1.5, -9.0, -2.0])
 
 
-def test_replayed_run_matches_live_run(tmp_path):
-    args = ["--n", "2", "--seed", "6", "--controller", "feedback", "--k", "0.08"]
+@pytest.mark.parametrize(
+    "instance",
+    [["--seed", "6"],
+     # unique ground state, exactly degenerate excited pair: the level
+     # equations refuse it and both runs take the diagonalization route
+     ["--epsilon", "1,1,0"]],
+    ids=["seed-6", "degenerate-excited-pair"],
+)
+def test_replayed_run_matches_live_run(tmp_path, instance):
+    args = ["--n", "2", *instance, "--controller", "feedback", "--k", "0.08"]
     out_live = tmp_path / "live"
     assert cli.main(["run", *args, "--out", str(out_live)]) == 0
 
     out_prof = tmp_path / "prof"
-    assert cli.main(["profile", "--n", "2", "--seed", "6", "--resolution", "512",
+    assert cli.main(["profile", "--n", "2", *instance, "--resolution", "512",
                      "--out", str(out_prof)]) == 0
     out_replay = tmp_path / "replay"
     assert cli.main(["run", *args, "--replay", str(out_prof / "profile.csv"),

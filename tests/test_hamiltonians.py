@@ -165,14 +165,13 @@ def test_problem_ground_index_and_degeneracy_guard():
 
 def test_bias_ground_state_is_uniform():
     psi = ham.bias_ground_state(3)
-    np.testing.assert_allclose(psi.amplitudes, np.full(8, 8**-0.5), atol=1e-15)
-    assert psi.lam == 1.0
+    np.testing.assert_allclose(psi, np.full(8, 8**-0.5), atol=1e-15)
 
 
 def test_bias_ground_is_exact_eigvec_of_bias():
     n = 3
     pair = ham.pair_from_seed(n, 2)
-    psi = ham.bias_ground_state(n).amplitudes
+    psi = ham.bias_ground_state(n)
     # uniform superposition is the -nZ eigenvector of the bias term alone
     np.testing.assert_allclose(pair.bias @ psi, -n * pair.Z * psi, atol=1e-12)
 
@@ -188,7 +187,7 @@ def test_initial_ground_is_nearly_uniform_at_default_strength():
     for seed in range(50):
         pair = ham.pair_from_seed(2, seed)
         es = ham.spectrum_at(pair, 1.0)
-        uniform = ham.bias_ground_state(2).amplitudes
+        uniform = ham.bias_ground_state(2)
         overlaps.append(abs(es.states[:, 0] @ uniform) ** 2)
     assert np.mean(overlaps) >= 0.99
 
@@ -197,5 +196,5 @@ def test_initial_ground_approaches_uniform_for_strong_bias():
     spec = ham.sample_problem(2, 4)
     pair = ham.make_pair(spec, ham.BiasSpec(n=2, Z=1e5))
     es = ham.spectrum_at(pair, 1.0)
-    uniform = ham.bias_ground_state(2).amplitudes
+    uniform = ham.bias_ground_state(2)
     assert abs(es.states[:, 0] @ uniform) ** 2 > 1.0 - 1e-6

@@ -44,9 +44,11 @@ def test_single_qubit_curvature_from_spectrum_closed_form():
     eps, Z = 2.0, 4.0
     pair = one_qubit_pair(eps, Z)
     for lam in (0.0, 0.2, 0.7, 1.0):
-        s = spectral.curvature_from_spectrum(ham.spectrum_at(pair, lam), pair.bias)
-        assert s.c2_full == pytest.approx(closed_form_c2(lam, eps, Z), abs=1e-10)
-        assert s.c2_pair == pytest.approx(s.c2_full, abs=1e-12)
+        c2_full, c2_pair = spectral.curvature_from_spectrum(
+            ham.spectrum_at(pair, lam), pair.bias
+        )
+        assert c2_full == pytest.approx(closed_form_c2(lam, eps, Z), abs=1e-10)
+        assert c2_pair == pytest.approx(c2_full, abs=1e-12)
 
 
 def test_init_spectrum_structure():
@@ -117,15 +119,16 @@ def test_two_route_agreement_along_sweep(n):
     # independent computations of the same derivative
     pair = ham.pair_from_seed(n, 44)
     flow = spectral.solve_levels(pair)
-    for lam in np.linspace(1.0, 0.0, 64):
+    lams = np.linspace(1.0, 0.0, 64)
+    for lam in lams:
         state = flow.state_at(lam)
         assert state.L.dtype == np.float64
         scale = np.abs(state.L).max()
         np.testing.assert_allclose(state.L, -state.L.T, rtol=0, atol=1e-12 * scale)
-        s = spectral.curvature(state)
-        d = spectral.curvature_from_spectrum(ham.spectrum_at(pair, lam), pair.bias)
-        assert s.c2_full == pytest.approx(d.c2_full, rel=1e-6)
-        assert s.c2_pair == pytest.approx(d.c2_pair, rel=1e-6)
+    c2_full, c2_pair = flow.curvatures(lams)
+    d_full, d_pair = spectral.curvature_from_spectrum(ham.spectrum_at(pair, lams), pair.bias)
+    assert c2_full == pytest.approx(d_full, rel=1e-6)
+    assert c2_pair == pytest.approx(d_pair, rel=1e-6)
 
 
 def test_ground_curvature_is_nonpositive():
@@ -138,16 +141,6 @@ def test_ground_curvature_is_nonpositive():
         assert np.all(c2_full <= c2_pair + 1e-15)  # full sum is more negative
 
 
-def test_states_on_grid_validation():
-    flow = spectral.solve_levels(ham.pair_from_seed(2, 3))
-    with pytest.raises(ValueError):
-        flow.states_on(np.linspace(0.0, 1.0, 5))  # ascending
-    with pytest.raises(ValueError):
-        flow.states_on(np.array([1.0, 0.5, 0.1]))  # stops short
-    states = flow.states_on(np.linspace(1.0, 0.0, 5))
-    assert [s.lam for s in states] == [1.0, 0.75, 0.5, 0.25, 0.0]
-
-
 def test_exact_degeneracy_is_refused():
     # with all couplings zero the bias spectrum has an exactly degenerate
     # middle pair, which the equations of motion cannot propagate through
@@ -157,45 +150,29 @@ def test_exact_degeneracy_is_refused():
     assert err.value.pair == (1, 2)
 
 
-def test_curvature_refuses_inverted_levels():
-    s = spectral.SpectrumState(
-        lam=0.5,
-        E=np.array([1.0, 1.0 - 1e-15]),
-        v=np.zeros(2),
-        L=np.zeros((2, 2)),
-    )
-    with pytest.raises(NearDegeneracyError):
-        spectral.curvature(s)
-
-
 def test_profile_grid_and_values():
     pair = ham.pair_from_seed(2, 10)
-    samples = spectral.curvature_profile(pair, 65)
-    lams = np.array([s.lam for s in samples])
-    np.testing.assert_allclose(lams, np.linspace(1.0, 0.0, 65), atol=1e-15)
+    lams = np.linspace(1.0, 0.0, 65)
+    got_full, got_pair = spectral.curvature_profile(pair, lams)
+    assert got_full.shape == got_pair.shape == lams.shape
     flow = spectral.solve_levels(pair)
     c2_full, c2_pair = flow.curvatures(lams)
-    np.testing.assert_allclose([s.c2_full for s in samples], c2_full, atol=1e-10)
-    np.testing.assert_allclose([s.c2_pair for s in samples], c2_pair, atol=1e-10)
-    with pytest.raises(ValueError):
-        spectral.curvature_profile(pair, 1)
+    np.testing.assert_allclose(got_full, c2_full, atol=1e-10)
+    np.testing.assert_allclose(got_pair, c2_pair, atol=1e-10)
 
 
 def test_profile_falls_back_to_diagonalization(monkeypatch):
     pair = ham.pair_from_seed(2, 10)
-    want = spectral.curvature_profile(pair, 33)
+    lams = np.linspace(1.0, 0.0, 33)
+    want_full, want_pair = spectral.curvature_profile(pair, lams)
 
     def refuse(*a, **k):
         raise NearDegeneracyError("forced for test", pair=(0, 1))
 
     monkeypatch.setattr(spectral, "solve_levels", refuse)
-    got = spectral.curvature_profile(pair, 33)
-    np.testing.assert_allclose(
-        [s.c2_full for s in got], [s.c2_full for s in want], rtol=1e-6
-    )
-    np.testing.assert_allclose(
-        [s.c2_pair for s in got], [s.c2_pair for s in want], rtol=1e-6
-    )
+    got_full, got_pair = spectral.curvature_profile(pair, lams)
+    np.testing.assert_allclose(got_full, want_full, rtol=1e-6)
+    np.testing.assert_allclose(got_pair, want_pair, rtol=1e-6)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -208,17 +185,16 @@ def test_stacked_perturbation_sum_matches_per_lambda(n, seed, lams):
     pair = ham.pair_from_seed(n, seed)
     lams = np.array(lams)
     es = ham.spectrum_at(pair, lams)
-    stacked = spectral.curvature_from_spectrum(es, pair.bias)
-    np.testing.assert_array_equal(stacked.lam, lams)
-    assert es.gap().shape == lams.shape
+    stacked_full, stacked_pair = spectral.curvature_from_spectrum(es, pair.bias)
+    assert stacked_full.shape == stacked_pair.shape == es.gap().shape == lams.shape
     for i, lam in enumerate(lams):
         es_one = ham.spectrum_at(pair, lam)
         assert es.gap()[i] == pytest.approx(es_one.gap(), rel=1e-12)
-        one = spectral.curvature_from_spectrum(es_one, pair.bias)
-        assert stacked.c2_full[i] == pytest.approx(one.c2_full, rel=1e-12)
+        one_full, one_pair = spectral.curvature_from_spectrum(es_one, pair.bias)
+        assert stacked_full[i] == pytest.approx(one_full, rel=1e-12)
         # the k = 1 element alone can be small: relative to the full sum
-        assert stacked.c2_pair[i] == pytest.approx(
-            one.c2_pair, rel=1e-12, abs=1e-12 * abs(one.c2_full)
+        assert stacked_pair[i] == pytest.approx(
+            one_pair, rel=1e-12, abs=1e-12 * abs(one_full)
         )
 
 
