@@ -271,6 +271,8 @@ def propagate(plan: SchedulePlan, dts, coeffs, start: int = 0, stop: int | None 
     c = np.ascontiguousarray(coeffs, dtype=complex)
     drift = np.zeros(c.shape[1])
     scaled = np.empty_like(c)
+    # frame maps are real: each step is one real matmul on the interleaved (re, im) view
+    scaled_flat = scaled.view(float)
     for a in range(start, stop, _PHASE_CHUNK):
         b = min(a + _PHASE_CHUNK, stop)
         # exp(-i w dt) as cos + i sin of -w dt, cheaper than a complex exp
@@ -279,12 +281,12 @@ def propagate(plan: SchedulePlan, dts, coeffs, start: int = 0, stop: int | None 
         np.cos(theta, out=phases.real)
         np.sin(theta, out=phases.imag)
         states = np.empty((b - a, *c.shape), dtype=complex)  # c after each step
-        for i, s in enumerate(range(a, b)):
-            np.multiply(c, phases[i], out=scaled)
-            c = states[i]
-            # frame_maps[s] is real: one real matmul on the interleaved (re, im) view
-            np.matmul(plan.frame_maps[s], scaled.view(float), out=c.view(float))
         flat = states.view(float)
+        maps = plan.frame_maps[a:b]
+        for phase, state, state_flat, frame_map in zip(phases, states, flat, maps):
+            np.multiply(c, phase, out=scaled)
+            np.matmul(frame_map, scaled_flat, out=state_flat)
+            c = state
         norm2 = np.einsum("kij,kij->kj", flat, flat)
         norms = np.sqrt(norm2[:, 0::2] + norm2[:, 1::2])
         drift = np.maximum(drift, np.abs(norms - 1.0).max(axis=0))

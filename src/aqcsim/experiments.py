@@ -7,7 +7,10 @@ scanned on an instance -- a P(T) grid, a gain grid with both controllers
 cached eigensystems.  A time-to-target scan decides its probes one at a
 time, but evaluates them in a few such passes: each pass holds every probe
 the scan may need next (ladder rungs, or a few levels of the bisection
-tree), and the scan replays its own decisions on those values.
+tree), and the scan replays its own decisions on those values.  The scan
+is a generator that yields the T values it needs and receives their P,
+so the scans of both controllers on one instance run in lockstep: an
+instance's two scans share three passes.
 
 Both ensembles run through map_instances, which seeds each instance, skips
 degenerate ones, optionally fans out over a process pool and returns one
@@ -228,21 +231,77 @@ def time_to_target(
     probe that is not yet known is evaluated in one batched propagation
     together with every probe the scan may need next -- the next 15 rungs
     of the doubling ladder (the whole halving ladder down to the sudden
-    floor), or the next _LOOKAHEAD levels of the bisection tree under the
-    current bracket.  Each speculative T is computed by the same arithmetic
-    as the sequential scan, so the decisions, the T and the probes (only
-    those the scan visits, in its order) are those of a probe-by-probe
-    scan; a typical scan takes three passes.
+    floor, when even the sudden limit meets the target), or the next
+    _LOOKAHEAD levels of the bisection tree under the current bracket.
+    Each speculative T is computed by the same arithmetic as the sequential
+    scan, so the decisions, the T and the probes (only those the scan
+    visits, in its order) are those of a probe-by-probe scan.  A typical
+    scan takes three passes; scaling_study runs both controllers' scans in
+    lockstep, so that an instance's two scans share three passes.
     """
     inst = context or evo.Instance(pair, steps)
-    T_ad = inst.T_ad
+    result = _lockstep_scans(inst, (family,), target_P, cap_factor)[family]
+    if isinstance(result, UnreachableTargetError):
+        raise result
+    return result
+
+
+def _lockstep_scans(inst: evo.Instance, families, target_P: float, cap_factor: float = 1e6):
+    """Run one time-to-target scan per family on inst, sharing every propagation pass.
+
+    Each round evaluates the batches of T that every live scan asks for in
+    one pass (inst.run for a lone scan, else one inst.success call on the
+    stacked cell times) and hands each scan its P values.  Returns
+    family -> TargetResult, or the UnreachableTargetError its scan raised,
+    in the order of families.
+    """
+    plan = inst.plan
+    p_sudden = abs(plan.psi0[plan.ground_index]) ** 2
+    scans = {
+        fam: _scan(fam, inst.T_ad, p_sudden, target_P, cap_factor) for fam in families
+    }
+    results, requests = {}, {}
+
+    def resume(family, values):
+        try:
+            requests[family] = scans[family].send(values)
+        except StopIteration as done:
+            results[family] = done.value
+        except UnreachableTargetError as err:
+            results[family] = err
+
+    for fam in families:
+        resume(fam, None)
+    while requests:
+        live = list(requests.items())
+        requests.clear()
+        if len(live) == 1:
+            P = inst.run(*live[0])
+        else:
+            P = inst.success(np.hstack([inst.cell_times(fam, T) for fam, T in live]))
+        offsets = np.cumsum([len(T) for _, T in live[:-1]])
+        for (fam, _), values in zip(live, np.split(P, offsets)):
+            resume(fam, values.tolist())
+    return {fam: results[fam] for fam in families}
+
+
+def _scan(family: str, T_ad: float, p_sudden: float, target_P: float, cap_factor: float):
+    """The time-to-target scan as a generator of propagation requests.
+
+    Yields the list of T it needs evaluated next (the probe it is at and
+    the probes it may visit after it), receives their P values in order,
+    and returns the TargetResult; raises UnreachableTargetError beyond
+    cap_factor * T_ad.  p_sudden, the P of an instantaneous sweep, picks
+    the first speculation: it only predicts which way the scan walks, and
+    never enters a decision.
+    """
     probes = []
     known: dict[float, float] = {}
 
-    def P(T: float, ahead) -> float:
+    def P(T: float, ahead):
         if T not in known:  # evaluate T and the probes ahead() expects next
             batch = ahead()
-            known.update(zip(batch, inst.run(family, batch).tolist()))
+            known.update(zip(batch, (yield batch)))
         probes.append((T, known[T]))
         return known[T]
 
@@ -255,13 +314,16 @@ def time_to_target(
     def doubling():  # the current T and up to 15 rungs above it
         return _ladder(T, 2.0, below_cap, 2**_LOOKAHEAD)
 
+    def halving():  # the current T and every rung below it to the sudden floor
+        return _ladder(T, 0.5, above_floor)
+
     T = _SCAN_START * T_ad
-    p = P(T, doubling)
+    p = yield from P(T, halving if p_sudden >= target_P else doubling)
     if p >= target_P:
         # Already above target: walk down to find where it is lost (if ever).
         while p >= target_P and above_floor(T):
             T *= 0.5
-            p = P(T, lambda: _ladder(T, 0.5, above_floor))
+            p = yield from P(T, halving)
         if p >= target_P:  # reachable even in the sudden limit
             return _finish(T, p, probes)
         lo, hi = T, 2.0 * T
@@ -273,13 +335,13 @@ def time_to_target(
                     f"T = {cap_factor:g} * T_ad = {cap_factor * T_ad:.3g}"
                 )
             T *= 2.0
-            p = P(T, doubling)
+            p = yield from P(T, doubling)
         lo, hi = T / 2.0, T
 
     p_hi = p
     while hi / lo > 1.0 + _RTOL:
         mid = math.sqrt(lo * hi)
-        p_mid = P(mid, lambda: _bisection_tree(lo, hi, _LOOKAHEAD))
+        p_mid = yield from P(mid, lambda: _bisection_tree(lo, hi, _LOOKAHEAD))
         if p_mid >= target_P:
             hi, p_hi = mid, p_mid
         else:
@@ -320,13 +382,10 @@ def _finish(T, p, probes) -> TargetResult:
 def _instance_times(pair, target_P, steps):
     """Time to target per family on one instance, or the exclusion reason."""
     inst = evo.Instance(pair, steps)
-    out = {}
-    for fam in CONTROLLER_FAMILIES:
-        try:
-            out[fam] = time_to_target(pair, fam, target_P, context=inst).T
-        except UnreachableTargetError:
-            out[fam] = "unreachable"
-    return out
+    return {
+        fam: "unreachable" if isinstance(res, UnreachableTargetError) else res.T
+        for fam, res in _lockstep_scans(inst, CONTROLLER_FAMILIES, target_P).items()
+    }
 
 
 def scaling_study(

@@ -31,9 +31,10 @@ for different instances can be computed concurrently without shared state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import OdeSolution, solve_ivp
 
 from . import hamiltonians as ham
 from .errors import IntegrationFailureError, NearDegeneracyError
@@ -121,9 +122,30 @@ class LevelFlow:
         E, v, L = _unpack(self._sol.sol(lam), self.pair.dim)
         return SpectrumState(lam=float(lam), E=E, v=v, L=L)
 
+    @cached_property
+    def _energies_and_row0(self):
+        """Dense output of E and row 0 of L alone: 2 * dim of the dim * (dim + 2) components.
+
+        Each DOP853 interpolant evaluates every component on its own, so
+        interpolants cut down to these rows give the values of the full
+        dense output bitwise, at a fraction of the cost.  They are built
+        from scipy's private interpolant attributes; without them the full
+        dense output is evaluated and cut.
+        """
+        dim = self.pair.dim
+        rows = np.r_[0:dim, 2 * dim : 3 * dim]
+        full = self._sol.sol
+        try:
+            return OdeSolution(full.ts, [
+                type(i)(i.t_old, i.t, i.y_old[rows], i.F[:, rows])
+                for i in full.interpolants
+            ])
+        except AttributeError:
+            return lambda lams: full(lams)[rows]
+
     def energies(self, lams) -> np.ndarray:
         """Levels at each requested lam, shape (dim, len(lams))."""
-        y = self._sol.sol(np.atleast_1d(lams))
+        y = self._energies_and_row0(np.atleast_1d(lams))
         return y[: self.pair.dim]
 
     def curvatures(self, lams) -> tuple[np.ndarray, np.ndarray]:
@@ -133,9 +155,7 @@ class LevelFlow:
         c2_pair is its k = 1 term.  Both are <= 0 for the ground level.
         """
         lams = np.atleast_1d(np.asarray(lams, dtype=float))
-        dim = self.pair.dim
-        y = self._sol.sol(np.clip(lams, 0.0, 1.0))
-        E, L0 = y[:dim], y[2 * dim : 3 * dim]
+        E, L0 = np.split(self._energies_and_row0(np.clip(lams, 0.0, 1.0)), 2)
         terms = 2.0 * L0[1:] ** 2 / (E[1:] - E[:1]) ** 3
         return -np.sum(terms, axis=0), -terms[0]
 

@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aqcsim import evolution as evo
 from aqcsim import experiments as xp
@@ -227,6 +229,101 @@ def test_scan_evaluates_its_probes_in_three_passes(monkeypatch):
         res = xp.time_to_target(ctx.pair, family, 0.9, context=ctx)
         assert passes == [16, 15, 7]
         assert len(res.probes) < sum(passes)
+
+
+@pytest.mark.parametrize(
+    "seed, target, want_passes",
+    [
+        # the sudden limit (P 0.509) meets the target: start and halving ladder at once
+        pytest.param(5, 0.25, [21], id="sudden-limit-meets-target"),
+        # the start meets the target but the sudden limit (P 0.342) does not:
+        # nothing cheap predicts the walk down
+        pytest.param(1, 0.4, [16, 20, 15, 7], id="only-start-meets-target"),
+    ],
+)
+def test_walk_down_is_speculated_from_the_sudden_limit(monkeypatch, seed, target, want_passes):
+    ctx = evo.Instance(ham.pair_from_seed(2, seed), 512)
+    passes = _count_passes(monkeypatch, ctx)
+    for family in xp.CONTROLLER_FAMILIES:
+        passes.clear()
+        got = xp.time_to_target(ctx.pair, family, target, context=ctx)
+        assert passes == want_passes
+        want = _rung_by_rung_time_to_target(ctx, family, target)
+        assert [t for t, _ in got.probes] == [t for t, _ in want.probes]
+        assert got.T == want.T
+
+
+def _assert_same_scan(got, want):
+    assert [t for t, _ in got.probes] == [t for t, _ in want.probes]
+    np.testing.assert_allclose(
+        [p for _, p in got.probes], [p for _, p in want.probes], rtol=0, atol=1e-12
+    )
+    assert got.T == want.T
+    assert got.non_monotone == want.non_monotone
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+    target=st.sampled_from([0.3, 0.6, 0.9]),
+)
+# the scans part after the ladder: one scan's last bisection pass runs alone
+@example(n=2, seed=1, target=0.999)
+def test_lockstep_scans_match_per_family_scans(n, seed, target):
+    ctx = evo.Instance(ham.pair_from_seed(n, seed), 256)
+    lockstep = xp._lockstep_scans(ctx, xp.CONTROLLER_FAMILIES, target)
+    assert list(lockstep) == list(xp.CONTROLLER_FAMILIES)
+    for family, got in lockstep.items():
+        try:
+            want = _rung_by_rung_time_to_target(ctx, family, target)
+        except UnreachableTargetError:
+            assert isinstance(got, UnreachableTargetError)
+            continue
+        _assert_same_scan(got, want)
+        _assert_same_scan(got, xp.time_to_target(ctx.pair, family, target, context=ctx))
+
+
+def _count_success_columns(monkeypatch):
+    """The column count of every Instance.success call, appended as they happen."""
+    passes = []
+    success = evo.Instance.success
+
+    def counted_success(self, dts):
+        passes.append(dts.shape[1])
+        return success(self, dts)
+
+    monkeypatch.setattr(evo.Instance, "success", counted_success)
+    return passes
+
+
+def test_instance_scans_share_three_passes(monkeypatch):
+    # each family alone takes passes of 16, 15 and 7 columns
+    pair = ham.pair_from_seed(2, 1)
+    passes = _count_success_columns(monkeypatch)
+    got = xp._instance_times(pair, 0.9, 512)
+    assert passes == [32, 30, 14]
+    ctx = evo.Instance(pair, 512)
+    for family in xp.CONTROLLER_FAMILIES:
+        assert got[family] == xp.time_to_target(pair, family, 0.9, context=ctx).T
+
+
+def test_lockstep_scans_stop_at_the_cap(monkeypatch):
+    # 3 T_ad stops each ladder at its 12th rung, inside the first pass
+    ctx = evo.Instance(ham.pair_from_seed(2, 5), 512)
+    passes = _count_success_columns(monkeypatch)
+    evaluated = []
+    cell_times = ctx.cell_times
+
+    def recorded_cell_times(family, T):
+        evaluated.extend(T)
+        return cell_times(family, T)
+
+    monkeypatch.setattr(ctx, "cell_times", recorded_cell_times)
+    results = xp._lockstep_scans(ctx, xp.CONTROLLER_FAMILIES, 0.999, cap_factor=3.0)
+    assert all(isinstance(r, UnreachableTargetError) for r in results.values())
+    assert passes == [24]
+    assert max(evaluated) <= 3.0 * ctx.T_ad  # no rung beyond the cap is evaluated
 
 
 def test_time_to_target_unreachable_under_cap():

@@ -1,10 +1,14 @@
 """Level-dynamics checks against closed forms and finite differences."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import OdeSolution
 
+from aqcsim import evolution as evo
 from aqcsim import hamiltonians as ham
 from aqcsim import spectral
 from aqcsim.errors import NearDegeneracyError
@@ -212,3 +216,37 @@ def test_pair_term_dominates_at_a_narrow_crossing():
         c2_full, c2_pair = flow.curvatures(lams)
         i = int(np.argmax(np.abs(c2_full)))
         assert c2_pair[i] / c2_full[i] > 0.8
+
+
+def _dense_output_grids(pair):
+    """A plan's nodes and midpoints (as Instance evaluates them) and the profile grid."""
+    plan = evo.build_schedule(pair, 1024)
+    return np.concatenate([plan.lams, plan.mids]), np.linspace(1.0, 0.0, 1024)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_cut_dense_output_equals_full_dense_output_bitwise(n):
+    pair = ham.pair_from_seed(n, 3)
+    flow = spectral.solve_levels(pair)
+    assert isinstance(flow._energies_and_row0, OdeSolution)  # not the fallback
+    dim = pair.dim
+    for lams in _dense_output_grids(pair):
+        full = flow._sol.sol(lams)
+        E, L0 = full[:dim], full[2 * dim : 3 * dim]
+        np.testing.assert_array_equal(flow.energies(lams), E)
+        terms = 2.0 * L0[1:] ** 2 / (E[1:] - E[:1]) ** 3
+        c2_full, c2_pair = flow.curvatures(lams)
+        np.testing.assert_array_equal(c2_full, -np.sum(terms, axis=0))
+        np.testing.assert_array_equal(c2_pair, -terms[0])
+
+
+def test_dense_output_falls_back_without_the_interpolant_internals():
+    pair = ham.pair_from_seed(3, 3)
+    flow = spectral.solve_levels(pair)
+    # a dense output that is only callable, with none of OdeSolution's attributes
+    bare = spectral.LevelFlow(pair, SimpleNamespace(sol=flow._sol.sol.__call__))
+    assert not isinstance(bare._energies_and_row0, OdeSolution)
+    for lams in _dense_output_grids(pair):
+        np.testing.assert_array_equal(bare.energies(lams), flow.energies(lams))
+        for got, want in zip(bare.curvatures(lams), flow.curvatures(lams)):
+            np.testing.assert_array_equal(got, want)
