@@ -12,8 +12,10 @@ Every value a command uses is resolved as flag > config file > default and
 echoed, with its provenance, into <out>/manifest.json next to the tables,
 so a run is reproducible from its own output directory.  Output files are
 written to a temporary name and renamed into place; floats are serialized
-with repr (round-trip exact).  Exit codes: 0 ok, 2 usage, 3 numerical
-failure, 4 I/O failure.
+with repr (round-trip exact).  Exit codes: 0 ok, 2 usage (every value is
+checked before the command starts; a malformed --replay file also exits
+2), 3 numerical failure (SimulationError, or any other ValueError raised
+inside a command), 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -126,12 +128,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command)
         p.add_argument("--config", help="key = value file; flags take precedence")
         for key in keys:
-            flag = "--" + key.replace("_", "-")
             if key == "plots":
-                p.add_argument(flag, action="store_const", const=True,
+                p.add_argument(_flag(key), action="store_const", const=True,
                                default=None, help=_OPTIONS[key][2])
             else:
-                p.add_argument(flag, type=_OPTIONS[key][0], default=None,
+                p.add_argument(_flag(key), type=_OPTIONS[key][0], default=None,
                                help=_OPTIONS[key][2])
     return parser
 
@@ -151,21 +152,66 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+# key -> (accepts, requirement) for the values a command's library call
+# would refuse; an option left unset (None) is not checked here.
+_BOUNDS = {
+    "n": (lambda x: x >= 1, "must be >= 1"),
+    "seed": (lambda x: x >= 0, "must be >= 0"),
+    "master_seed": (lambda x: x >= 0, "must be >= 0"),
+    "steps": (lambda x: x >= 1, "must be >= 1"),
+    "samples": (lambda x: x >= 1, "must be >= 1"),
+    "sample_stride": (lambda x: x >= 0, "must be >= 0"),
+    "resolution": (lambda x: x >= 2, "must be >= 2"),
+    "t_points": (lambda x: x >= 1, "must be >= 1"),
+    "t_min": (lambda x: x > 0, "must be > 0"),
+    "t_total": (lambda x: x > 0, "must be > 0"),
+    "k": (lambda x: x > 0, "must be > 0"),
+    "curvature_floor": (lambda x: x > 0, "must be > 0"),
+    "target_p": (lambda x: 0 < x < 1, "must lie in (0, 1)"),
+    "workers": (lambda x: 0 <= x <= (os.cpu_count() or 1),
+                f"must lie in [0, {os.cpu_count() or 1}] (the CPU count)"),
+}
+
+
 def _validate(command: str, v: dict) -> None:
-    """Reject combinations the commands cannot honor, field by field."""
+    """Reject combinations the commands cannot honor, field by field.
+
+    Every value a command's library call would refuse is refused here,
+    before any work, so that a ValueError raised inside a command is a
+    failure of the run (exit 3), not of its arguments.
+    """
     for key, value in v.items():
         if _OPTIONS[key][0] in (float, _float_list) and value is not None:
             if not all(math.isfinite(x) for x in np.atleast_1d(value)):
-                raise ValueError(f"--{key.replace('_', '-')} must be finite")
+                raise ValueError(f"{_flag(key)} must be finite")
+    for key, (accepts, requirement) in _BOUNDS.items():
+        if v.get(key) is not None and not accepts(v[key]):
+            raise ValueError(f"{_flag(key)} {requirement}, got {v[key]}")
+    if command == "sweep-t" and v["t_max"] <= v["t_min"]:
+        raise ValueError(f"--t-max must exceed --t-min, got {v['t_max']} <= {v['t_min']}")
+    if "k_grid" in v:
+        ks = np.asarray(v["k_grid"])
+        if ks.size == 0:
+            raise ValueError("--k-grid must not be empty")
+        if np.any(ks <= 0) or np.any(np.diff(ks) <= 0):
+            raise ValueError("--k-grid must be positive and strictly ascending")
+    if "n_values" in v:
+        ns = v["n_values"]
+        if any(n < 2 for n in ns) or any(b <= a for a, b in zip(ns, ns[1:])):
+            raise ValueError(f"--n-values must be ascending and each >= 2, got {ns}")
+        if len(ns) < 3:
+            raise ValueError(f"--n-values needs >= 3 distinct sizes for the fit, got {ns}")
     if command == "run":
         if v["controller"] == "linear":
             if v["t_total"] is None:
                 raise ValueError("--t-total is required for --controller linear")
             for bad in ("k", "curvature_floor", "replay"):
                 if v[bad] is not None:
-                    raise ValueError(
-                        f"--{bad.replace('_', '-')} is not valid for --controller linear"
-                    )
+                    raise ValueError(f"{_flag(bad)} is not valid for --controller linear")
         elif v["controller"] == "feedback":
             if v["k"] is None:
                 raise ValueError("--k is required for --controller feedback")
@@ -173,10 +219,6 @@ def _validate(command: str, v: dict) -> None:
                 raise ValueError("--t-total is not valid for --controller feedback")
         else:
             raise ValueError(f"unknown controller {v['controller']!r}")
-    if v.get("sample_stride", 0) < 0:
-        raise ValueError("--sample-stride must be >= 0")
-    if command == "profile" and v["resolution"] < 2:
-        raise ValueError("--resolution must be >= 2")
     if command == "sweep-t" and v["t_units"] not in ("tad", "abs"):
         raise ValueError("--t-units must be 'tad' or 'abs'")
     if "epsilon" in v and v["epsilon"] is not None and "n" in v:
@@ -369,6 +411,8 @@ def _cmd_run(cfg: RunConfig) -> dict:
         "norm_drift": record.norm_drift,
         "problem_seed": pair.seed,
     }
+    if record.curvature_route is not None:
+        results["curvature_route"] = record.curvature_route
     emit_tables(tables, cfg["out"], _manifest(cfg, results))
     print(f"P = {record.P!r}  T = {record.T!r}  norm_drift = {record.norm_drift:.3e}")
     return results
@@ -377,7 +421,7 @@ def _cmd_run(cfg: RunConfig) -> dict:
 def _cmd_profile(cfg: RunConfig) -> dict:
     pair = _instance(cfg)
     lams = np.linspace(1.0, 0.0, cfg["resolution"])
-    c2_full, c2_pair = spectral.curvature_profile(pair, lams)
+    c2_full, c2_pair, route = spectral.curvature_profile(pair, lams)
     rows = zip(lams, c2_full, c2_pair)
     tables = {"profile.csv": (("lambda", "c2_full", "c2_pair"), rows)}
     if cfg["plots"]:
@@ -385,7 +429,7 @@ def _cmd_profile(cfg: RunConfig) -> dict:
             [("|c2|", list(zip(lams, np.abs(c2_full))))],
             xlabel="lambda", ylabel="|c2|", logy=True,
         )
-    emit_tables(tables, cfg["out"], _manifest(cfg))
+    emit_tables(tables, cfg["out"], _manifest(cfg, {"curvature_route": route}))
     peak = float(lams[np.argmax(np.abs(c2_full))])
     print(f"profile written; |c2| peaks at lambda = {peak!r}")
     return {"peak_lambda": peak}
@@ -568,12 +612,12 @@ def main(argv=None) -> int:
         return 2
     try:
         _COMMANDS[cfg.command](cfg)
-    except SimulationError as err:
-        print(f"aqcsim: numerical failure: {err}", file=sys.stderr)
-        return 3
-    except ValueError as err:
+    except ProfileFormatError as err:  # a malformed --replay file is a usage error
         print(f"aqcsim: {err}", file=sys.stderr)
         return 2
+    except (SimulationError, ValueError) as err:
+        print(f"aqcsim: numerical failure: {err}", file=sys.stderr)
+        return 3
     except OSError as err:
         print(f"aqcsim: I/O failure: {err}", file=sys.stderr)
         return 4

@@ -1,8 +1,10 @@
 """Exception types shared across the simulator.
 
-The CLI maps these onto exit codes: plain ``ValueError`` (bad arguments,
-malformed input files) is a usage problem, ``SimulationError`` subclasses
-mean the numerics gave up, and ``OSError`` keeps its usual I/O meaning.
+The CLI maps these onto exit codes.  Bad arguments are refused before a
+command starts, and ``ProfileFormatError`` (a malformed replay file) is a
+usage problem too.  Inside a command, ``SimulationError`` subclasses mean
+the numerics gave up, and so does any other ``ValueError`` raised there;
+``OSError`` keeps its usual I/O meaning.
 """
 
 

@@ -28,12 +28,24 @@ practical size step right over them.
 An Instance holds one problem instance's plan, curvature source, pace
 floor and unit-gain pace; evolve and the ensembles in the experiments
 module all run their sweeps through it.
+
+From n = 3 up, build_schedule lays out the grid on the caller's thread
+and hands the midpoint eigendecomposition (the frame maps, the midpoint
+energies and c0) to a short-lived thread of its own; the plan joins that
+thread when one of those fields is first read, normally by the first
+propagate.  LAPACK releases the GIL, while the level ODE and the
+propagation are Python-bound stepping, so the caller's T_ad scan and
+level ODE run on one core while the eigendecomposition runs on the other.
+At n = 2 (dim 4) starting the thread costs more than it overlaps, and the
+plan is built inline.  Each matrix is still decomposed by one LAPACK call
+on one thread, so the plan is bitwise the same either way.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import threading
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -70,6 +82,9 @@ _MIN_CELL = 1e-7  # bisection width guard
 _ROT_WEIGHT = 0.5  # blend between uniform and rotation-proportional measure
 _PHASE_CHUNK = 64  # cells whose phases and norms are computed in one call
 _SCAN_POINTS = 512  # uniform lam grid of the T_ad and min-gap scans
+# Smallest matrix dimension whose plan eigendecomposition runs on a worker
+# thread (n >= 3); at dim 4 the thread costs more than it overlaps.
+_THREAD_MIN_DIM = 8
 
 
 @dataclass(frozen=True)
@@ -126,6 +141,7 @@ class RunRecord:
     norm_drift: float
     psi: np.ndarray  # final amplitudes in the computational basis
     samples: np.ndarray | None = None  # rows of SAMPLE_COLUMNS
+    curvature_route: str | None = None  # feedback only: Instance.curvature_route
 
 
 @dataclass(frozen=True)
@@ -137,6 +153,39 @@ class BackactionWindow:
     def __post_init__(self):
         if self.delta_min <= 0 or self.omega_lc <= 0 or self.gamma_lc < 0:
             raise ValueError("need delta_min > 0, omega_lc > 0, gamma_lc >= 0")
+
+
+class _Joined:
+    """fn(*args), computed inline or on a short-lived thread of its own.
+
+    result() joins the thread and returns fn's value, or raises the
+    exception fn raised (every read raises it again).  The thread catches
+    that exception itself, so nothing is printed and threading.excepthook
+    is never called.  Inline, fn's exception propagates from the
+    constructor.
+    """
+
+    def __init__(self, fn, *args, thread: bool):
+        self._error = None
+        if not thread:
+            self._thread, self._value = None, fn(*args)
+            return
+
+        def run():
+            try:
+                self._value = fn(*args)
+            except BaseException as err:  # handed to the reader, re-raised there
+                self._error = err
+
+        self._thread = threading.Thread(target=run, name="aqcsim-plan")
+        self._thread.start()
+
+    def result(self):
+        if self._thread is not None:
+            self._thread.join()
+        if self._error is not None:
+            raise self._error
+        return self._value
 
 
 @dataclass(frozen=True)
@@ -152,21 +201,40 @@ class SchedulePlan:
     one pass.  The midpoint eigenvectors themselves are not kept: c0 holds
     psi0 in the first cell's eigenbasis, which is all a sweep needs to
     start.
+
+    lams, mids, widths, psi0 and ground_index are ready when the plan is.
+    mid_energies, frame_maps and c0 come from the midpoint
+    eigendecomposition, which from n = 3 up runs on a worker thread (see
+    the module docstring): the first read of any of them joins that thread
+    and re-raises any exception it raised.
     """
 
     pair: ham.HamiltonianPair
     lams: np.ndarray  # nodes, descending, lams[0] = 1, lams[-1] = 0
     mids: np.ndarray
     widths: np.ndarray  # positive cell widths in lam
-    mid_energies: np.ndarray  # (cells, dim)
-    frame_maps: np.ndarray  # (cells, dim, dim)
     psi0: np.ndarray  # ground state of H(1)
-    c0: np.ndarray  # psi0 in the eigenbasis of cell 0
     ground_index: int
+    _frames: _Joined = field(repr=False, compare=False)
 
     @property
     def cells(self) -> int:
         return self.widths.size
+
+    @property
+    def mid_energies(self) -> np.ndarray:
+        """(cells, dim) eigenvalues at the midpoints."""
+        return self._frames.result()[0]
+
+    @property
+    def frame_maps(self) -> np.ndarray:
+        """(cells, dim, dim) real overlaps V_{s+1}^T V_s, then V_{cells-1}."""
+        return self._frames.result()[1]
+
+    @property
+    def c0(self) -> np.ndarray:
+        """psi0 in the eigenbasis of cell 0."""
+        return self._frames.result()[2]
 
 
 def _ground_rotation_cells(pair: ham.HamiltonianPair):
@@ -202,7 +270,15 @@ def _ground_rotation_cells(pair: ham.HamiltonianPair):
 
 
 def build_schedule(pair: ham.HamiltonianPair, steps: int = 2048) -> SchedulePlan:
-    """Lay out the lam grid and cache the midpoint eigensystems."""
+    """Lay out the lam grid and cache the midpoint eigensystems.
+
+    The grid, psi0 and ground_index are computed here, on the caller's
+    thread, and so are their errors (steps < 1, a degenerate problem ground
+    state).  The midpoint eigendecomposition runs inline for dim < 8
+    (n = 2) and otherwise on a worker thread that overlaps whatever the
+    caller does next (the T_ad scan, the level ODE) until the first read
+    of mid_energies, frame_maps or c0 joins it.
+    """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     cells = _ground_rotation_cells(pair)
@@ -231,24 +307,28 @@ def build_schedule(pair: ham.HamiltonianPair, steps: int = 2048) -> SchedulePlan
     mids = 0.5 * (lams[:-1] + lams[1:])
     cell_widths = lams[:-1] - lams[1:]
 
-    mid = ham.spectrum_at(pair, mids)
-    V = mid.states
-    frame_maps = np.empty_like(V)
-    np.matmul(V[1:].transpose(0, 2, 1), V[:-1], out=frame_maps[:-1])
-    frame_maps[-1] = V[-1]
-
     psi0 = ham.spectrum_at(pair, 1.0).states[:, 0].astype(complex)
+    ground_index = ham.problem_ground_index(pair)
+    frames = _Joined(_midpoint_frames, pair, mids, psi0, thread=pair.dim >= _THREAD_MIN_DIM)
     return SchedulePlan(
         pair=pair,
         lams=lams,
         mids=mids,
         widths=cell_widths,
-        mid_energies=mid.energies,
-        frame_maps=frame_maps,
         psi0=psi0,
-        c0=V[0].T @ psi0,
-        ground_index=ham.problem_ground_index(pair),
+        ground_index=ground_index,
+        _frames=frames,
     )
+
+
+def _midpoint_frames(pair: ham.HamiltonianPair, mids: np.ndarray, psi0: np.ndarray):
+    """(mid_energies, frame_maps, c0) from one stacked eigendecomposition of the midpoints."""
+    mid = ham.spectrum_at(pair, mids)
+    V = mid.states
+    frame_maps = np.empty_like(V)
+    np.matmul(V[1:].transpose(0, 2, 1), V[:-1], out=frame_maps[:-1])
+    frame_maps[-1] = V[-1]
+    return mid.energies, frame_maps, V[0].T @ psi0
 
 
 def initial_coefficients(plan: SchedulePlan, columns: int = 1) -> np.ndarray:
@@ -320,26 +400,31 @@ class Instance:
             self.floor = curvature_floor  # else resolved on first use
 
     @cached_property
-    def _abs_c2(self) -> np.ndarray:
-        """|c2| at the plan's nodes, then at its midpoints."""
+    def _curvature(self):
+        """(|c2| at the plan's nodes, then at its midpoints; curvature_route)."""
         lams = np.concatenate([self.plan.lams, self.plan.mids])
-        if self.profile is not None:
-            lam_tab, c2_tab = self.profile
-            # np.interp wants ascending abscissae; profiles are stored descending.
-            c2 = np.interp(lams[::-1], lam_tab[::-1], c2_tab[::-1])[::-1]
-        else:
-            c2, _ = spectral.curvature_profile(self.pair, lams)
-        return np.abs(c2)
+        if self.profile is None:
+            c2, _, route = spectral.curvature_profile(self.pair, lams)
+            return np.abs(c2), route
+        lam_tab, c2_tab = self.profile
+        # np.interp wants ascending abscissae; profiles are stored descending.
+        c2 = np.interp(lams[::-1], lam_tab[::-1], c2_tab[::-1])[::-1]
+        return np.abs(c2), "replay"
+
+    @property
+    def curvature_route(self) -> str:
+        """Where |c2| came from: "replay", or the route curvature_profile took."""
+        return self._curvature[1]
 
     @cached_property
     def floor(self) -> float:
         """The pace floor: as given, else DEFAULT_FLOOR_FRACTION of the |c2| peak."""
-        return DEFAULT_FLOOR_FRACTION * float(self._abs_c2.max())
+        return DEFAULT_FLOOR_FRACTION * float(self._curvature[0].max())
 
     @cached_property
     def unit_dts(self) -> np.ndarray:
         """Per-cell times at gain 1, by Simpson's rule on the pace max(|c2|, floor)."""
-        unit_pace = np.maximum(self._abs_c2, self.floor)
+        unit_pace = np.maximum(self._curvature[0], self.floor)
         nodes, mids = unit_pace[: self.plan.lams.size], unit_pace[self.plan.lams.size :]
         return (self.plan.widths / 6.0) * (nodes[:-1] + 4.0 * mids + nodes[1:])
 
@@ -389,11 +474,13 @@ def evolve(
         raise ValueError(f"sample_stride must be >= 0, got {sample_stride}")
     inst = Instance(pair, steps, controller.curvature_floor, profile=controller.profile)
     plan = inst.plan
+    route = None
     if controller.kind == "linear":
         dts = plan.widths * controller.T_total
     else:
         dts = controller.k * inst.unit_dts
         controller = replace(controller, curvature_floor=inst.floor)
+        route = inst.curvature_route
 
     c = initial_coefficients(plan)
     if sample_stride > 0:
@@ -420,6 +507,7 @@ def evolve(
         norm_drift=float(drift[0]),
         psi=c[:, 0],
         samples=samples,
+        curvature_route=route,
     )
 
 

@@ -22,7 +22,7 @@ arrays: the feedback controller uses the full sum, and the pair term
 documents how dominant the nearest level is.  curvature_profile is the one
 place that chooses the route on a lam grid: the level equations, or, when
 they hit a near-degeneracy or fail, one stacked diagonalization and the
-perturbation sum.
+perturbation sum; it returns the route's name after the two arrays.
 
 Everything here is a pure function of the Hamiltonian pair; trajectories
 for different instances can be computed concurrently without shared state.
@@ -211,16 +211,18 @@ def curvature_from_spectrum(es: ham.EigenSystem, bias: np.ndarray):
 
 
 def curvature_profile(pair: ham.HamiltonianPair, lams):
-    """(c2_full, c2_pair) at each lam of the grid: the one choice of route.
+    """(c2_full, c2_pair, route) at each lam of the grid: the one choice of route.
 
-    Tries the level-dynamics route first; if the instance sits too close to
-    a level collision for the equations of motion, falls back to one
-    stacked diagonalization of the whole grid and the perturbation sum
-    (always defined as long as the ground state itself stays separated).
-    Both routes return 1-D arrays over the grid.
+    Tries the level-dynamics route first (route "level_dynamics"); if the
+    instance sits too close to a level collision for the equations of
+    motion, falls back to one stacked diagonalization of the whole grid and
+    the perturbation sum (route "diagonalization"; always defined as long
+    as the ground state itself stays separated).  Both routes return 1-D
+    arrays over the grid.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     try:
-        return solve_levels(pair).curvatures(lams)
+        return (*solve_levels(pair).curvatures(lams), "level_dynamics")
     except (NearDegeneracyError, IntegrationFailureError):
-        return curvature_from_spectrum(ham.spectrum_at(pair, lams), pair.bias)
+        es = ham.spectrum_at(pair, lams)
+        return (*curvature_from_spectrum(es, pair.bias), "diagonalization")

@@ -131,8 +131,8 @@ def test_ensemble_with_an_empty_cell_exits_3_and_writes_nothing(
 @pytest.mark.parametrize(
     "argv, message",
     [(["deltap", "--samples", "0", "--steps", "128"], "samples must be >= 1"),
-     (["deltap", "--k-grid", "0.1:1:0", "--steps", "128"], "k_values must not be empty"),
-     (["sweep-t", "--t-points", "0", "--steps", "128"], "T_values must not be empty"),
+     (["deltap", "--k-grid", "0.1:1:0", "--steps", "128"], "--k-grid must not be empty"),
+     (["sweep-t", "--t-points", "0", "--steps", "128"], "--t-points must be >= 1"),
      (["run", "--n", "2", "--controller", "linear", "--t-total", "1",
        "--sample-stride", "-3", "--steps", "128"], "--sample-stride must be >= 0"),
      (["profile", "--resolution", "1"], "--resolution must be >= 2")],
@@ -142,6 +142,76 @@ def test_empty_ensemble_or_grid_exits_2_and_writes_nothing(tmp_path, capsys, arg
     assert cli.main([*argv, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["run", "--t-total", "1", "--steps", "0"], "--steps must be >= 1"),
+     (["deltap", "--samples", "0"], "--samples must be >= 1"),
+     (["run", "--n", "0", "--t-total", "1"], "--n must be >= 1"),
+     (["profile", "--seed", "-1"], "--seed must be >= 0"),
+     (["scaling", "--master-seed", "-1"], "--master-seed must be >= 0"),
+     (["scaling", "--target-p", "0"], "--target-p must lie in (0, 1)"),
+     (["scaling", "--target-p", "1"], "--target-p must lie in (0, 1)"),
+     (["run", "--controller", "feedback", "--k", "0"], "--k must be > 0"),
+     (["run", "--t-total", "-1"], "--t-total must be > 0"),
+     (["run", "--controller", "feedback", "--k", "1", "--curvature-floor", "0"],
+      "--curvature-floor must be > 0"),
+     (["sweep-t", "--t-points", "0"], "--t-points must be >= 1"),
+     (["sweep-t", "--t-min", "0"], "--t-min must be > 0"),
+     (["sweep-t", "--t-min", "2", "--t-max", "2"], "--t-max must exceed --t-min"),
+     (["deltap", "--k-grid", "0.3,0.1"], "--k-grid must be positive and strictly ascending"),
+     (["deltap", "--k-grid=-0.1,0.2"], "--k-grid must be positive and strictly ascending"),
+     (["scaling", "--n-values", "3,2,4"], "--n-values must be ascending and each >= 2"),
+     (["scaling", "--n-values", "1,2,3"], "--n-values must be ascending and each >= 2"),
+     (["scaling", "--n-values", "2,3"], "--n-values needs >= 3 distinct sizes"),
+     (["deltap", "--workers", "-1"], "--workers must lie in [0, ")],
+)
+def test_values_a_command_would_refuse_exit_2_naming_the_flag(tmp_path, capsys, argv, message):
+    out = tmp_path / "o"
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    assert f"aqcsim: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_value_error_inside_a_command_exits_3(tmp_path, capsys, monkeypatch):
+    # valid flags; a ValueError from deep in the numerics is a failed run, not a usage error
+    def out_of_range(pair, lam):
+        raise ValueError("lambda must lie in [0, 1], got 1.5")
+
+    monkeypatch.setattr(ham, "total_hamiltonian", out_of_range)
+    out = tmp_path / "o"
+    code = cli.main(["run", "--n", "2", "--t-total", "1", "--steps", "64", "--out", str(out)])
+    assert code == 3
+    assert "numerical failure: lambda must lie in [0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "instance, route",
+    [(["--seed", "6"], "level_dynamics"), (["--epsilon", "1,1,0"], "diagonalization")],
+    ids=["seed-6", "degenerate-excited-pair"],
+)
+def test_manifest_records_the_curvature_route(tmp_path, instance, route):
+    def results(name):
+        return json.loads((tmp_path / name / "manifest.json").read_text())["results"]
+
+    feedback = ["run", "--n", "2", *instance, "--controller", "feedback", "--k", "0.08",
+                "--steps", "256"]
+    assert cli.main([*feedback, "--out", str(tmp_path / "live")]) == 0
+    assert cli.main(["profile", "--n", "2", *instance, "--resolution", "64",
+                     "--out", str(tmp_path / "prof")]) == 0
+    assert cli.main([*feedback, "--replay", str(tmp_path / "prof" / "profile.csv"),
+                     "--out", str(tmp_path / "replay")]) == 0
+    assert cli.main(["run", "--n", "2", *instance, "--controller", "linear",
+                     "--t-total", "1", "--steps", "256", "--out", str(tmp_path / "lin")]) == 0
+    assert results("live")["curvature_route"] == route
+    assert results("prof") == {"curvature_route": route}
+    assert results("replay")["curvature_route"] == "replay"
+    assert "curvature_route" not in results("lin")
+    # telemetry stays out of the tables
+    header = (tmp_path / "prof" / "profile.csv").read_text().splitlines()[0]
+    assert header == "lambda,c2_full,c2_pair"
 
 
 def test_numerical_failure_exits_3(tmp_path, capsys):
@@ -222,7 +292,7 @@ def test_replay_profile_round_trip(tmp_path, n, seed, resolution):
     assert np.all(np.diff(lams) < 0)
     assert np.all(c2 <= 0)
     grid = np.linspace(1.0, 0.0, resolution)
-    c2_full, _ = spectral.curvature_profile(ham.pair_from_seed(n, seed), grid)
+    c2_full, _, _ = spectral.curvature_profile(ham.pair_from_seed(n, seed), grid)
     np.testing.assert_array_equal(lams, grid)
     np.testing.assert_array_equal(c2, c2_full)
 
@@ -372,5 +442,5 @@ def test_plots_flag_writes_svg(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "_plot_lines", broken_renderer)
     out = tmp_path / "broken"
-    assert cli.main([*argv, "--out", str(out)]) == 2
+    assert cli.main([*argv, "--out", str(out)]) == 3  # a failure inside the command
     assert not out.exists()

@@ -1,6 +1,7 @@
 """Propagator, pace laws, timescales, and limit behavior."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from scipy.optimize import minimize_scalar
 from aqcsim import evolution as evo
 from aqcsim import hamiltonians as ham
 from aqcsim import spectral
+from aqcsim.errors import DegenerateGroundError
 
 
 def one_qubit_pair(eps=3.0, Z=5.0):
@@ -109,6 +111,69 @@ def test_level_batched_rotation_bisection_matches_depth_first(monkeypatch, n):
             want = evo.build_schedule(pair, steps=512)
         for field in ("lams", "mids", "widths", "mid_energies", "frame_maps", "c0"):
             np.testing.assert_array_equal(getattr(plan, field), getattr(want, field))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_plan_frames_equal_a_serial_reference_bitwise(n):
+    for seed in (1, 5, 7000):
+        pair = ham.pair_from_seed(n, seed)
+        plan = evo.build_schedule(pair, steps=256)
+        mid = ham.spectrum_at(pair, plan.mids)
+        V = mid.states
+        frame_maps = np.concatenate([V[1:].transpose(0, 2, 1) @ V[:-1], V[-1:]])
+        assert np.array_equal(plan.mid_energies, mid.energies)
+        assert np.array_equal(plan.frame_maps, frame_maps)
+        assert np.array_equal(plan.c0, V[0].T @ plan.psi0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_plan_midpoints_are_decomposed_off_the_caller_thread_from_n_3(monkeypatch, n):
+    calls = []
+    real = ham.spectrum_at
+
+    def recording(pair, lam):
+        calls.append((threading.get_ident(), np.size(lam)))
+        return real(pair, lam)
+
+    monkeypatch.setattr(ham, "spectrum_at", recording)
+    plan = evo.build_schedule(ham.pair_from_seed(n, 3), steps=256)
+    plan.frame_maps  # joins the worker, if any
+    (thread,) = [ident for ident, size in calls if size == plan.cells]
+    assert (thread != threading.get_ident()) == (n >= 3)
+
+
+def test_plan_worker_failure_surfaces_from_the_first_read(monkeypatch, capfd):
+    caller = threading.get_ident()
+    real = ham.spectrum_at
+
+    def fails_off_the_caller(pair, lam):
+        if threading.get_ident() != caller:
+            raise np.linalg.LinAlgError("eigh did not converge")
+        return real(pair, lam)
+
+    hooked = []
+    monkeypatch.setattr(threading, "excepthook", hooked.append)
+    monkeypatch.setattr(ham, "spectrum_at", fails_off_the_caller)
+    pair = ham.pair_from_seed(3, 2)
+    inst = evo.Instance(pair, steps=128)  # the plan's grid is ready; its frames are not
+    for _ in range(2):  # every read re-raises
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            inst.success(inst.cell_times("linear", [1.0]))
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        evo.evolve(pair, evo.PaceController.feedback(k=0.1), steps=128)
+    assert hooked == []
+    assert capfd.readouterr() == ("", "")
+
+
+def test_plan_argument_errors_raise_on_the_caller_thread_before_any_worker():
+    threads = threading.active_count()
+    tied = ham.make_pair(ham.ProblemSpec(3, np.zeros(7), seed=0))
+    for build in (evo.build_schedule, evo.Instance):
+        with pytest.raises(DegenerateGroundError, match="tied ground states"):
+            build(tied, 64)
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            build(ham.pair_from_seed(3, 1), 0)
+    assert threading.active_count() == threads
 
 
 # ------------------------------------------------------------------- evolving

@@ -157,8 +157,9 @@ def test_exact_degeneracy_is_refused():
 def test_profile_grid_and_values():
     pair = ham.pair_from_seed(2, 10)
     lams = np.linspace(1.0, 0.0, 65)
-    got_full, got_pair = spectral.curvature_profile(pair, lams)
+    got_full, got_pair, route = spectral.curvature_profile(pair, lams)
     assert got_full.shape == got_pair.shape == lams.shape
+    assert route == "level_dynamics"
     flow = spectral.solve_levels(pair)
     c2_full, c2_pair = flow.curvatures(lams)
     np.testing.assert_allclose(got_full, c2_full, atol=1e-10)
@@ -168,13 +169,14 @@ def test_profile_grid_and_values():
 def test_profile_falls_back_to_diagonalization(monkeypatch):
     pair = ham.pair_from_seed(2, 10)
     lams = np.linspace(1.0, 0.0, 33)
-    want_full, want_pair = spectral.curvature_profile(pair, lams)
+    want_full, want_pair, _ = spectral.curvature_profile(pair, lams)
 
     def refuse(*a, **k):
         raise NearDegeneracyError("forced for test", pair=(0, 1))
 
     monkeypatch.setattr(spectral, "solve_levels", refuse)
-    got_full, got_pair = spectral.curvature_profile(pair, lams)
+    got_full, got_pair, route = spectral.curvature_profile(pair, lams)
+    assert route == "diagonalization"
     np.testing.assert_allclose(got_full, want_full, rtol=1e-6)
     np.testing.assert_allclose(got_pair, want_pair, rtol=1e-6)
 
