@@ -107,17 +107,17 @@ class PaceController:
 
     def __post_init__(self):
         if self.kind == "linear":
-            if self.T_total is None or self.T_total <= 0:
-                raise ValueError("linear controller needs T_total > 0")
+            if self.T_total is None or not 0 < self.T_total < math.inf:
+                raise ValueError("linear controller needs finite T_total > 0")
             if self.k is not None:
                 raise ValueError("k is not a linear-controller parameter")
         elif self.kind == "feedback":
-            if self.k is None or self.k <= 0:
-                raise ValueError("feedback controller needs gain k > 0")
+            if self.k is None or not 0 < self.k < math.inf:
+                raise ValueError("feedback controller needs finite gain k > 0")
             if self.T_total is not None:
                 raise ValueError("T_total is not a feedback-controller parameter")
-            if self.curvature_floor is not None and self.curvature_floor <= 0:
-                raise ValueError("curvature_floor must be positive")
+            if self.curvature_floor is not None and not 0 < self.curvature_floor < math.inf:
+                raise ValueError("curvature_floor must be finite and positive")
         else:
             raise ValueError(f"unknown controller kind {self.kind!r}")
 
@@ -151,8 +151,9 @@ class BackactionWindow:
     gamma_lc: float
 
     def __post_init__(self):
-        if self.delta_min <= 0 or self.omega_lc <= 0 or self.gamma_lc < 0:
-            raise ValueError("need delta_min > 0, omega_lc > 0, gamma_lc >= 0")
+        if not (0 < self.delta_min < math.inf and 0 < self.omega_lc < math.inf
+                and 0 <= self.gamma_lc < math.inf):
+            raise ValueError("need finite delta_min > 0, omega_lc > 0, gamma_lc >= 0")
 
 
 class _Joined:
@@ -519,16 +520,6 @@ def _sample_rows(pair, lams, times, psis) -> np.ndarray:
     return np.column_stack([lams, times, p_inst, es.gap(), np.abs(c2_full)])
 
 
-def _ground_scan(pair: ham.HamiltonianPair, lams: np.ndarray):
-    """Gap E_1 - E_0 and max_j |<0|H_b|j>| at each lam, from one stacked eigh.
-
-    The raw eigh output skips diagonalize's sign fixing, which changes
-    neither quantity.
-    """
-    es = ham.EigenSystem(lams, *np.linalg.eigh(ham.total_hamiltonian(pair, lams)))
-    return es.gap(), np.abs(es.ground_couplings(pair.bias)).max(axis=1)
-
-
 def _bracket(lams: np.ndarray, i: int):
     """The scan cells on either side of grid point i."""
     return lams[max(i - 1, 0)], lams[min(i + 1, lams.size - 1)]
@@ -558,8 +549,7 @@ def min_gap(pair: ham.HamiltonianPair):
     its minimum exactly at lam = 0).
     """
     lams = np.linspace(0.0, 1.0, _SCAN_POINTS)
-    gaps, _ = _ground_scan(pair, lams)
-    return _refine_min_gap(pair, lams, gaps)
+    return _refine_min_gap(pair, lams, ham.spectrum_at(pair, lams).gap())
 
 
 def adiabatic_time(pair: ham.HamiltonianPair) -> float:
@@ -570,7 +560,8 @@ def adiabatic_time(pair: ham.HamiltonianPair) -> float:
     the coupling peak and the minimum gap.
     """
     lams = np.linspace(0.0, 1.0, _SCAN_POINTS)
-    gaps, values = _ground_scan(pair, lams)
+    es = ham.spectrum_at(pair, lams)
+    values = np.abs(es.ground_couplings(pair.bias)).max(axis=1)
 
     def coupling(lam: float) -> float:
         m = ham.spectrum_at(pair, lam).ground_couplings(pair.bias)
@@ -583,7 +574,7 @@ def adiabatic_time(pair: ham.HamiltonianPair) -> float:
         options={"xatol": 1e-10},
     )
     peak = max(values[i], -float(res.fun))
-    gap_min, _ = _refine_min_gap(pair, lams, gaps)
+    gap_min, _ = _refine_min_gap(pair, lams, es.gap())
     return peak / gap_min**2
 
 

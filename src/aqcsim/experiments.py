@@ -192,8 +192,8 @@ def sweep_T(
     T_values = np.asarray(T_values, dtype=float)
     if T_values.size == 0:
         raise ValueError("T_values must not be empty")
-    if np.any(T_values <= 0) or np.any(np.diff(T_values) <= 0):
-        raise ValueError("T_values must be positive and strictly ascending")
+    if not np.all((T_values > 0) & (T_values < np.inf)) or np.any(np.diff(T_values) <= 0):
+        raise ValueError("T_values must be finite, positive and strictly ascending")
     inst = evo.Instance(pair, steps, curvature_floor)
     families = CONTROLLER_FAMILIES
     dts = np.hstack([inst.cell_times(fam, T_values) for fam in families])
@@ -239,6 +239,8 @@ def time_to_target(
     scan takes three passes; scaling_study runs both controllers' scans in
     lockstep, so that an instance's two scans share three passes.
     """
+    if not 0.0 < target_P < 1.0:
+        raise ValueError("target_P must lie in (0, 1)")
     inst = context or evo.Instance(pair, steps)
     result = _lockstep_scans(inst, (family,), target_P, cap_factor)[family]
     if isinstance(result, UnreachableTargetError):
@@ -250,10 +252,9 @@ def _lockstep_scans(inst: evo.Instance, families, target_P: float, cap_factor: f
     """Run one time-to-target scan per family on inst, sharing every propagation pass.
 
     Each round evaluates the batches of T that every live scan asks for in
-    one pass (inst.run for a lone scan, else one inst.success call on the
-    stacked cell times) and hands each scan its P values.  Returns
-    family -> TargetResult, or the UnreachableTargetError its scan raised,
-    in the order of families.
+    one inst.success call on their stacked cell times and hands each scan
+    its P values.  Returns family -> TargetResult, or the
+    UnreachableTargetError its scan raised, in the order of families.
     """
     plan = inst.plan
     p_sudden = abs(plan.psi0[plan.ground_index]) ** 2
@@ -275,10 +276,7 @@ def _lockstep_scans(inst: evo.Instance, families, target_P: float, cap_factor: f
     while requests:
         live = list(requests.items())
         requests.clear()
-        if len(live) == 1:
-            P = inst.run(*live[0])
-        else:
-            P = inst.success(np.hstack([inst.cell_times(fam, T) for fam, T in live]))
+        P = inst.success(np.hstack([inst.cell_times(fam, T) for fam, T in live]))
         offsets = np.cumsum([len(T) for _, T in live[:-1]])
         for (fam, _), values in zip(live, np.split(P, offsets)):
             resume(fam, values.tolist())
@@ -490,8 +488,8 @@ def delta_p_sweep(
     k_values = np.asarray(k_values, dtype=float)
     if k_values.size == 0:
         raise ValueError("k_values must not be empty")
-    if np.any(k_values <= 0) or np.any(np.diff(k_values) <= 0):
-        raise ValueError("k_values must be positive and strictly ascending")
+    if not np.all((k_values > 0) & (k_values < np.inf)) or np.any(np.diff(k_values) <= 0):
+        raise ValueError("k_values must be finite, positive and strictly ascending")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     task = partial(_instance_delta_p, k_values=k_values, steps=steps)

@@ -1,4 +1,4 @@
-"""Problem/bias Hamiltonian construction and exact diagonalization.
+"""Problem/bias Hamiltonian construction, its one check, and exact diagonalization.
 
 The annealing Hamiltonian is H(lam) = H_p + lam * H_b with lam swept from 1
 down to 0.  H_p is diagonal in the computational basis: a random sum over
@@ -89,8 +89,8 @@ class BiasSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"need n >= 1, got {self.n}")
-        if self.Z <= 0:
-            raise ValueError(f"need Z > 0, got {self.Z}")
+        if not 0 < self.Z < np.inf:
+            raise ValueError(f"need finite Z > 0, got {self.Z}")
 
     @classmethod
     def default(cls, n: int) -> "BiasSpec":
@@ -103,6 +103,11 @@ class HamiltonianPair:
 
     problem_diag is the diagonal of H_p; bias is the dense symmetric H_b.
     n, Z and seed are carried through for bookkeeping and output manifests.
+    Construction is the one check of an input H(lam): n >= 1, problem_diag
+    of length 2**n, bias 2**n x 2**n, both finite, bias symmetric by
+    diagonalize's predicate.  A failed check raises ValueError naming the
+    field; spectrum_at, the one routine that decomposes H(lam), then checks
+    none of the matrices it decomposes.
     """
 
     problem_diag: np.ndarray
@@ -116,6 +121,17 @@ class HamiltonianPair:
             self, "problem_diag", np.asarray(self.problem_diag, dtype=float)
         )
         object.__setattr__(self, "bias", np.asarray(self.bias, dtype=float))
+        if self.n < 1:
+            raise ValueError(f"n must be >= 1, got {self.n}")
+        dim = 2**self.n
+        for name, shape in (("problem_diag", (dim,)), ("bias", (dim, dim))):
+            got = getattr(self, name).shape
+            if got != shape:
+                raise ValueError(f"{name} must have shape {shape} for n = {self.n}, got {got}")
+        if not np.all(np.isfinite(self.problem_diag)):
+            raise ValueError("problem_diag has a non-finite entry")
+        if not _hermitian(self.bias):
+            raise ValueError("bias must be finite and symmetric")
 
     @property
     def dim(self) -> int:
@@ -131,7 +147,6 @@ class EigenSystem:
     the stack.
     """
 
-    lam: float | np.ndarray | None
     energies: np.ndarray
     states: np.ndarray
 
@@ -190,8 +205,6 @@ def build_bias(spec: BiasSpec) -> np.ndarray:
 def make_pair(problem: ProblemSpec, bias: BiasSpec | None = None) -> HamiltonianPair:
     if bias is None:
         bias = BiasSpec.default(problem.n)
-    if bias.n != problem.n:
-        raise ValueError(f"bias is for n={bias.n} but problem has n={problem.n}")
     return HamiltonianPair(
         problem_diag=build_problem(problem),
         bias=build_bias(bias),
@@ -217,30 +230,40 @@ def total_hamiltonian(pair: HamiltonianPair, lam) -> np.ndarray:
     return H
 
 
-def diagonalize(H: np.ndarray, lam=None) -> EigenSystem:
-    """Full eigendecomposition with a reproducible eigenvector phase.
-
-    H may be one matrix or a stack of them (leading axes); each is checked
-    and decomposed on its own.  Eigenvalues come out ascending.  Each
-    eigenvector is flipped so that its largest-magnitude component is real
-    positive; without this, matrix elements between eigenstates would
-    depend on LAPACK internals.
-    """
-    H = np.asarray(H)
+def _hermitian(H: np.ndarray) -> bool:
+    """Every entry finite, and each matrix of a stack its conjugate transpose to 1e-10."""
+    if not np.all(np.isfinite(H)):
+        return False
     hnorm = np.linalg.norm(H, axis=(-2, -1))
     asym = np.linalg.norm(H - np.swapaxes(H, -2, -1).conj(), axis=(-2, -1))
-    if np.any((hnorm > 0) & (asym > 1e-10 * hnorm)):
-        raise ValueError("matrix is not Hermitian")
+    return bool(np.all(asym <= 1e-10 * hnorm))
+
+
+def _eigensystem(H: np.ndarray) -> EigenSystem:
+    """Full eigendecomposition of a matrix or a stack (leading axes), unchecked.
+
+    Eigenvalues come out ascending.  Each eigenvector is flipped so that its
+    largest-magnitude component is real positive; without this, matrix
+    elements between eigenstates would depend on LAPACK internals.
+    """
     w, V = np.linalg.eigh(H)
     lead = np.argmax(np.abs(V), axis=-2)[..., None, :]
     signs = np.sign(np.take_along_axis(V, lead, axis=-2).real)
     signs[signs == 0] = 1.0
-    return EigenSystem(lam=lam, energies=w, states=V * signs)
+    return EigenSystem(energies=w, states=V * signs)
+
+
+def diagonalize(H: np.ndarray) -> EigenSystem:
+    """spectrum_at's decomposition of any matrix or stack, checked finite and Hermitian first."""
+    H = np.asarray(H)
+    if not _hermitian(H):
+        raise ValueError("matrix is not finite and Hermitian")
+    return _eigensystem(H)
 
 
 def spectrum_at(pair: HamiltonianPair, lam) -> EigenSystem:
-    """EigenSystem of H(lam); an array of lam gives stacked energies and states."""
-    return diagonalize(total_hamiltonian(pair, lam), lam)
+    """EigenSystem of H(lam), stacked for an array of lam; the pair was checked when built."""
+    return _eigensystem(total_hamiltonian(pair, lam))
 
 
 def bias_ground_state(n: int) -> np.ndarray:
@@ -261,7 +284,7 @@ def problem_ground_index(pair: HamiltonianPair) -> int:
     diag = pair.problem_diag
     order = np.argsort(diag, kind="stable")
     spread = float(diag[order[-1]] - diag[order[0]])
-    if diag.size > 1 and diag[order[1]] - diag[order[0]] <= 1e-12 * spread:
+    if diag[order[1]] - diag[order[0]] <= 1e-12 * spread:
         raise DegenerateGroundError(
             f"tied ground states {order[0]} and {order[1]} "
             f"(gap {diag[order[1]] - diag[order[0]]:.3g}, spread {spread:.3g})"

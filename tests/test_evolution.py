@@ -224,9 +224,12 @@ def test_norm_drift_reports_non_finite_steps_as_nan():
     with np.errstate(invalid="ignore"):
         _, drift = evo.propagate(plan, dts, evo.initial_coefficients(plan, 2))
         assert drift[0] < 1e-12 and np.isnan(drift[1])  # columns stay independent
+        # the constructor refuses a non-finite T_total; one set past it
+        # still sends non-finite steps through evolve's drift bookkeeping
+        controller = evo.PaceController.linear(1.0)
+        object.__setattr__(controller, "T_total", np.inf)
         for stride in (0, 16):
-            rec = evo.evolve(pair, evo.PaceController.linear(np.inf), steps=64,
-                             sample_stride=stride)
+            rec = evo.evolve(pair, controller, steps=64, sample_stride=stride)
             assert np.isnan(rec.norm_drift)
 
 

@@ -192,16 +192,16 @@ def test_batched_ladder_matches_rung_by_rung_scan(
         assert got.P_at_T == pytest.approx(want.P_at_T, abs=1e-12)
 
 
-def _count_passes(monkeypatch, ctx):
-    """The number of columns of every ctx.run call, appended as they happen."""
+def _count_success_columns(monkeypatch):
+    """The column count of every Instance.success call, appended as they happen."""
     passes = []
-    run = ctx.run
+    success = evo.Instance.success
 
-    def counted_run(family, T):
-        passes.append(np.size(T))
-        return run(family, T)
+    def counted_success(self, dts):
+        passes.append(dts.shape[1])
+        return success(self, dts)
 
-    monkeypatch.setattr(ctx, "run", counted_run)
+    monkeypatch.setattr(evo.Instance, "success", counted_success)
     return passes
 
 
@@ -211,7 +211,7 @@ def test_cap_inside_a_ladder_pass_is_unreachable_like_rung_by_rung_scan(monkeypa
     for family in xp.CONTROLLER_FAMILIES:
         with pytest.raises(UnreachableTargetError):
             _rung_by_rung_time_to_target(ctx, family, 0.999, cap_factor=3.0)
-    passes = _count_passes(monkeypatch, ctx)
+    passes = _count_success_columns(monkeypatch)
     for family in xp.CONTROLLER_FAMILIES:
         passes.clear()
         with pytest.raises(UnreachableTargetError):
@@ -223,7 +223,7 @@ def test_scan_evaluates_its_probes_in_three_passes(monkeypatch):
     # one ladder pass (the crossing is within 15 rungs), then the 7 levels
     # of bisection from ratio 2 to rtol 0.01 in passes of 4 and 3 levels
     ctx = evo.Instance(ham.pair_from_seed(2, 1), 512)
-    passes = _count_passes(monkeypatch, ctx)
+    passes = _count_success_columns(monkeypatch)
     for family in xp.CONTROLLER_FAMILIES:
         passes.clear()
         res = xp.time_to_target(ctx.pair, family, 0.9, context=ctx)
@@ -243,7 +243,7 @@ def test_scan_evaluates_its_probes_in_three_passes(monkeypatch):
 )
 def test_walk_down_is_speculated_from_the_sudden_limit(monkeypatch, seed, target, want_passes):
     ctx = evo.Instance(ham.pair_from_seed(2, seed), 512)
-    passes = _count_passes(monkeypatch, ctx)
+    passes = _count_success_columns(monkeypatch)
     for family in xp.CONTROLLER_FAMILIES:
         passes.clear()
         got = xp.time_to_target(ctx.pair, family, target, context=ctx)
@@ -282,19 +282,6 @@ def test_lockstep_scans_match_per_family_scans(n, seed, target):
             continue
         _assert_same_scan(got, want)
         _assert_same_scan(got, xp.time_to_target(ctx.pair, family, target, context=ctx))
-
-
-def _count_success_columns(monkeypatch):
-    """The column count of every Instance.success call, appended as they happen."""
-    passes = []
-    success = evo.Instance.success
-
-    def counted_success(self, dts):
-        passes.append(dts.shape[1])
-        return success(self, dts)
-
-    monkeypatch.setattr(evo.Instance, "success", counted_success)
-    return passes
 
 
 def test_instance_scans_share_three_passes(monkeypatch):
@@ -471,3 +458,31 @@ def test_delta_p_rows_match_single_runs():
         p_fb, p_lin = float(ctx.run("feedback", T)), float(ctx.run("linear", T))
         want.append((p_fb - p_lin) / p_lin)
     np.testing.assert_allclose(rows, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda pair: evo.PaceController.linear(np.nan), id="linear-nan"),
+        pytest.param(lambda pair: evo.PaceController.linear(np.inf), id="linear-inf"),
+        pytest.param(lambda pair: evo.PaceController.feedback(np.nan), id="feedback-nan"),
+        pytest.param(
+            lambda pair: evo.PaceController.feedback(0.1, curvature_floor=np.nan),
+            id="floor-nan",
+        ),
+        pytest.param(lambda pair: ham.BiasSpec(n=2, Z=np.nan), id="bias-Z-nan"),
+        pytest.param(lambda pair: evo.BackactionWindow(np.nan, 2.0, 1.0), id="window-nan"),
+        pytest.param(lambda pair: xp.sweep_T(pair, [1.0, np.nan], steps=64), id="sweep-T-nan"),
+        pytest.param(lambda pair: xp.sweep_T(pair, [1.0, np.inf], steps=64), id="sweep-T-inf"),
+        pytest.param(
+            lambda pair: xp.delta_p_sweep([np.nan], n=2, samples=1, steps=64), id="deltap-nan"
+        ),
+        pytest.param(
+            lambda pair: xp.time_to_target(pair, "linear", target_P=np.nan, steps=64),
+            id="target-nan",
+        ),
+    ],
+)
+def test_non_finite_inputs_are_refused(call):
+    with pytest.raises(ValueError):
+        call(ham.pair_from_seed(2, 1))

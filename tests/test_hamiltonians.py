@@ -137,6 +137,50 @@ def test_diagonalize_rejects_non_hermitian():
         ham.diagonalize(M)
 
 
+def test_hermitian_check_is_not_blind_to_nan():
+    # eigh reads only the lower triangle, so [[1, nan], [0, 0]] would
+    # decompose to energies [0, 1] if a NaN compared as symmetric
+    M = np.array([[1.0, np.nan], [0.0, 0.0]])
+    assert not ham._hermitian(M)
+    with pytest.raises(ValueError):
+        ham.diagonalize(M)
+    with pytest.raises(ValueError):
+        ham.diagonalize(np.array([[np.inf, 0.0], [0.0, 0.0]]))
+
+
+_CORNER = np.eye(4, k=3, dtype=bool)  # the one entry (0, 3) of a 4 x 4 matrix
+
+
+@pytest.mark.parametrize(
+    "key, edit, field",
+    [
+        pytest.param("bias", lambda b: b + _CORNER, "bias", id="asymmetric-bias"),
+        pytest.param(
+            "problem_diag", lambda d: np.r_[d[:3], np.nan], "problem_diag", id="nan-diagonal"
+        ),
+        pytest.param(
+            "bias", lambda b: np.where(_CORNER, np.inf, b), "bias", id="infinite-bias-entry"
+        ),
+        pytest.param("bias", lambda b: b[:3, :3], "bias", id="3x3-bias-on-4-entries"),
+        pytest.param("n", lambda n: 5, "problem_diag", id="n-5-over-4-entries"),
+        pytest.param("problem_diag", lambda d: d[:3], "problem_diag", id="3-entry-diagonal"),
+    ],
+)
+def test_malformed_pair_is_refused_where_it_is_built(key, edit, field):
+    pair = ham.pair_from_seed(2, 3)
+    kwargs = dict(
+        problem_diag=pair.problem_diag, bias=pair.bias, n=pair.n, Z=pair.Z, seed=pair.seed
+    )
+    kwargs[key] = edit(kwargs[key])
+    with pytest.raises(ValueError, match=field):
+        ham.HamiltonianPair(**kwargs)
+
+
+def test_make_pair_refuses_a_bias_for_another_size():
+    with pytest.raises(ValueError):
+        ham.make_pair(ham.sample_problem(2, 0), ham.BiasSpec.default(3))
+
+
 def test_energy_shift_moves_spectrum_not_vectors():
     pair = ham.pair_from_seed(2, 17)
     shifted = ham.HamiltonianPair(
