@@ -139,7 +139,7 @@ class RunRecord:
     P: float
     T: float
     norm_drift: float
-    psi: np.ndarray  # final amplitudes in the computational basis
+    psi: np.ndarray  # final amplitudes in the computational basis, up to a global sign
     samples: np.ndarray | None = None  # rows of SAMPLE_COLUMNS
     curvature_route: str | None = None  # feedback only: Instance.curvature_route
 
@@ -214,7 +214,7 @@ class SchedulePlan:
     lams: np.ndarray  # nodes, descending, lams[0] = 1, lams[-1] = 0
     mids: np.ndarray
     widths: np.ndarray  # positive cell widths in lam
-    psi0: np.ndarray  # ground state of H(1)
+    psi0: np.ndarray  # ground state of H(1), with the sign eigh gives it
     ground_index: int
     _frames: _Joined = field(repr=False, compare=False)
 
@@ -346,9 +346,21 @@ def propagate(plan: SchedulePlan, dts, coeffs, start: int = 0, stop: int | None 
     c <- O_s (exp(-i w_s dt_s) * c), one matmul shared by every column.
     Returns the coefficients in the eigenbasis of cell `stop` (the
     computational basis when stop == cells) and each column's largest norm
-    drift over the steps; a non-finite state reports drift NaN.
+    drift over the steps; a non-finite state reports drift NaN.  A finite
+    step whose phase w * dt overflows raises ValueError naming its sweep's
+    total time; a non-finite step is not refused, and shows as drift NaN.
     """
     stop = plan.cells if stop is None else stop
+    requested = dts[start:stop]
+    dt_max = float(np.max(requested, initial=0.0, where=np.isfinite(requested)))
+    w_max = float(np.abs(plan.mid_energies[start:stop]).max(initial=0.0))
+    if not math.isfinite(w_max * dt_max):
+        # a Python sum overflows to inf without numpy's RuntimeWarning
+        T = sum(dts[:, np.argwhere(requested == dt_max)[0, 1]].tolist())
+        raise ValueError(
+            f"the sweep of total time T = {T:.3g} overflows its phases: "
+            f"max |E| {w_max:.3g} times max dt {dt_max:.3g}"
+        )
     c = np.ascontiguousarray(coeffs, dtype=complex)
     drift = np.zeros(c.shape[1])
     scaled = np.empty_like(c)
@@ -394,6 +406,8 @@ class Instance:
         *,
         profile: tuple | None = None,
     ):
+        if curvature_floor is not None and not 0 < curvature_floor < math.inf:
+            raise ValueError(f"curvature_floor must be finite and positive, got {curvature_floor}")
         self.pair = pair
         self.plan = build_schedule(pair, steps)
         self.profile = profile

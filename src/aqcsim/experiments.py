@@ -241,6 +241,8 @@ def time_to_target(
     """
     if not 0.0 < target_P < 1.0:
         raise ValueError("target_P must lie in (0, 1)")
+    if not 0 < cap_factor < math.inf:
+        raise ValueError(f"cap_factor must be finite and positive, got {cap_factor}")
     inst = context or evo.Instance(pair, steps)
     result = _lockstep_scans(inst, (family,), target_P, cap_factor)[family]
     if isinstance(result, UnreachableTargetError):

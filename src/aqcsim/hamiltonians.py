@@ -11,6 +11,9 @@ Index convention: basis states and sigma_z-product labels are integers whose
 bit i (least significant = qubit 1) says whether qubit i is |1> (for states)
 or carries a sigma_z factor (for labels).  The eigenvalue of the product
 labelled j on basis state b is then (-1)**popcount(j & b).
+
+Eigenvectors are np.linalg.eigh's, each defined up to sign; no output
+(curvature, P, gap) depends on that sign.
 """
 
 from __future__ import annotations
@@ -143,8 +146,8 @@ class EigenSystem:
     """Instantaneous spectrum of H(lam): sorted energies and eigencolumns.
 
     For a stack of lam values, energies is (..., dim) and states
-    (..., dim, dim); gap() and ground_couplings() then return arrays over
-    the stack.
+    (..., dim, dim), each column defined up to sign; gap() and
+    ground_couplings() then return arrays over the stack.
     """
 
     energies: np.ndarray
@@ -155,7 +158,7 @@ class EigenSystem:
         return self.energies[..., 1] - self.energies[..., 0]
 
     def ground_couplings(self, bias: np.ndarray) -> np.ndarray:
-        """<0|H_b|k> for k >= 1, shape (..., dim - 1)."""
+        """<0|H_b|k> for k >= 1, shape (..., dim - 1), up to sign."""
         V = self.states
         return ((V[..., :, 0] @ bias)[..., None, :] @ V[..., :, 1:])[..., 0, :]
 
@@ -242,15 +245,10 @@ def _hermitian(H: np.ndarray) -> bool:
 def _eigensystem(H: np.ndarray) -> EigenSystem:
     """Full eigendecomposition of a matrix or a stack (leading axes), unchecked.
 
-    Eigenvalues come out ascending.  Each eigenvector is flipped so that its
-    largest-magnitude component is real positive; without this, matrix
-    elements between eigenstates would depend on LAPACK internals.
+    eigh's energies (ascending) and eigenvectors, each defined up to sign.
     """
     w, V = np.linalg.eigh(H)
-    lead = np.argmax(np.abs(V), axis=-2)[..., None, :]
-    signs = np.sign(np.take_along_axis(V, lead, axis=-2).real)
-    signs[signs == 0] = 1.0
-    return EigenSystem(energies=w, states=V * signs)
+    return EigenSystem(energies=w, states=V)
 
 
 def diagonalize(H: np.ndarray) -> EigenSystem:

@@ -233,6 +233,18 @@ def test_norm_drift_reports_non_finite_steps_as_nan():
             assert np.isnan(rec.norm_drift)
 
 
+@pytest.mark.parametrize(
+    "n, controller",
+    [
+        pytest.param(2, evo.PaceController.feedback(1e308), id="feedback-n2"),
+        pytest.param(5, evo.PaceController.linear(1e308), id="linear-n5"),
+    ],
+)
+def test_sweeps_whose_phases_overflow_are_refused(n, controller):
+    with pytest.raises(ValueError, match="total time"):
+        evo.evolve(ham.pair_from_seed(n, 3), controller, steps=64)
+
+
 def test_linear_run_realizes_exactly_its_time():
     pair = ham.pair_from_seed(2, 3)
     rec = evo.evolve(pair, evo.PaceController.linear(0.37), steps=128)

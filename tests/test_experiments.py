@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from aqcsim import evolution as evo
 from aqcsim import experiments as xp
 from aqcsim import hamiltonians as ham
+from aqcsim import spectral
 from aqcsim.errors import FitUnderdeterminedError, UnreachableTargetError
 
 
@@ -481,8 +482,76 @@ def test_delta_p_rows_match_single_runs():
             lambda pair: xp.time_to_target(pair, "linear", target_P=np.nan, steps=64),
             id="target-nan",
         ),
+        pytest.param(
+            lambda pair: xp.sweep_T(pair, [1.0, 2.0], steps=64, curvature_floor=np.nan),
+            id="sweep-T-floor-nan",
+        ),
+        pytest.param(
+            lambda pair: xp.sweep_T(pair, [1.0, 2.0], steps=64, curvature_floor=-1.0),
+            id="sweep-T-floor-negative",
+        ),
+        *(
+            pytest.param(
+                lambda pair, cap=cap: xp.time_to_target(pair, "linear", steps=64, cap_factor=cap),
+                id=f"cap-factor-{cap}",
+            )
+            for cap in (np.nan, -1.0, 0.0, np.inf)
+        ),
     ],
 )
 def test_non_finite_inputs_are_refused(call):
     with pytest.raises(ValueError):
         call(ham.pair_from_seed(2, 1))
+
+
+def _sign_sensitive_outputs(pair) -> dict:
+    """Everything the figures read from one instance, as name -> bytes or str."""
+    steps = 256
+    out = {}
+    scans = xp._lockstep_scans(evo.Instance(pair, steps), xp.CONTROLLER_FAMILIES, 0.9)
+    for fam, res in scans.items():
+        if isinstance(res, UnreachableTargetError):
+            out[f"scan {fam}"] = str(res)
+        else:
+            out[f"scan {fam}"] = np.array([res.T, *np.ravel(res.probes)]).tobytes()
+    T_ad = evo.adiabatic_time(pair)
+    curves = xp.sweep_T(pair, T_ad * np.array([0.5, 1.0, 2.0]), steps=steps)
+    out.update({f"sweep_T {fam}": curve.tobytes() for fam, curve in curves.items()})
+    rec = evo.evolve(pair, evo.PaceController.feedback(0.1), steps=steps, sample_stride=32)
+    out["evolve"] = np.array([rec.P, rec.T, T_ad]).tobytes()
+    out["trajectory"] = rec.samples.tobytes()
+    c2_full, c2_pair, route = spectral.curvature_profile(pair, np.linspace(1.0, 0.0, 129))
+    out["profile"] = np.concatenate([c2_full, c2_pair]).tobytes()
+    out["route"] = route
+    return out
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        *(pytest.param(ham.pair_from_seed(n, 3), id=f"n{n}") for n in (2, 3, 4, 5)),
+        # an exactly degenerate excited pair: the diagonalization route
+        pytest.param(
+            ham.make_pair(ham.ProblemSpec(2, np.array([1.0, 1.0, 0.0]), seed=0)),
+            id="degenerate",
+        ),
+    ],
+)
+def test_no_output_depends_on_eigenvector_signs(monkeypatch, pair):
+    # eigh's eigenvector signs are LAPACK's choice; another LAPACK is modelled
+    # by negating every even-indexed column, the same columns on every call
+    want = _sign_sensitive_outputs(pair)
+    eigh, calls = np.linalg.eigh, []
+
+    def flipped(H):
+        calls.append(H.shape)
+        w, V = eigh(H)
+        V = V.copy()
+        V[..., 0::2] *= -1.0
+        return w, V
+
+    monkeypatch.setattr(np.linalg, "eigh", flipped)
+    got = _sign_sensitive_outputs(pair)
+    assert calls, "no decomposition went through np.linalg.eigh"
+    assert got.keys() == want.keys()
+    assert [key for key in want if got[key] != want[key]] == []

