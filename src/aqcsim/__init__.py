@@ -24,11 +24,9 @@ from .hamiltonians import (
     EigenSystem,
     HamiltonianPair,
     ProblemSpec,
-    bias_ground_state,
     build_bias,
     build_problem,
     default_bias_strength,
-    diagonalize,
     make_pair,
     pair_from_seed,
     problem_ground_index,

@@ -13,9 +13,10 @@ echoed, with its provenance, into <out>/manifest.json next to the tables,
 so a run is reproducible from its own output directory.  Output files are
 written to a temporary name and renamed into place; floats are serialized
 with repr (round-trip exact).  Exit codes: 0 ok, 2 usage (every value is
-checked before the command starts; a malformed --replay file also exits
-2), 3 numerical failure (SimulationError, or any other ValueError raised
-inside a command), 4 I/O failure.
+checked before the command starts, sizes whose arrays cannot fit in memory
+included; a malformed --replay file also exits 2), 3 numerical failure
+(SimulationError, or any other ValueError raised inside a command), 4 I/O
+failure (an unreadable --config or --replay file, an unwritable output).
 """
 
 from __future__ import annotations
@@ -45,11 +46,24 @@ def _int_list(text: str):
     return tuple(int(tok) for tok in text.split(","))
 
 
+def _check_fits(what: str, need: int, holds: str) -> None:
+    """Refuse, before it is allocated, an array of `need` bytes that physical memory cannot hold."""
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise ValueError(
+            f"{what} needs at least {need:.3g} bytes ({holds}), "
+            f"more than the {have:.3g} bytes of memory"
+        )
+
+
 def _float_list(text: str):
     """Comma-separated values, or lo:hi:count for a geometric grid."""
     if ":" in text:
         lo, hi, count = text.split(":")
-        return tuple(np.geomspace(float(lo), float(hi), int(count)))
+        count = int(count)
+        _check_fits(f"a grid of {count} values", 48 * count,
+                    "geomspace's array, then a tuple slot and a float per value")
+        return tuple(np.geomspace(float(lo), float(hi), count))
     return tuple(float(tok) for tok in text.split(","))
 
 
@@ -128,12 +142,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command)
         p.add_argument("--config", help="key = value file; flags take precedence")
         for key in keys:
+            # every value, flag or config text, is converted in parse_config
             if key == "plots":
-                p.add_argument(_flag(key), action="store_const", const=True,
+                p.add_argument(_flag(key), action="store_const", const="true",
                                default=None, help=_OPTIONS[key][2])
             else:
-                p.add_argument(_flag(key), type=_OPTIONS[key][0], default=None,
-                               help=_OPTIONS[key][2])
+                p.add_argument(_flag(key), default=None, help=_OPTIONS[key][2])
     return parser
 
 
@@ -221,19 +235,28 @@ def _validate(command: str, v: dict) -> None:
             raise ValueError(f"unknown controller {v['controller']!r}")
     if command == "sweep-t" and v["t_units"] not in ("tad", "abs"):
         raise ValueError("--t-units must be 'tad' or 'abs'")
+    # the largest array each size sets; 8 * 4**64 B exceeds any memory
+    n_values = v["n_values"] if "n_values" in v else (v["n"],)
+    n, steps = max(n_values), v.get("steps", 0)
+    _check_fits(f"n = {n}", 8 * 4 ** min(n, 64) * (1 + steps), "dense bias and schedule")
+    if command == "sweep-t":
+        _check_fits("--t-points", 16 * steps * v["t_points"],
+                    "the steps x 2 t-points cell-time block")
+    if command == "deltap":
+        _check_fits("--k-grid", 16 * steps * len(v["k_grid"]),
+                    "the steps x 2 k-grid cell-time block")
+    if command == "profile":
+        _check_fits("--resolution", 16 * 2 ** min(n, 64) * v["resolution"],
+                    "the 2 dim x resolution dense-output rows")
+    if "samples" in v:
+        # built in full before the first instance runs
+        _check_fits("--samples", 48 * v["samples"] * len(n_values),
+                    "two list slots and a seed int per instance")
+    # after the size checks: 2**n of a huge n would not finish
     if "epsilon" in v and v["epsilon"] is not None and "n" in v:
         want = 2 ** v["n"] - 1
         if len(v["epsilon"]) != want:
             raise ValueError(f"--epsilon needs {want} values for n={v['n']}")
-    # dense bias plus the plan's frame maps; 8 * 4**64 B exceeds any memory
-    n = max(v["n_values"]) if "n_values" in v else v["n"]
-    need = 8 * 4 ** min(n, 64) * (1 + v.get("steps", 0))
-    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need > have:
-        raise ValueError(
-            f"n = {n} needs at least {need:.3g} bytes (dense bias and schedule), "
-            f"more than the {have:.3g} bytes of memory"
-        )
 
 
 def parse_config(argv=None) -> RunConfig:
@@ -249,14 +272,17 @@ def parse_config(argv=None) -> RunConfig:
         )
     values, provenance = {}, {}
     for key in keys:
-        flag_value = getattr(ns, key)
-        if flag_value is not None:
-            values[key], provenance[key] = flag_value, "flag"
-        elif key in file_values:
-            values[key] = _OPTIONS[key][0](file_values[key])
-            provenance[key] = "config"
-        else:
+        text, source = getattr(ns, key), "flag"
+        if text is None and key in file_values:
+            text, source = file_values[key], "config"
+        if text is None:
             values[key], provenance[key] = _OPTIONS[key][1], "default"
+            continue
+        try:
+            values[key] = _OPTIONS[key][0](text)
+        except ValueError as err:
+            raise ValueError(f"{_flag(key)}: {err}") from None
+        provenance[key] = source
     if values["out"] is None:
         values["out"] = os.environ.get(OUTDIR_ENV, "aqcsim_out")
         if provenance["out"] == "default" and OUTDIR_ENV in os.environ:
@@ -610,6 +636,9 @@ def main(argv=None) -> int:
     except ValueError as err:
         print(f"aqcsim: {err}", file=sys.stderr)
         return 2
+    except OSError as err:  # an unreadable --config
+        print(f"aqcsim: I/O failure: {err}", file=sys.stderr)
+        return 4
     try:
         _COMMANDS[cfg.command](cfg)
     except ProfileFormatError as err:  # a malformed --replay file is a usage error

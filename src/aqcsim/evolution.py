@@ -31,20 +31,22 @@ module all run their sweeps through it.
 
 From n = 3 up, build_schedule lays out the grid on the caller's thread
 and hands the midpoint eigendecomposition (the frame maps, the midpoint
-energies and c0) to a short-lived thread of its own; the plan joins that
-thread when one of those fields is first read, normally by the first
-propagate.  LAPACK releases the GIL, while the level ODE and the
-propagation are Python-bound stepping, so the caller's T_ad scan and
-level ODE run on one core while the eigendecomposition runs on the other.
-At n = 2 (dim 4) starting the thread costs more than it overlaps, and the
-plan is built inline.  Each matrix is still decomposed by one LAPACK call
-on one thread, so the plan is bitwise the same either way.
+energies and c0) to a one-worker ThreadPoolExecutor of its own, shut
+down at once so that its thread exits when the work returns.  The plan
+holds the Future, and the first read of one of those fields waits for
+it, normally in the first propagate.  LAPACK releases the GIL, while the
+level ODE and the propagation are Python-bound stepping, so the caller's
+T_ad scan and level ODE run on one core while the eigendecomposition
+runs on the other.  At n = 2 (dim 4) starting the thread costs more than
+it overlaps, and the plan is built inline, its Future already set.  Each
+matrix is still decomposed by one LAPACK call on one thread, so the plan
+is bitwise the same either way.
 """
 
 from __future__ import annotations
 
 import math
-import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -156,39 +158,6 @@ class BackactionWindow:
             raise ValueError("need finite delta_min > 0, omega_lc > 0, gamma_lc >= 0")
 
 
-class _Joined:
-    """fn(*args), computed inline or on a short-lived thread of its own.
-
-    result() joins the thread and returns fn's value, or raises the
-    exception fn raised (every read raises it again).  The thread catches
-    that exception itself, so nothing is printed and threading.excepthook
-    is never called.  Inline, fn's exception propagates from the
-    constructor.
-    """
-
-    def __init__(self, fn, *args, thread: bool):
-        self._error = None
-        if not thread:
-            self._thread, self._value = None, fn(*args)
-            return
-
-        def run():
-            try:
-                self._value = fn(*args)
-            except BaseException as err:  # handed to the reader, re-raised there
-                self._error = err
-
-        self._thread = threading.Thread(target=run, name="aqcsim-plan")
-        self._thread.start()
-
-    def result(self):
-        if self._thread is not None:
-            self._thread.join()
-        if self._error is not None:
-            raise self._error
-        return self._value
-
-
 @dataclass(frozen=True)
 class SchedulePlan:
     """Precomputed lam grid, midpoint energies and frame overlaps.
@@ -206,8 +175,8 @@ class SchedulePlan:
     lams, mids, widths, psi0 and ground_index are ready when the plan is.
     mid_energies, frame_maps and c0 come from the midpoint
     eigendecomposition, which from n = 3 up runs on a worker thread (see
-    the module docstring): the first read of any of them joins that thread
-    and re-raises any exception it raised.
+    the module docstring): every read waits for that thread's Future and
+    re-raises any exception it raised.
     """
 
     pair: ham.HamiltonianPair
@@ -216,7 +185,7 @@ class SchedulePlan:
     widths: np.ndarray  # positive cell widths in lam
     psi0: np.ndarray  # ground state of H(1), with the sign eigh gives it
     ground_index: int
-    _frames: _Joined = field(repr=False, compare=False)
+    _frames: Future = field(repr=False, compare=False)
 
     @property
     def cells(self) -> int:
@@ -278,7 +247,7 @@ def build_schedule(pair: ham.HamiltonianPair, steps: int = 2048) -> SchedulePlan
     state).  The midpoint eigendecomposition runs inline for dim < 8
     (n = 2) and otherwise on a worker thread that overlaps whatever the
     caller does next (the T_ad scan, the level ODE) until the first read
-    of mid_energies, frame_maps or c0 joins it.
+    of mid_energies, frame_maps or c0 waits for it.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -310,7 +279,15 @@ def build_schedule(pair: ham.HamiltonianPair, steps: int = 2048) -> SchedulePlan
 
     psi0 = ham.spectrum_at(pair, 1.0).states[:, 0].astype(complex)
     ground_index = ham.problem_ground_index(pair)
-    frames = _Joined(_midpoint_frames, pair, mids, psi0, thread=pair.dim >= _THREAD_MIN_DIM)
+    if pair.dim >= _THREAD_MIN_DIM:
+        # a pool per plan, never a module-level one: its thread exits when the
+        # work returns, so no idle plan thread is alive when map_instances forks
+        pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="aqcsim-plan")
+        frames = pool.submit(_midpoint_frames, pair, mids, psi0)
+        pool.shutdown(wait=False)
+    else:
+        frames = Future()
+        frames.set_result(_midpoint_frames(pair, mids, psi0))
     return SchedulePlan(
         pair=pair,
         lams=lams,

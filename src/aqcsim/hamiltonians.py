@@ -1,4 +1,4 @@
-"""Problem/bias Hamiltonian construction, its one check, and exact diagonalization.
+"""Problem/bias Hamiltonian construction, its one check, and the spectrum of H(lam).
 
 The annealing Hamiltonian is H(lam) = H_p + lam * H_b with lam swept from 1
 down to 0.  H_p is diagonal in the computational basis: a random sum over
@@ -18,7 +18,6 @@ Eigenvectors are np.linalg.eigh's, each defined up to sign; no output
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,9 +36,7 @@ __all__ = [
     "make_pair",
     "pair_from_seed",
     "total_hamiltonian",
-    "diagonalize",
     "spectrum_at",
-    "bias_ground_state",
     "problem_ground_index",
 ]
 
@@ -72,17 +69,6 @@ class ProblemSpec:
                 f"got shape {self.epsilon.shape}"
             )
 
-    def to_json(self) -> str:
-        """Serialize to a one-line JSON record; floats round-trip exactly."""
-        return json.dumps(
-            {"n": self.n, "seed": self.seed, "epsilon": self.epsilon.tolist()}
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ProblemSpec":
-        rec = json.loads(text)
-        return cls(n=rec["n"], epsilon=np.array(rec["epsilon"]), seed=rec["seed"])
-
 
 @dataclass(frozen=True)
 class BiasSpec:
@@ -107,10 +93,10 @@ class HamiltonianPair:
     problem_diag is the diagonal of H_p; bias is the dense symmetric H_b.
     n, Z and seed are carried through for bookkeeping and output manifests.
     Construction is the one check of an input H(lam): n >= 1, problem_diag
-    of length 2**n, bias 2**n x 2**n, both finite, bias symmetric by
-    diagonalize's predicate.  A failed check raises ValueError naming the
-    field; spectrum_at, the one routine that decomposes H(lam), then checks
-    none of the matrices it decomposes.
+    of length 2**n, bias 2**n x 2**n, both finite, bias symmetric to 1e-10
+    of its norm.  A failed check raises ValueError naming the field;
+    spectrum_at, the one routine that decomposes H(lam), then checks none
+    of the matrices it decomposes.
     """
 
     problem_diag: np.ndarray
@@ -242,34 +228,13 @@ def _hermitian(H: np.ndarray) -> bool:
     return bool(np.all(asym <= 1e-10 * hnorm))
 
 
-def _eigensystem(H: np.ndarray) -> EigenSystem:
-    """Full eigendecomposition of a matrix or a stack (leading axes), unchecked.
+def spectrum_at(pair: HamiltonianPair, lam) -> EigenSystem:
+    """EigenSystem of H(lam), stacked for an array of lam; the pair was checked when built.
 
     eigh's energies (ascending) and eigenvectors, each defined up to sign.
     """
-    w, V = np.linalg.eigh(H)
+    w, V = np.linalg.eigh(total_hamiltonian(pair, lam))
     return EigenSystem(energies=w, states=V)
-
-
-def diagonalize(H: np.ndarray) -> EigenSystem:
-    """spectrum_at's decomposition of any matrix or stack, checked finite and Hermitian first."""
-    H = np.asarray(H)
-    if not _hermitian(H):
-        raise ValueError("matrix is not finite and Hermitian")
-    return _eigensystem(H)
-
-
-def spectrum_at(pair: HamiltonianPair, lam) -> EigenSystem:
-    """EigenSystem of H(lam), stacked for an array of lam; the pair was checked when built."""
-    return _eigensystem(total_hamiltonian(pair, lam))
-
-
-def bias_ground_state(n: int) -> np.ndarray:
-    """Equal superposition of all 2**n basis states (ground state of H_b)."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    dim = 2**n
-    return np.full(dim, dim**-0.5, dtype=complex)
 
 
 def problem_ground_index(pair: HamiltonianPair) -> int:

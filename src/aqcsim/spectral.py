@@ -69,10 +69,6 @@ class SpectrumState:
     v: np.ndarray
     L: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.E.size
-
 
 def _check_separation(E: np.ndarray, lam: float, scale: float) -> None:
     # runs on every RHS evaluation: locate the pair only when the check fails

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,19 @@ def degenerate_seed(monkeypatch):
         monkeypatch.setattr(xp, "make_instance", make_instance)
 
     return make_degenerate
+
+
+@pytest.fixture
+def join_plan_threads():
+    """Call to join every live aqcsim-plan* thread; each must finish within 10 s."""
+
+    def join():
+        for thread in threading.enumerate():
+            if thread.name.startswith("aqcsim-plan"):
+                thread.join(timeout=10)
+                assert not thread.is_alive(), f"{thread.name} is still running"
+
+    return join
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from aqcsim import cli
+from aqcsim import experiments as xp
 from aqcsim import hamiltonians as ham
 from aqcsim import spectral
 from aqcsim.errors import ProfileFormatError
@@ -85,6 +86,62 @@ def test_size_and_worker_limits_exit_2(tmp_path, capsys):
         cli.parse_config(["run", "--n", "13", "--t-total", "1"])
 
 
+_HUGE = "1000000000000"
+
+
+@pytest.fixture
+def nothing_is_sized_by_the_count(monkeypatch):
+    """Fail fast, instead of filling memory, if a grid or an ensemble is started."""
+
+    def allocates(*args, **kwargs):
+        raise AssertionError("an array or list sized by the count was started")
+
+    monkeypatch.setattr(np, "linspace", allocates)
+    monkeypatch.setattr(np, "geomspace", allocates)
+    monkeypatch.setattr(xp, "map_instances", allocates)
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["sweep-t", "--n", "2", "--t-points", _HUGE, "--steps", "64"], "--t-points"),
+     (["profile", "--n", "2", "--resolution", _HUGE], "--resolution"),
+     (["deltap", "--k-grid", f"0.1:1:{_HUGE}", "--steps", "64", "--samples", "1"], "--k-grid"),
+     (["deltap", "--samples", _HUGE, "--steps", "64"], "--samples"),
+     (["scaling", "--samples", _HUGE, "--steps", "64"], "--samples"),
+     (["run", "--n", "100000", "--epsilon", "1", "--t-total", "1"], "n = 100000")],
+)
+def test_sizes_that_cannot_fit_in_memory_exit_2_naming_the_flag(
+    tmp_path, capsys, nothing_is_sized_by_the_count, argv, flag
+):
+    # refused by arithmetic on the count, before any array it sizes exists
+    out = tmp_path / "o"
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"aqcsim: {flag}") and "bytes of memory" in err
+    assert not out.exists()
+    with pytest.raises(ValueError, match=flag):
+        cli.parse_config(argv)
+
+
+def test_a_grid_count_in_the_config_file_is_refused_before_the_grid_is_built(
+    tmp_path, capsys, nothing_is_sized_by_the_count
+):
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(f"k_grid = 0.1:1:{_HUGE}\n")
+    out = tmp_path / "o"
+    assert cli.main(["deltap", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("aqcsim: --k-grid: a grid of")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["missing.cfg", "."], ids=["missing-file", "directory"])
+def test_an_unreadable_config_exits_4_and_writes_nothing(tmp_path, capsys, name):
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", str(tmp_path / name), "--out", str(out)]) == 4
+    assert capsys.readouterr().err.startswith("aqcsim: I/O failure:")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [["run", "--plots"], ["run", "--workers", "2"], ["profile", "--workers", "2"],
@@ -97,8 +154,6 @@ def test_options_a_command_never_reads_are_refused(argv):
 
 
 def test_manifest_counts_exclusions_by_reason(tmp_path, degenerate_seed):
-    from aqcsim import experiments as xp
-
     degenerate_seed(xp.instance_seed(9, 2, 0))
     out = tmp_path / "o"
     assert cli.main(["deltap", "--samples", "2", "--master-seed", "9", "--steps",
@@ -112,8 +167,6 @@ def test_manifest_counts_exclusions_by_reason(tmp_path, degenerate_seed):
 def test_ensemble_with_an_empty_cell_exits_3_and_writes_nothing(
     tmp_path, capsys, degenerate_seed, command
 ):
-    from aqcsim import experiments as xp
-
     if command == "scaling":  # every n = 3 instance is degenerate
         degenerate_seed(xp.instance_seed(9, 3, 0))
         argv = ["scaling", "--n-values", "2,3,4", "--samples", "1"]
@@ -165,7 +218,8 @@ def test_empty_ensemble_or_grid_exits_2_and_writes_nothing(tmp_path, capsys, arg
      (["scaling", "--n-values", "3,2,4"], "--n-values must be ascending and each >= 2"),
      (["scaling", "--n-values", "1,2,3"], "--n-values must be ascending and each >= 2"),
      (["scaling", "--n-values", "2,3"], "--n-values needs >= 3 distinct sizes"),
-     (["deltap", "--workers", "-1"], "--workers must lie in [0, ")],
+     (["deltap", "--workers", "-1"], "--workers must lie in [0, "),
+     (["run", "--n", "two", "--t-total", "1"], "--n: invalid literal for int()")],
 )
 def test_values_a_command_would_refuse_exit_2_naming_the_flag(tmp_path, capsys, argv, message):
     out = tmp_path / "o"

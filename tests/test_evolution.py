@@ -165,6 +165,15 @@ def test_plan_worker_failure_surfaces_from_the_first_read(monkeypatch, capfd):
     assert capfd.readouterr() == ("", "")
 
 
+def test_plan_threads_finish_once_their_frames_are_read(join_plan_threads):
+    join_plan_threads()  # any that earlier tests left
+    threads = threading.active_count()
+    for seed in range(8):
+        evo.build_schedule(ham.pair_from_seed(3, seed), steps=64).frame_maps
+    join_plan_threads()
+    assert threading.active_count() == threads
+
+
 def test_plan_argument_errors_raise_on_the_caller_thread_before_any_worker():
     threads = threading.active_count()
     tied = ham.make_pair(ham.ProblemSpec(3, np.zeros(7), seed=0))

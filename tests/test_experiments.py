@@ -1,6 +1,7 @@
 """Ensemble machinery: seeding, target scans, scaling fits, gain sweeps."""
 
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -426,6 +427,24 @@ def test_delta_p_sweep_worker_pool_matches_serial():
     np.testing.assert_array_equal(serial.mean_dP, pooled.mean_dP)
     np.testing.assert_array_equal(serial.std_dP, pooled.std_dP)
     assert (serial.count, serial.exclusions) == (pooled.count, pooled.exclusions)
+
+
+def test_no_plan_thread_is_alive_when_map_instances_forks(monkeypatch, join_plan_threads):
+    # a plan built in this process first: its thread must be gone by the fork
+    evo.build_schedule(ham.pair_from_seed(3, 1), steps=64).frame_maps
+    join_plan_threads()
+    at_fork = []
+
+    class RecordingPool(xp.ProcessPoolExecutor):
+        def map(self, *args, **kwargs):
+            at_fork.append([thread.name for thread in threading.enumerate()])
+            return super().map(*args, **kwargs)
+
+    monkeypatch.setattr(xp, "ProcessPoolExecutor", RecordingPool)
+    res = xp.delta_p_sweep([0.1, 0.3], n=3, samples=2, workers=2, steps=64)
+    assert res.count + res.excluded == 2
+    (names,) = at_fork
+    assert not [name for name in names if name.startswith("aqcsim-plan")]
 
 
 def test_delta_p_sweep_validates_gains():

@@ -1,7 +1,5 @@
 """Construction-level checks against independently built operators."""
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -90,15 +88,6 @@ def test_sampling_scale_tracks_qubit_count():
         assert abs(pooled.mean()) < 0.2 * sd
 
 
-def test_problem_spec_json_round_trip():
-    spec = ham.sample_problem(2, 5)
-    clone = ham.ProblemSpec.from_json(spec.to_json())
-    assert clone.n == spec.n and clone.seed == spec.seed
-    np.testing.assert_array_equal(clone.epsilon, spec.epsilon)
-    assert "\n" not in spec.to_json().strip()
-    json.loads(spec.to_json())  # valid JSON document
-
-
 def test_problem_spec_rejects_wrong_length():
     with pytest.raises(ValueError):
         ham.ProblemSpec(n=2, epsilon=np.zeros(2), seed=0)
@@ -127,21 +116,14 @@ def test_diagonalize_contracts():
     np.testing.assert_allclose(V @ np.diag(E) @ V.T, H, atol=1e-10 * np.abs(E).max())
 
 
-def test_diagonalize_rejects_non_hermitian():
-    M = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(ValueError):
-        ham.diagonalize(M)
-
-
 def test_hermitian_check_is_not_blind_to_nan():
     # eigh reads only the lower triangle, so [[1, nan], [0, 0]] would
     # decompose to energies [0, 1] if a NaN compared as symmetric
     M = np.array([[1.0, np.nan], [0.0, 0.0]])
     assert not ham._hermitian(M)
-    with pytest.raises(ValueError):
-        ham.diagonalize(M)
-    with pytest.raises(ValueError):
-        ham.diagonalize(np.array([[np.inf, 0.0], [0.0, 0.0]]))
+    for bias in (M, np.array([[np.inf, 0.0], [0.0, 0.0]])):
+        with pytest.raises(ValueError, match="bias"):
+            ham.HamiltonianPair(problem_diag=np.zeros(2), bias=bias, n=1, Z=1.0, seed=0)
 
 
 _CORNER = np.eye(4, k=3, dtype=bool)  # the one entry (0, 3) of a 4 x 4 matrix
@@ -205,15 +187,11 @@ def test_problem_ground_index_and_degeneracy_guard():
         ham.problem_ground_index(flat)
 
 
-def test_bias_ground_state_is_uniform():
-    psi = ham.bias_ground_state(3)
-    np.testing.assert_allclose(psi, np.full(8, 8**-0.5), atol=1e-15)
-
-
 def test_bias_ground_is_exact_eigvec_of_bias():
     n = 3
     pair = ham.pair_from_seed(n, 2)
-    psi = ham.bias_ground_state(n)
+    dim = 2**n
+    psi = np.full(dim, dim**-0.5)
     # uniform superposition is the -nZ eigenvector of the bias term alone
     np.testing.assert_allclose(pair.bias @ psi, -n * pair.Z * psi, atol=1e-12)
 
@@ -229,7 +207,7 @@ def test_initial_ground_is_nearly_uniform_at_default_strength():
     for seed in range(50):
         pair = ham.pair_from_seed(2, seed)
         es = ham.spectrum_at(pair, 1.0)
-        uniform = ham.bias_ground_state(2)
+        uniform = np.full(4, 4**-0.5)
         overlaps.append(abs(es.states[:, 0] @ uniform) ** 2)
     assert np.mean(overlaps) >= 0.99
 
@@ -238,5 +216,5 @@ def test_initial_ground_approaches_uniform_for_strong_bias():
     spec = ham.sample_problem(2, 4)
     pair = ham.make_pair(spec, ham.BiasSpec(n=2, Z=1e5))
     es = ham.spectrum_at(pair, 1.0)
-    uniform = ham.bias_ground_state(2)
+    uniform = np.full(4, 4**-0.5)
     assert abs(es.states[:, 0] @ uniform) ** 2 > 1.0 - 1e-6
