@@ -239,12 +239,16 @@ def _validate(command: str, v: dict) -> None:
     n_values = v["n_values"] if "n_values" in v else (v["n"],)
     n, steps = max(n_values), v.get("steps", 0)
     _check_fits(f"n = {n}", 8 * 4 ** min(n, 64) * (1 + steps), "dense bias and schedule")
+    # a propagation block of 2 columns per T or k: its cell times (8 * steps B a
+    # column) and propagate's phase-chunk theta, phases and states (40 B per
+    # chunk cell and level)
+    column = 8 * steps + 40 * min(steps, evo._PHASE_CHUNK) * 2 ** min(n, 64)
     if command == "sweep-t":
-        _check_fits("--t-points", 16 * steps * v["t_points"],
-                    "the steps x 2 t-points cell-time block")
+        _check_fits("--t-points", 2 * v["t_points"] * column,
+                    "the 2 t-points column propagation block")
     if command == "deltap":
-        _check_fits("--k-grid", 16 * steps * len(v["k_grid"]),
-                    "the steps x 2 k-grid cell-time block")
+        _check_fits("--k-grid", 2 * len(v["k_grid"]) * column,
+                    "the 2 k-grid column propagation block")
     if command == "profile":
         _check_fits("--resolution", 16 * 2 ** min(n, 64) * v["resolution"],
                     "the 2 dim x resolution dense-output rows")

@@ -51,10 +51,10 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import hamiltonians as ham
 from . import spectral
+from ._scipy_port import minimize_scalar_bounded
 
 __all__ = [
     "PaceController",
@@ -522,8 +522,7 @@ def _refine_min_gap(pair: ham.HamiltonianPair, lams: np.ndarray, gaps: np.ndarra
         return float(w[1] - w[0])
 
     lo, hi = _bracket(lams, int(np.argmin(gaps)))
-    res = minimize_scalar(gap, bounds=(lo, hi), method="bounded", options={"xatol": 1e-10})
-    best_lam, best_gap = float(res.x), float(res.fun)
+    best_lam, best_gap = map(float, minimize_scalar_bounded(gap, (lo, hi), xatol=1e-10))
     # The bounded minimizer cannot land exactly on a boundary; check them too.
     for lam_edge in (lo, hi):
         g = gap(lam_edge)
@@ -560,11 +559,8 @@ def adiabatic_time(pair: ham.HamiltonianPair) -> float:
 
     i = int(np.argmax(values))
     lo, hi = _bracket(lams, i)
-    res = minimize_scalar(
-        lambda lam: -coupling(lam), bounds=(lo, hi), method="bounded",
-        options={"xatol": 1e-10},
-    )
-    peak = max(values[i], -float(res.fun))
+    _, fun = minimize_scalar_bounded(lambda lam: -coupling(lam), (lo, hi), xatol=1e-10)
+    peak = max(values[i], -float(fun))
     gap_min, _ = _refine_min_gap(pair, lams, es.gap())
     return peak / gap_min**2
 

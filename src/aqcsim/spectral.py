@@ -31,12 +31,12 @@ for different instances can be computed concurrently without shared state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
-from scipy.integrate import OdeSolution, solve_ivp
 
 from . import hamiltonians as ham
+# called through the module attribute, so that perfbench's tracer can wrap it
+from ._scipy_port import solve_ivp
 from .errors import IntegrationFailureError, NearDegeneracyError
 
 __all__ = [
@@ -108,41 +108,22 @@ class LevelFlow:
 
     Wraps the integrator's dense output so schedules can query energies and
     curvature at arbitrary lam in [0, 1] without further integration.
+    energies and curvatures evaluate only the 2 * dim components they read
+    (E and row 0 of L) of the dim * (dim + 2); the dense output evaluates
+    every component on its own, so these are its values bitwise.
     """
 
-    def __init__(self, pair: ham.HamiltonianPair, sol):
+    def __init__(self, pair: ham.HamiltonianPair, dense):
         self.pair = pair
-        self._sol = sol
+        self._dense = dense
 
     def state_at(self, lam: float) -> SpectrumState:
-        E, v, L = _unpack(self._sol.sol(lam), self.pair.dim)
+        E, v, L = _unpack(self._dense(lam), self.pair.dim)
         return SpectrumState(lam=float(lam), E=E, v=v, L=L)
-
-    @cached_property
-    def _energies_and_row0(self):
-        """Dense output of E and row 0 of L alone: 2 * dim of the dim * (dim + 2) components.
-
-        Each DOP853 interpolant evaluates every component on its own, so
-        interpolants cut down to these rows give the values of the full
-        dense output bitwise, at a fraction of the cost.  They are built
-        from scipy's private interpolant attributes; without them the full
-        dense output is evaluated and cut.
-        """
-        dim = self.pair.dim
-        rows = np.r_[0:dim, 2 * dim : 3 * dim]
-        full = self._sol.sol
-        try:
-            return OdeSolution(full.ts, [
-                type(i)(i.t_old, i.t, i.y_old[rows], i.F[:, rows])
-                for i in full.interpolants
-            ])
-        except AttributeError:
-            return lambda lams: full(lams)[rows]
 
     def energies(self, lams) -> np.ndarray:
         """Levels at each requested lam, shape (dim, len(lams))."""
-        y = self._energies_and_row0(np.atleast_1d(lams))
-        return y[: self.pair.dim]
+        return self._dense(np.atleast_1d(lams), rows=slice(0, self.pair.dim))
 
     def curvatures(self, lams) -> tuple[np.ndarray, np.ndarray]:
         """(c2_full, c2_pair) arrays at the requested lam values.
@@ -150,8 +131,9 @@ class LevelFlow:
         c2_full = -sum_k 2 L0k^2 / (E_k - E_0)^3 over row l = 0 of L, and
         c2_pair is its k = 1 term.  Both are <= 0 for the ground level.
         """
-        lams = np.atleast_1d(np.asarray(lams, dtype=float))
-        E, L0 = np.split(self._energies_and_row0(np.clip(lams, 0.0, 1.0)), 2)
+        lams = np.clip(np.atleast_1d(np.asarray(lams, dtype=float)), 0.0, 1.0)
+        dim = self.pair.dim
+        E, L0 = np.split(self._dense(lams, rows=np.r_[0:dim, 2 * dim : 3 * dim]), 2)
         terms = 2.0 * L0[1:] ** 2 / (E[1:] - E[:1]) ** 3
         return -np.sum(terms, axis=0), -terms[0]
 
@@ -178,18 +160,10 @@ def solve_levels(
         dv = (2.0 * L**2 / (D2 * D)).sum(axis=1)
         return np.concatenate([y[dim : 2 * dim], dv, (ML - ML.T).ravel()])
 
-    sol = solve_ivp(
-        rhs,
-        (1.0, 0.0),
-        _pack(start.E, start.v, start.L),
-        method="DOP853",
-        rtol=rtol,
-        atol=atol,
-        dense_output=True,
-    )
+    sol = solve_ivp(rhs, (1.0, 0.0), _pack(start.E, start.v, start.L), rtol=rtol, atol=atol)
     if sol.status != 0:
         raise IntegrationFailureError(f"level integration stopped: {sol.message}")
-    return LevelFlow(pair, sol)
+    return LevelFlow(pair, sol.sol)
 
 
 def curvature_from_spectrum(es: ham.EigenSystem, bias: np.ndarray):

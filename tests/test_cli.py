@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,6 +124,30 @@ def test_sizes_that_cannot_fit_in_memory_exit_2_naming_the_flag(
     assert not out.exists()
     with pytest.raises(ValueError, match=flag):
         cli.parse_config(argv)
+
+
+_K_GRID_1000 = ",".join(repr(0.001 * (i + 1)) for i in range(1000))
+
+
+@pytest.mark.parametrize(
+    "memory, argv, flag",
+    [(2 << 30, ["sweep-t", "--n", "2", "--t-points", "200000", "--steps", "64"], "--t-points"),
+     (8 << 20, ["deltap", "--n", "2", "--samples", "1", "--steps", "64",
+                "--k-grid", _K_GRID_1000], "--k-grid")],
+    ids=["sweep-t", "deltap"],
+)
+def test_the_propagation_phase_chunk_counts_against_memory(
+    tmp_path, capsys, monkeypatch, nothing_is_sized_by_the_count, memory, argv, flag
+):
+    # the cell times alone (16 * steps bytes per T or k) fit in `memory`;
+    # propagate's phase-chunk block, 40 * 64 * dim bytes per column, does not
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": memory // 4096}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    out = tmp_path / "o"
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"aqcsim: {flag}") and "bytes of memory" in err
+    assert not out.exists()
 
 
 def test_a_grid_count_in_the_config_file_is_refused_before_the_grid_is_built(
@@ -498,3 +525,20 @@ def test_plots_flag_writes_svg(tmp_path, monkeypatch):
     out = tmp_path / "broken"
     assert cli.main([*argv, "--out", str(out)]) == 3  # a failure inside the command
     assert not out.exists()
+
+
+def test_a_command_runs_without_importing_scipy(tmp_path):
+    # in a fresh interpreter: this test session may have scipy loaded already
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = (
+        "import sys\n"
+        "from aqcsim import cli\n"
+        f"code = cli.main(['profile', '--n', '2', '--resolution', '64', '--out', {str(tmp_path)!r}])\n"
+        "assert code == 0, code\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    path = os.pathsep.join([str(src), *filter(None, [os.environ.get("PYTHONPATH")])])
+    out = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "profile.csv").is_file()
