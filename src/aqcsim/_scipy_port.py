@@ -11,7 +11,9 @@ operation, so every float they return is bitwise the one scipy returns:
   I, Sec. II.5 and II.6), the initial-step heuristic of Sec. II.4, and
   OdeSolution's choice of segment at a step boundary.  Only what aqcsim
   uses is kept: a descending span, a real state vector, scalar rtol and
-  atol, no events, t_eval, max_step or vectorized right-hand side.
+  atol, no events, t_eval, max_step or vectorized right-hand side.  It is
+  one function, with no solver object (scipy's t_old, y_old, h_previous,
+  t_bound and step methods) and no direction sign: each step goes t -> t - h.
 - minimize_scalar_bounded: scipy.optimize.minimize_scalar(method="bounded"),
   Brent's golden-section and parabolic search on a closed interval.
 
@@ -248,12 +250,6 @@ D[3, 13] = 0.96324553959188282948394950600e+2
 D[3, 14] = -0.39177261675615439165231486172e+2
 D[3, 15] = -0.14972683625798562581422125276e+3
 
-# the method's tableau proper, and the three extra stages of the dense output
-A_STEP = A[:N_STAGES, :N_STAGES]
-C_STEP = C[:N_STAGES]
-A_EXTRA = A[N_STAGES + 1:]
-C_EXTRA = C[N_STAGES + 1:]
-
 # -- step-size control ---------------------------------------------------------
 
 SAFETY = 0.9  # multiplies steps computed from the asymptotic error behaviour
@@ -270,9 +266,8 @@ def _rms(x):
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def select_initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
-    """The first step's size, from the local Lipschitz estimate of Sec. II.4."""
-    interval_length = abs(t_bound - t0)
+def select_initial_step(fun, t0, y0, f0, interval_length, rtol, atol):
+    """The first step's size down from t0, from the local Lipschitz estimate of Sec. II.4."""
     scale = atol + np.abs(y0) * rtol
     d0 = _rms(y0 / scale)
     d1 = _rms(f0 / scale)
@@ -280,10 +275,10 @@ def select_initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
         h0 = 1e-6
     else:
         h0 = 0.01 * d0 / d1
-    # t0 + h0 * direction must not pass t_bound
+    # t0 - h0 must not pass the end of the interval
     h0 = min(h0, interval_length)
-    y1 = y0 + h0 * direction * f0
-    f1 = fun(t0 + h0 * direction, y1)
+    y1 = y0 - h0 * f0
+    f1 = fun(t0 - h0, y1)
     d2 = _rms((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -304,108 +299,11 @@ def _error_norm(K, h, scale):
     return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
 
 
-class _Dop853:
-    """The stepper: state, stage storage and the step-size controller."""
-
-    def __init__(self, fun, t0, y0, t_bound, rtol, atol):
-        self.nfev = 0
-
-        def counted(t, y):
-            self.nfev += 1
-            return np.asarray(fun(t, y), dtype=float)
-
-        self.fun = counted
-        self.t, self.y = t0, y0
-        self.t_old = None
-        self.t_bound = t_bound
-        self.direction = np.sign(t_bound - t0)
-        self.rtol, self.atol = rtol, np.asarray(atol)
-        self.f = self.fun(self.t, self.y)
-        self.h_abs = select_initial_step(
-            self.fun, self.t, self.y, t_bound, self.f, self.direction, self.rtol, self.atol)
-        self.K_extended = np.empty((N_STAGES_EXTENDED, y0.size), dtype=float)
-        self.K = self.K_extended[:N_STAGES + 1]
-        self.h_previous = None
-
-    def _rk_step(self, t, y, h):
-        """The 8th-order solution at t + h; the stages go to self.K."""
-        fun, K = self.fun, self.K
-        K[0] = self.f
-        for s, (a, c) in enumerate(zip(A_STEP[1:], C_STEP[1:]), start=1):
-            dy = np.dot(K[:s].T, a[:s]) * h
-            K[s] = fun(t + c * h, y + dy)
-        y_new = y + h * np.dot(K[:-1].T, B)
-        f_new = fun(t + h, y_new)
-        K[-1] = f_new
-        return y_new, f_new
-
-    def step(self):
-        """One accepted step: (True, None), or (False, reason) when none can be made."""
-        t = self.t
-        y = self.y
-        rtol = self.rtol
-        atol = self.atol
-
-        min_step = 10 * np.abs(np.nextafter(t, self.direction * np.inf) - t)
-        h_abs = min_step if self.h_abs < min_step else self.h_abs
-
-        step_accepted = False
-        step_rejected = False
-        while not step_accepted:
-            if h_abs < min_step:
-                return False, TOO_SMALL_STEP
-            h = h_abs * self.direction
-            t_new = t + h
-            if self.direction * (t_new - self.t_bound) > 0:
-                t_new = self.t_bound
-            h = t_new - t
-            h_abs = np.abs(h)
-
-            y_new, f_new = self._rk_step(t, y, h)
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = _error_norm(self.K, h, scale)
-
-            if error_norm < 1:
-                if error_norm == 0:
-                    factor = MAX_FACTOR
-                else:
-                    factor = min(MAX_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
-                if step_rejected:
-                    factor = min(1, factor)
-                h_abs *= factor
-                step_accepted = True
-            else:
-                h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
-                step_rejected = True
-
-        self.h_previous = h
-        self.y_old = y
-        self.t_old = t
-        self.t = t_new
-        self.y = y_new
-        self.h_abs = h_abs
-        self.f = f_new
-        return True, None
-
-    def dense_coefficients(self):
-        """F, the 7 x n coefficients of the last step's interpolant.
-
-        Runs the three extra stages of the extended tableau.
-        """
-        K = self.K_extended
-        h = self.h_previous
-        for s, (a, c) in enumerate(zip(A_EXTRA, C_EXTRA), start=N_STAGES + 1):
-            dy = np.dot(K[:s].T, a[:s]) * h
-            K[s] = self.fun(self.t_old + c * h, self.y_old + dy)
-
-        F = np.empty((INTERPOLATOR_POWER, self.y_old.size), dtype=float)
-        f_old = K[0]
-        delta_y = self.y - self.y_old
-        F[0] = delta_y
-        F[1] = h * f_old - delta_y
-        F[2] = 2 * delta_y - h * (self.f + f_old)
-        F[3:] = h * np.dot(D, K)
-        return F
+def _stages(fun, K, t, y, h, stages):
+    """Rows `stages` of K: each stage of the tableau at t + C[s] h, from the rows before it."""
+    for s in stages:
+        dy = np.dot(K[:s].T, A[s, :s]) * h
+        K[s] = fun(t + C[s] * h, y + dy)
 
 
 class DenseSolution:
@@ -483,23 +381,57 @@ def solve_ivp(fun, t_span, y0, rtol, atol) -> OdeResult:
         raise ValueError("y0 must be a finite 1-D vector")
     if not tf < t0:
         raise ValueError("t_span must descend")
-    solver = _Dop853(fun, t0, y0, tf, rtol, atol)
+    nfev = 0
+
+    def counted(t, y):
+        nonlocal nfev
+        nfev += 1
+        return np.asarray(fun(t, y), dtype=float)
+
     ts, y_old, F = [t0], [], []
-    status, message = None, None
-    while status is None:
-        success, message = solver.step()
-        if not success:
-            status = -1
-            break
-        if solver.direction * (solver.t - solver.t_bound) >= 0:
-            status = 0
-        y_old.append(solver.y_old)
-        F.append(solver.dense_coefficients())
-        ts.append(solver.t)
-    if status == 0:
-        message = SUCCESS_MESSAGE
-    return OdeResult(sol=DenseSolution(ts, y_old, F) if F else None,
-                     nfev=solver.nfev, status=status, message=message)
+
+    def result(status, message):
+        return OdeResult(DenseSolution(ts, y_old, F) if F else None, nfev, status, message)
+
+    t, y = t0, y0
+    f = counted(t, y)
+    h_abs = select_initial_step(counted, t, y, f, t0 - tf, rtol, atol)
+    K = np.empty((N_STAGES_EXTENDED, y.size), dtype=float)  # the stages of a step
+    while t > tf:
+        K[0] = f
+        min_step = 10 * np.abs(np.nextafter(t, -np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:  # shrink the step until its error is accepted
+            if h_abs < min_step:
+                return result(-1, TOO_SMALL_STEP)
+            t_new = max(t - h_abs, tf)
+            h = t_new - t
+            h_abs = np.abs(h)
+            _stages(counted, K, t, y, h, range(1, N_STAGES))
+            y_new = y + h * np.dot(K[:N_STAGES].T, B)
+            f_new = counted(t + h, y_new)
+            K[N_STAGES] = f_new
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = _error_norm(K[:N_STAGES + 1], h, scale)
+            if error_norm < 1:
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
+            rejected = True
+        if error_norm == 0:
+            factor = MAX_FACTOR
+        else:
+            factor = min(MAX_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
+        h_abs *= min(1, factor) if rejected else factor
+        # the 7 coefficients of the step's interpolant, from three extra stages
+        _stages(counted, K, t, y, h, range(N_STAGES + 1, N_STAGES_EXTENDED))
+        delta_y = y_new - y
+        F.append(np.vstack([delta_y, h * f - delta_y, 2 * delta_y - h * (f_new + f),
+                            h * np.dot(D, K)]))
+        ts.append(t_new)
+        y_old.append(y)
+        t, y, f = t_new, y_new, f_new
+    return result(0, SUCCESS_MESSAGE)
 
 
 # -- bounded scalar minimization -----------------------------------------------
@@ -533,10 +465,9 @@ def minimize_scalar_bounded(func, bounds, xatol):
     tol2 = 2.0 * tol1
 
     while (np.abs(xf - xm) > (tol2 - 0.5 * (b - a))):
-        golden = 1
+        golden = True
         # Check for parabolic fit
         if np.abs(e) > tol1:
-            golden = 0
             r = (xf - nfc) * (fx - ffulc)
             q = (xf - fulc) * (fx - fnfc)
             p = (xf - fulc) * q - (xf - nfc) * r
@@ -550,13 +481,12 @@ def minimize_scalar_bounded(func, bounds, xatol):
             # Check for acceptability of parabola
             if ((np.abs(p) < np.abs(0.5*q*r)) and (p > q*(a - xf)) and
                     (p < q * (b - xf))):
+                golden = False
                 rat = (p + 0.0) / q
                 x = xf + rat
                 if ((x - a) < tol2) or ((b - x) < tol2):
                     si = np.sign(xm - xf) + ((xm - xf) == 0)
                     rat = tol1 * si
-            else:      # do a golden-section step
-                golden = 1
 
         if golden:  # do a golden-section step
             if xf >= xm:

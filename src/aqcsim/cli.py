@@ -191,6 +191,25 @@ _BOUNDS = {
 }
 
 
+def _stack_points(command: str, v: dict) -> int:
+    """The fewest lam points of the largest stacked eigendecomposition the command makes.
+
+    Each point holds H(lam) and its eigenvectors, 16 * dim**2 bytes.  A plan
+    decomposes _BASE_CELLS + 1 bisection nodes and at least max(steps,
+    _BASE_CELLS) midpoints; a live feedback sweep's diagonalization fallback
+    decomposes the plan's 2 * cells + 1 nodes and midpoints; the T_ad scan
+    decomposes _SCAN_POINTS.  profile makes no plan: its grid is counted
+    with --resolution.
+    """
+    if command == "profile":
+        return 0
+    cells = max(v["steps"], evo._BASE_CELLS)
+    live_feedback = command != "run" or (v["controller"] == "feedback" and v["replay"] is None)
+    scan = command == "scaling" or v.get("t_units") == "tad"
+    return max(evo._BASE_CELLS + 1, cells, 2 * cells + 1 if live_feedback else 0,
+               evo._SCAN_POINTS if scan else 0)
+
+
 def _validate(command: str, v: dict) -> None:
     """Reject combinations the commands cannot honor, field by field.
 
@@ -238,7 +257,8 @@ def _validate(command: str, v: dict) -> None:
     # the largest array each size sets; 8 * 4**64 B exceeds any memory
     n_values = v["n_values"] if "n_values" in v else (v["n"],)
     n, steps = max(n_values), v.get("steps", 0)
-    _check_fits(f"n = {n}", 8 * 4 ** min(n, 64) * (1 + steps), "dense bias and schedule")
+    _check_fits(f"n = {n}", 8 * 4 ** min(n, 64) * (1 + 2 * _stack_points(command, v)),
+                "the dense bias and the largest stack of H(lambda) with its eigenvectors")
     # a propagation block of 2 columns per T or k: its cell times (8 * steps B a
     # column) and propagate's phase-chunk theta, phases and states (40 B per
     # chunk cell and level)
@@ -250,8 +270,9 @@ def _validate(command: str, v: dict) -> None:
         _check_fits("--k-grid", 2 * len(v["k_grid"]) * column,
                     "the 2 k-grid column propagation block")
     if command == "profile":
-        _check_fits("--resolution", 16 * 2 ** min(n, 64) * v["resolution"],
-                    "the 2 dim x resolution dense-output rows")
+        # when the level equations refuse the instance, the whole grid is diagonalized
+        _check_fits("--resolution", 16 * 4 ** min(n, 64) * v["resolution"],
+                    "the fallback's stacks of H(lambda) and its eigenvectors on the grid")
     if "samples" in v:
         # built in full before the first instance runs
         _check_fits("--samples", 48 * v["samples"] * len(n_values),

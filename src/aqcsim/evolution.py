@@ -534,9 +534,9 @@ def _refine_min_gap(pair: ham.HamiltonianPair, lams: np.ndarray, gaps: np.ndarra
 def min_gap(pair: ham.HamiltonianPair):
     """Minimum of E_1 - E_0 over lam in [0, 1] and its location.
 
-    Dense scan at _SCAN_POINTS points, then golden-section refinement in the
-    bracketing cells (boundary minima included -- the single-qubit model has
-    its minimum exactly at lam = 0).
+    Dense scan at _SCAN_POINTS points, then bounded Brent refinement (golden-section
+    and parabolic steps) in the bracketing cells (boundary minima included --
+    the single-qubit model has its minimum exactly at lam = 0).
     """
     lams = np.linspace(0.0, 1.0, _SCAN_POINTS)
     return _refine_min_gap(pair, lams, ham.spectrum_at(pair, lams).gap())

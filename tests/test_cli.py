@@ -72,7 +72,7 @@ def test_unknown_flag_exits_2():
     assert err.value.code == 2
 
 
-def test_size_and_worker_limits_exit_2(tmp_path, capsys):
+def test_size_and_worker_limits_exit_2(tmp_path, capsys, monkeypatch):
     # refused before any instance is built or any worker process started
     out = ["--out", str(tmp_path / "o")]
     assert cli.main(["run", "--n", "40", "--t-total", "1", *out]) == 2
@@ -83,10 +83,12 @@ def test_size_and_worker_limits_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("bytes of memory") == 3 and err.count("CPU count") == 2
     assert not (tmp_path / "o").exists()
-    # the plan's frame maps count: n = 13 fits with one cell, not with 2048
-    cli.parse_config(["run", "--n", "13", "--t-total", "1", "--steps", "1"])
+    # the steps count: in 1 MiB of memory, n = 4 fits with one step, not with 2048
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    cli.parse_config(["run", "--n", "4", "--t-total", "1", "--steps", "1"])
     with pytest.raises(ValueError, match="bytes of memory"):
-        cli.parse_config(["run", "--n", "13", "--t-total", "1"])
+        cli.parse_config(["run", "--n", "4", "--t-total", "1"])
 
 
 _HUGE = "1000000000000"
@@ -141,6 +143,30 @@ def test_the_propagation_phase_chunk_counts_against_memory(
 ):
     # the cell times alone (16 * steps bytes per T or k) fit in `memory`;
     # propagate's phase-chunk block, 40 * 64 * dim bytes per column, does not
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": memory // 4096}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    out = tmp_path / "o"
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"aqcsim: {flag}") and "bytes of memory" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "memory, argv, flag",
+    [(128 << 10, ["run", "--n", "4", "--controller", "linear", "--t-total", "1",
+                  "--steps", "1"], "n = 4"),
+     (512 << 10, ["profile", "--n", "2", "--epsilon", "1,1,0", "--resolution", "4096"],
+      "--resolution")],
+    ids=["plan-bisection", "profile-fallback"],
+)
+def test_the_largest_eigendecomposition_stack_counts_against_memory(
+    tmp_path, capsys, monkeypatch, nothing_is_sized_by_the_count, memory, argv, flag
+):
+    # run: the bias and one cell's frame map (4 KiB) fit, the 65-node bisection
+    # stack of H and its eigenvectors (260 KiB) does not; profile: the level
+    # rows (256 KiB) fit, the diagonalization fallback's stacks for an
+    # instance the level equations refuse (1 MiB) do not
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": memory // 4096}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     out = tmp_path / "o"
