@@ -58,6 +58,7 @@ from .experiments import (
     DeltaPResult,
     EnsembleSpec,
     EnsembleSummary,
+    InstanceRecord,
     PowerLawFit,
     ScalingCell,
     TargetResult,

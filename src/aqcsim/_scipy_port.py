@@ -403,7 +403,7 @@ def solve_ivp(fun, t_span, y0, rtol, atol) -> OdeResult:
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:  # shrink the step until its error is accepted
-            if h_abs < min_step:
+            if not h_abs >= min_step:  # also ends a NaN step
                 return result(-1, TOO_SMALL_STEP)
             t_new = max(t - h_abs, tf)
             h = t_new - t

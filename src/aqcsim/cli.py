@@ -274,9 +274,12 @@ def _validate(command: str, v: dict) -> None:
         _check_fits("--resolution", 16 * 4 ** min(n, 64) * v["resolution"],
                     "the fallback's stacks of H(lambda) and its eigenvectors on the grid")
     if "samples" in v:
-        # built in full before the first instance runs
-        _check_fits("--samples", 48 * v["samples"] * len(n_values),
-                    "two list slots and a seed int per instance")
+        # per instance: map_instances' key, built before the first instance runs (a list
+        # slot, an (n, index, seed) tuple and two ints: 140 B), and the kept record (80 B)
+        # with its value, a family -> T dict (232 B) or a dP tuple (40 + 32 B a gain)
+        value = 40 + 32 * len(v["k_grid"]) if "k_grid" in v else 232
+        _check_fits("--samples", (220 + value) * v["samples"] * len(n_values),
+                    "an (n, index, seed) key and a kept record with its value per instance")
     # after the size checks: 2**n of a huge n would not finish
     if "epsilon" in v and v["epsilon"] is not None and "n" in v:
         want = 2 ** v["n"] - 1

@@ -13,8 +13,8 @@ so the scans of both controllers on one instance run in lockstep: an
 instance's two scans share three passes.
 
 Both ensembles run through map_instances, which seeds each instance, skips
-degenerate ones, optionally fans out over a process pool and returns one
-result (or exclusion reason) per instance in instance order.
+degenerate ones, optionally fans out over a process pool and returns, in
+order, one InstanceRecord (n, index, seed, value or exclusion) per instance.
 
 Instance seeding: instance_seed(master_seed, n, index) feeds the tuple
 (master_seed, n, index) through numpy's SeedSequence and keeps the first
@@ -45,6 +45,7 @@ from .errors import (
 __all__ = [
     "EnsembleSpec",
     "EnsembleSummary",
+    "InstanceRecord",
     "ScalingCell",
     "PowerLawFit",
     "TargetResult",
@@ -107,12 +108,28 @@ class PowerLawFit:
     residual_rms: float
 
 
+@dataclass(frozen=True, slots=True)
+class InstanceRecord:
+    """One ensemble instance: the task's value, or None and why it was excluded."""
+
+    n: int
+    index: int
+    seed: int
+    value: object = None
+    excluded: str | None = None
+
+
+class _Excluded(Exception):
+    """Raised by a task to exclude its instance; the argument is the reason."""
+
+
 @dataclass(frozen=True)
 class EnsembleSummary:
     spec: EnsembleSpec
     cells: tuple
     fits: dict
     exclusions: dict  # reason -> count over (instance, controller) pairs
+    records: tuple  # InstanceRecord per instance; value is family -> T, None if unreachable
 
 
 @dataclass(frozen=True)
@@ -140,6 +157,7 @@ class DeltaPResult:
     std_dP: np.ndarray
     count: int
     exclusions: dict  # reason -> count of excluded instances
+    records: tuple  # InstanceRecord per instance; value is the dP tuple, one per gain
 
     @property
     def excluded(self) -> int:
@@ -147,34 +165,37 @@ class DeltaPResult:
 
 
 def map_instances(task, n_values, samples: int, master_seed: int, workers: int = 0):
-    """task(pair) on `samples` seeded instances per n, in (n, index) order.
+    """task(pair) on `samples` seeded instances per n: an InstanceRecord each, in (n, index) order.
 
     Instance (n, index) is make_instance(n, instance_seed(master_seed, n,
     index)).  An instance whose problem ground state is degenerate is not
-    run; its entry is the exclusion reason "degenerate".  workers > 1 runs
-    the instances in a process pool, so task must pickle (a
-    functools.partial of a top-level function does); results come back in
-    instance order either way, so the output does not depend on workers.
+    run, and a task raising _Excluded(reason) excludes its instance: the
+    record's excluded is then "degenerate" or the reason, and value None.
+    workers > 1 runs the instances in a process pool, so task must pickle
+    (a functools.partial of a top-level function does); records come back
+    in instance order either way, so the output does not depend on workers.
     """
     cpus = os.cpu_count() or 1
     if not 0 <= workers <= cpus:
         raise ValueError(f"workers must lie in [0, {cpus}] (the CPU count), got {workers}")
-    ns = [n for n in n_values for _ in range(samples)]
-    seeds = [instance_seed(master_seed, n, i) for n in n_values for i in range(samples)]
+    keys = [(n, i, instance_seed(master_seed, n, i)) for n in n_values for i in range(samples)]
     run = partial(_run_instance, task)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run, ns, seeds, chunksize=4))
-    return list(map(run, ns, seeds))
+            return list(pool.map(run, keys, chunksize=4))
+    return list(map(run, keys))
 
 
-def _run_instance(task, n: int, seed: int):
+def _run_instance(task, key: tuple) -> InstanceRecord:
+    n, _, seed = key
     try:
         pair = make_instance(n, seed)
         ham.problem_ground_index(pair)  # degeneracy guard
+        return InstanceRecord(*key, value=task(pair))
     except DegenerateGroundError:
-        return "degenerate"
-    return task(pair)
+        return InstanceRecord(*key, excluded="degenerate")
+    except _Excluded as reason:
+        return InstanceRecord(*key, excluded=reason.args[0])
 
 
 def sweep_T(
@@ -380,10 +401,10 @@ def _finish(T, p, probes) -> TargetResult:
 
 
 def _instance_times(pair, target_P, steps):
-    """Time to target per family on one instance, or the exclusion reason."""
+    """Time to target per family on one instance; None for a family that cannot reach it."""
     inst = evo.Instance(pair, steps)
     return {
-        fam: "unreachable" if isinstance(res, UnreachableTargetError) else res.T
+        fam: None if isinstance(res, UnreachableTargetError) else res.T
         for fam, res in _lockstep_scans(inst, CONTROLLER_FAMILIES, target_P).items()
     }
 
@@ -414,25 +435,24 @@ def scaling_study(
         )
 
     task = partial(_instance_times, target_P=spec.target_P, steps=steps)
-    results = map_instances(task, n_values, spec.samples_per_n, spec.master_seed, workers)
+    records = map_instances(task, n_values, spec.samples_per_n, spec.master_seed, workers)
 
     cells = []
     exclusions: Counter = Counter()
-    for i, n in enumerate(n_values):
-        block = results[i * spec.samples_per_n : (i + 1) * spec.samples_per_n]
+    for n in n_values:
+        block = [r for r in records if r.n == n]
         for fam in CONTROLLER_FAMILIES:
-            outcomes = [r if isinstance(r, str) else r[fam] for r in block]
-            ok = [t for t in outcomes if not isinstance(t, str)]
-            exclusions.update(t for t in outcomes if isinstance(t, str))
-            arr = np.array(ok, dtype=float)
+            Ts = [None if r.excluded else r.value[fam] for r in block]
+            ok = [T for T in Ts if T is not None]
+            exclusions.update(r.excluded or "unreachable" for r, T in zip(block, Ts) if T is None)
             cells.append(
                 ScalingCell(
                     n=n,
                     controller=fam,
-                    mean_T=float(arr.mean()) if ok else float("nan"),
-                    std_T=float(arr.std()) if ok else float("nan"),
+                    mean_T=float(np.mean(ok)) if ok else float("nan"),
+                    std_T=float(np.std(ok)) if ok else float("nan"),
                     count=len(ok),
-                    excluded=len(outcomes) - len(ok),
+                    excluded=len(block) - len(ok),
                 )
             )
 
@@ -440,9 +460,7 @@ def scaling_study(
         fam: fit_power_law(n_values, [c.mean_T for c in cells if c.controller == fam])
         for fam in CONTROLLER_FAMILIES
     }
-    return EnsembleSummary(
-        spec=spec, cells=tuple(cells), fits=fits, exclusions=dict(exclusions)
-    )
+    return EnsembleSummary(spec, tuple(cells), fits, dict(exclusions), tuple(records))
 
 
 def fit_power_law(n_values, mean_times) -> PowerLawFit:
@@ -460,14 +478,14 @@ def fit_power_law(n_values, mean_times) -> PowerLawFit:
 
 
 def _instance_delta_p(pair, k_values, steps):
-    """dP per gain on one instance, or the exclusion reason "zero P_lin"."""
+    """dP per gain on one instance; excludes it as "zero P_lin" when a linear P is 0."""
     inst = evo.Instance(pair, steps)
     T = np.asarray(k_values) * inst.unit_time
     dts = np.hstack([inst.cell_times("feedback", T), inst.cell_times("linear", T)])
     p_fb, p_lin = inst.success(dts).reshape(2, T.size)
     if np.any(p_lin == 0.0):
-        return "zero P_lin"
-    return list((p_fb - p_lin) / p_lin)
+        raise _Excluded("zero P_lin")
+    return tuple(((p_fb - p_lin) / p_lin).tolist())
 
 
 def delta_p_sweep(
@@ -495,17 +513,15 @@ def delta_p_sweep(
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     task = partial(_instance_delta_p, k_values=k_values, steps=steps)
-    results = map_instances(task, (n,), samples, master_seed, workers)
+    records = map_instances(task, (n,), samples, master_seed, workers)
 
-    kept = np.array([r for r in results if not isinstance(r, str)])
-    exclusions = dict(Counter(r for r in results if isinstance(r, str)))
-    if kept.size == 0:
-        empty = np.full(k_values.size, float("nan"))
-        return DeltaPResult(k_values, empty, empty.copy(), 0, exclusions)
+    kept = np.array([r.value for r in records if not r.excluded])
+    nan = np.full(k_values.size, float("nan"))
     return DeltaPResult(
         k_values=k_values,
-        mean_dP=kept.mean(axis=0),
-        std_dP=kept.std(axis=0),
-        count=kept.shape[0],
-        exclusions=exclusions,
+        mean_dP=kept.mean(axis=0) if len(kept) else nan,
+        std_dP=kept.std(axis=0) if len(kept) else nan.copy(),
+        count=len(kept),
+        exclusions=dict(Counter(r.excluded for r in records if r.excluded)),
+        records=tuple(records),
     )

@@ -74,7 +74,7 @@ def _check_separation(E: np.ndarray, lam: float, scale: float) -> None:
     # runs on every RHS evaluation: locate the pair only when the check fails
     E_sorted = np.sort(E)
     gaps = E_sorted[1:] - E_sorted[:-1]
-    if gaps.min() < COLLISION_FLOOR * scale:
+    if not gaps.min() >= COLLISION_FLOOR * scale:  # a NaN gap fails too
         k = int(gaps.argmin())
         raise NearDegeneracyError(
             f"levels {k} and {k + 1} separated by {gaps[k]:.3e} at "

@@ -2,6 +2,7 @@
 
 import os
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -363,17 +364,16 @@ def test_scaling_study_worker_pool_matches_serial():
     pooled = xp.scaling_study(spec, steps=256, workers=2)
     for a, b in zip(serial.cells, pooled.cells):
         assert a == b
+    assert serial.records == pooled.records
 
 
 def test_map_instances_keeps_order_and_exclusion_reason(degenerate_seed):
     degenerate_seed(xp.instance_seed(5, 3, 0))
     got = xp.map_instances(lambda pair: (pair.n, pair.seed), (2, 3), 2, 5)
-    assert got == [
-        (2, xp.instance_seed(5, 2, 0)),
-        (2, xp.instance_seed(5, 2, 1)),
-        "degenerate",
-        (3, xp.instance_seed(5, 3, 1)),
-    ]
+    keys = [(n, i, xp.instance_seed(5, n, i)) for n in (2, 3) for i in range(2)]
+    assert [(r.n, r.index, r.seed) for r in got] == keys
+    assert [r.value for r in got] == [(2, keys[0][2]), (2, keys[1][2]), None, (3, keys[3][2])]
+    assert [r.excluded for r in got] == [None, None, "degenerate", None]
 
 
 @pytest.mark.parametrize("workers", [-1, (os.cpu_count() or 1) + 1])
@@ -385,14 +385,48 @@ def test_map_instances_rejects_worker_counts_before_any_work(workers):
         xp.map_instances(task, (2,), 1, 7, workers)
 
 
-def test_ensembles_count_exclusions_by_reason(degenerate_seed):
+def test_ensembles_count_exclusions_by_reason(monkeypatch, degenerate_seed):
     degenerate_seed(xp.instance_seed(9, 2, 1))
-    res = xp.delta_p_sweep([0.1, 0.3], n=2, samples=3, master_seed=9, steps=128)
-    assert (res.count, res.excluded, res.exclusions) == (2, 1, {"degenerate": 1})
+    # one instance whose linear P is 0 at the last gain, and one whose
+    # feedback scan cannot reach the target
+    zero_lin, stuck = xp.instance_seed(9, 2, 2), xp.instance_seed(9, 3, 0)
+    success, scans = evo.Instance.success, xp._lockstep_scans
+
+    def zero_last_p(inst, dts):
+        P = success(inst, dts)
+        return np.append(P[:-1], 0.0) if inst.pair.seed == zero_lin else P
+
+    def unreachable_feedback(inst, families, *args):
+        results = scans(inst, families, *args)
+        if inst.pair.seed == stuck:
+            results["feedback"] = UnreachableTargetError("forced for test")
+        return results
+
+    monkeypatch.setattr(evo.Instance, "success", zero_last_p)
+    monkeypatch.setattr(xp, "_lockstep_scans", unreachable_feedback)
+    res = xp.delta_p_sweep([0.1, 0.3], n=2, samples=4, master_seed=9, steps=128)
+    assert (res.count, res.excluded) == (2, 2)
+    assert res.exclusions == {"degenerate": 1, "zero P_lin": 1}
+    assert [r.excluded for r in res.records] == [None, "degenerate", "zero P_lin", None]
+    kept = [r.value for r in res.records if not r.excluded]
+    assert res.count == len(kept) and res.excluded == len(res.records) - len(kept)
+    np.testing.assert_array_equal(res.mean_dP, np.mean(kept, axis=0))
+    assert res.exclusions == dict(Counter(r.excluded for r in res.records if r.excluded))
+
     spec = xp.EnsembleSpec(n_values=(2, 3, 4), samples_per_n=2, master_seed=9)
     summary = xp.scaling_study(spec, steps=128)
-    assert summary.exclusions == {"degenerate": 2}  # one instance, both families
-    assert [c.excluded for c in summary.cells] == [1, 1, 0, 0, 0, 0]
+    # the degenerate instance once per family, the stuck one for feedback only
+    assert summary.exclusions == {"degenerate": 2, "unreachable": 1}
+    assert [c.excluded for c in summary.cells] == [1, 1, 0, 1, 0, 0]
+    reasons = Counter()
+    for cell in summary.cells:
+        block = [r for r in summary.records if r.n == cell.n]
+        Ts = [None if r.excluded else r.value[cell.controller] for r in block]
+        ok = [T for T in Ts if T is not None]
+        assert (cell.count, cell.excluded) == (len(ok), len(block) - len(ok))
+        assert cell.mean_T == float(np.mean(ok))
+        reasons.update(r.excluded or "unreachable" for r, T in zip(block, Ts) if T is None)
+    assert summary.exclusions == dict(reasons)
 
 
 def test_power_law_fit_recovers_exact_law():
@@ -427,6 +461,7 @@ def test_delta_p_sweep_worker_pool_matches_serial():
     np.testing.assert_array_equal(serial.mean_dP, pooled.mean_dP)
     np.testing.assert_array_equal(serial.std_dP, pooled.std_dP)
     assert (serial.count, serial.exclusions) == (pooled.count, pooled.exclusions)
+    assert serial.records == pooled.records
 
 
 def test_no_plan_thread_is_alive_when_map_instances_forks(monkeypatch, join_plan_threads):

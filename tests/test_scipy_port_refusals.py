@@ -38,3 +38,16 @@ def test_solve_ivp_refuses_before_the_first_evaluation(t_span, y0, match):
 def test_minimize_scalar_bounded_refuses_before_the_first_evaluation(bounds, match):
     with pytest.raises(ValueError, match=match):
         minimize_scalar_bounded(_never_called, bounds, xatol=1e-10)
+
+
+def test_solve_ivp_stops_at_once_on_a_nan_right_hand_side():
+    calls = []
+
+    def nan_rhs(t, y):
+        calls.append(t)
+        if len(calls) > 10_000:  # a regression fails here instead of spinning forever
+            raise AssertionError("the solve kept stepping on NaN")
+        return np.full_like(y, np.nan)
+
+    res = solve_ivp(nan_rhs, (1.0, 0.0), np.array([1.0]), rtol=1e-8, atol=1e-10)
+    assert res.status == -1 and res.nfev == len(calls) <= 10

@@ -151,6 +151,11 @@ def test_exact_degeneracy_is_refused():
     assert err.value.pair == (1, 2)
 
 
+def test_a_nan_gap_fails_the_separation_check():
+    with pytest.raises(NearDegeneracyError):
+        spectral._check_separation(np.array([0.0, np.nan, 1.0]), 0.5, 1.0)
+
+
 def test_profile_grid_and_values():
     pair = ham.pair_from_seed(2, 10)
     lams = np.linspace(1.0, 0.0, 65)
