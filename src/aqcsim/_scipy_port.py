@@ -14,6 +14,9 @@ operation, so every float they return is bitwise the one scipy returns:
   atol, no events, t_eval, max_step or vectorized right-hand side.  It is
   one function, with no solver object (scipy's t_old, y_old, h_previous,
   t_bound and step methods) and no direction sign: each step goes t -> t - h.
+  Its dense output keeps only the rows of the state that the caller names
+  (the level solve names 2 dim of its dim (dim + 2)), and their values
+  are scipy's bitwise.
 - minimize_scalar_bounded: scipy.optimize.minimize_scalar(method="bounded"),
   Brent's golden-section and parabolic search on a closed interval.
 
@@ -301,27 +304,30 @@ def _error_norm(K, h, scale):
 
 def _stages(fun, K, t, y, h, stages):
     """Rows `stages` of K: each stage of the tableau at t + C[s] h, from the rows before it."""
+    y_stage = np.empty_like(y)  # one buffer for every stage's state; K[s] copies fun's result
     for s in stages:
-        dy = np.dot(K[:s].T, A[s, :s]) * h
-        K[s] = fun(t + C[s] * h, y + dy)
+        np.dot(K[:s].T, A[s, :s], out=y_stage)
+        y_stage *= h
+        y_stage += y
+        K[s] = fun(t + C[s] * h, y_stage)
 
 
 class DenseSolution:
     """The piecewise interpolant of a descending DOP853 solve, evaluated at many points at once.
 
-    Segment i runs from ts[i] down to ts[i + 1] and holds the state y_old[i]
-    at ts[i] and its interpolant's coefficients F[i].  At a step boundary
-    the later segment is taken, as scipy's OdeSolution takes it for a
-    descending solve (searchsorted side "right").  Every point of an
-    evaluation goes through the same elementwise arithmetic as in scipy's
-    Dop853DenseOutput, so a row of the result is bitwise scipy's row,
-    whichever rows and points are asked for together.
+    Segment i runs from ts[i] down to ts[i + 1] and holds, for the rows of
+    the state that the solve kept, the state y_old[i] at ts[i] and its
+    interpolant's coefficients F[i].  At a step boundary the later segment
+    is taken, as scipy's OdeSolution takes it for a descending solve
+    (searchsorted side "right").  Every point of an evaluation goes through
+    the same elementwise arithmetic as in scipy's Dop853DenseOutput, so a
+    row of the result is bitwise scipy's value of that row of the state.
     """
 
     def __init__(self, ts, y_old, F):
         self.ts = np.asarray(ts)
-        self.y_old = y_old
-        self.F = F
+        self.y_old = np.asarray(y_old)  # (segments, kept rows)
+        self.F = np.asarray(F)  # (segments, 7, kept rows)
         self.t_old = self.ts[:-1]
         self.h = self.ts[1:] - self.t_old
 
@@ -331,28 +337,24 @@ class DenseSolution:
         np.clip(segments, 0, last, out=segments)
         return last - segments
 
-    def __call__(self, t, rows=slice(None)):
-        """Rows `rows` of the state at each t: shape (rows, len(t)), or (rows,) for scalar t.
+    def __call__(self, t):
+        """The kept rows of the state at each t: shape (kept rows, len(t)), or (kept rows,) for scalar t.
 
-        Only the requested rows of the segments that some t falls in are
-        read, and the Horner terms are gathered one at a time: apart from
-        one (segments, 7, rows) block, no temporary is larger than the
-        result.
+        The Horner terms are gathered one at a time, so no temporary is
+        larger than the result.
         """
         t = np.asarray(t, dtype=float)
         points = np.atleast_1d(t)
         segments = self._segments(points)
         x = ((points - self.t_old[segments]) / self.h[segments])[:, None]
-        used, inverse = np.unique(segments, return_inverse=True)
-        F = np.stack([self.F[s][:, rows] for s in used])  # (used segments, 7, rows)
-        y = np.zeros((points.size, F.shape[2]), dtype=float)
+        y = np.zeros((points.size, self.F.shape[2]), dtype=float)
         for i in range(INTERPOLATOR_POWER):
-            y += F[inverse, INTERPOLATOR_POWER - 1 - i]
+            y += self.F[segments, INTERPOLATOR_POWER - 1 - i]
             if i % 2 == 0:
                 y *= x
             else:
                 y *= 1 - x
-        y += np.stack([self.y_old[s][rows] for s in used])[inverse]
+        y += self.y_old[segments]
         return y[0] if t.ndim == 0 else y.T
 
 
@@ -366,14 +368,18 @@ class OdeResult:
     message: str
 
 
-def solve_ivp(fun, t_span, y0, rtol, atol) -> OdeResult:
+def solve_ivp(fun, t_span, y0, rtol, atol, rows) -> OdeResult:
     """Integrate y' = fun(t, y) down t_span = (t0, tf), tf < t0, with DOP853 and dense output.
 
     scipy.integrate.solve_ivp(fun, t_span, y0, method="DOP853", rtol=rtol,
     atol=atol, dense_output=True), with y0 a real vector and atol a scalar.
-    Every accepted step moves t by at least 10 spacings of the float grid,
-    so no segment of the dense output has zero length.  Exceptions raised
-    by fun propagate.
+    The dense output keeps only `rows` (an index into y, slice(None) for
+    all of it) of each step's state and interpolant coefficients, so a
+    long solve of a large state holds only what its caller reads; each kept
+    value is bitwise scipy's.  fun must not hold on to the y it is given:
+    the stages reuse one buffer.  Every accepted step moves t by at least
+    10 spacings of the float grid, so no segment of the dense output has
+    zero length.  Exceptions raised by fun propagate.
     """
     t0, tf = map(float, t_span)
     y0 = np.asarray(y0).astype(float, copy=False)
@@ -425,11 +431,14 @@ def solve_ivp(fun, t_span, y0, rtol, atol) -> OdeResult:
         h_abs *= min(1, factor) if rejected else factor
         # the 7 coefficients of the step's interpolant, from three extra stages
         _stages(counted, K, t, y, h, range(N_STAGES + 1, N_STAGES_EXTENDED))
-        delta_y = y_new - y
-        F.append(np.vstack([delta_y, h * f - delta_y, 2 * delta_y - h * (f_new + f),
-                            h * np.dot(D, K)]))
+        # scipy's elementwise expressions on the kept rows, and its product D K cut to them
+        f_kept, y_kept = f[rows], y[rows]
+        delta_y = y_new[rows] - y_kept
+        F.append(np.vstack([delta_y, h * f_kept - delta_y,
+                            2 * delta_y - h * (f_new[rows] + f_kept),
+                            h * np.dot(D, K)[:, rows]]))
         ts.append(t_new)
-        y_old.append(y)
+        y_old.append(y_kept)
         t, y, f = t_new, y_new, f_new
     return result(0, SUCCESS_MESSAGE)
 

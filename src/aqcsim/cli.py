@@ -474,6 +474,7 @@ def _cmd_run(cfg: RunConfig) -> dict:
 
 def _cmd_profile(cfg: RunConfig) -> dict:
     pair = _instance(cfg)
+    ham.problem_ground_index(pair)  # the guard every other command applies
     lams = np.linspace(1.0, 0.0, cfg["resolution"])
     c2_full, c2_pair, route = spectral.curvature_profile(pair, lams)
     rows = zip(lams, c2_full, c2_pair)

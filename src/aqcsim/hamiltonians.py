@@ -223,6 +223,9 @@ def _hermitian(H: np.ndarray) -> bool:
     """Every entry finite, and each matrix of a stack its conjugate transpose to 1e-10."""
     if not np.all(np.isfinite(H)):
         return False
+    # in units of each matrix's largest entry, so that the norms cannot overflow
+    largest = np.abs(H).max(axis=(-2, -1), keepdims=True)
+    H = H / np.where(largest > 0, largest, 1.0)
     hnorm = np.linalg.norm(H, axis=(-2, -1))
     asym = np.linalg.norm(H - np.swapaxes(H, -2, -1).conj(), axis=(-2, -1))
     return bool(np.all(asym <= 1e-10 * hnorm))

@@ -14,6 +14,8 @@ the coupling matrix is real antisymmetric: the state [E, v, L] is carried
 as one float64 vector.  With the symmetric weights W[l, k] = 1/(E_l - E_k)^2
 (zero diagonal), M = L * W is antisymmetric and the coupling equation reads
 dL = M L - (M L)^T, one matrix product per right-hand-side evaluation.
+The integrator's dense output keeps only the rows the package reads, E and
+row 0 of L: 2 dim of the dim (dim + 2), 64 of 1088 at n = 5.
 
 The ground-state curvature d^2 E_0 / dlam^2 is the l = 0 line of the
 velocity equation; its two-level truncation keeps only the k = 1 term.
@@ -37,7 +39,7 @@ import numpy as np
 from . import hamiltonians as ham
 # called through the module attribute, so that perfbench's tracer can wrap it
 from ._scipy_port import solve_ivp
-from .errors import IntegrationFailureError, NearDegeneracyError
+from .errors import IntegrationFailureError, NearDegeneracyError, SimulationError
 
 __all__ = [
     "SpectrumState",
@@ -99,31 +101,23 @@ def _pack(E, v, L):
     return np.concatenate([E, v, L.ravel()])
 
 
-def _unpack(y, dim):
-    return y[:dim], y[dim : 2 * dim], y[2 * dim :].reshape(dim, dim)
-
-
 class LevelFlow:
     """Dense-in-lam solution of the level equations for one instance.
 
     Wraps the integrator's dense output so schedules can query energies and
-    curvature at arbitrary lam in [0, 1] without further integration.
-    energies and curvatures evaluate only the 2 * dim components they read
-    (E and row 0 of L) of the dim * (dim + 2); the dense output evaluates
-    every component on its own, so these are its values bitwise.
+    curvature at arbitrary lam in [0, 1] without further integration.  The
+    dense output keeps only the 2 * dim rows of the dim * (dim + 2) state
+    that energies and curvatures read, E and then row 0 of L; every row is
+    interpolated on its own, so these are the full solve's values bitwise.
     """
 
     def __init__(self, pair: ham.HamiltonianPair, dense):
         self.pair = pair
         self._dense = dense
 
-    def state_at(self, lam: float) -> SpectrumState:
-        E, v, L = _unpack(self._dense(lam), self.pair.dim)
-        return SpectrumState(lam=float(lam), E=E, v=v, L=L)
-
     def energies(self, lams) -> np.ndarray:
         """Levels at each requested lam, shape (dim, len(lams))."""
-        return self._dense(np.atleast_1d(lams), rows=slice(0, self.pair.dim))
+        return self._dense(np.atleast_1d(lams))[: self.pair.dim]
 
     def curvatures(self, lams) -> tuple[np.ndarray, np.ndarray]:
         """(c2_full, c2_pair) arrays at the requested lam values.
@@ -132,8 +126,7 @@ class LevelFlow:
         c2_pair is its k = 1 term.  Both are <= 0 for the ground level.
         """
         lams = np.clip(np.atleast_1d(np.asarray(lams, dtype=float)), 0.0, 1.0)
-        dim = self.pair.dim
-        E, L0 = np.split(self._dense(lams, rows=np.r_[0:dim, 2 * dim : 3 * dim]), 2)
+        E, L0 = np.split(self._dense(lams), 2)
         terms = 2.0 * L0[1:] ** 2 / (E[1:] - E[:1]) ** 3
         return -np.sum(terms, axis=0), -terms[0]
 
@@ -145,6 +138,7 @@ def solve_levels(
     dim = pair.dim
     start = init_spectrum(pair)
     scale = float(np.max(start.E) - np.min(start.E)) or 1.0
+    floor = COLLISION_FLOOR * scale
 
     def rhs(lam, y):
         # Pair sums as matrix algebra over D[l, k] = E_l - E_k, whose
@@ -152,15 +146,23 @@ def solve_levels(
         # k == j) term of the sums vanishes without being masked.
         E = y[:dim]
         L = y[2 * dim :].reshape(dim, dim)
-        _check_separation(E, lam, scale)
-        D = np.subtract.outer(E, E)
-        np.fill_diagonal(D, 1.0)
+        # E stays ascending, so its adjacent differences are the sorted gaps;
+        # only a failure (or a crossing, or a NaN) takes the sorting check
+        if not (E[1:] - E[:-1]).min() >= floor:
+            _check_separation(E, lam, scale)
+        D = E[:, None] - E
+        D.reshape(-1)[:: dim + 1] = 1.0
         D2 = D * D
         ML = (L / D2) @ L
-        dv = (2.0 * L**2 / (D2 * D)).sum(axis=1)
-        return np.concatenate([y[dim : 2 * dim], dv, (ML - ML.T).ravel()])
+        out = np.empty_like(y)
+        out[:dim] = y[dim : 2 * dim]
+        (2.0 * L**2 / (D2 * D)).sum(axis=1, out=out[dim : 2 * dim])
+        np.subtract(ML, ML.T, out=out[2 * dim :].reshape(dim, dim))
+        return out
 
-    sol = solve_ivp(rhs, (1.0, 0.0), _pack(start.E, start.v, start.L), rtol=rtol, atol=atol)
+    # the dense output keeps the rows LevelFlow reads: E, then row 0 of L
+    sol = solve_ivp(rhs, (1.0, 0.0), _pack(start.E, start.v, start.L), rtol=rtol, atol=atol,
+                    rows=np.r_[0:dim, 2 * dim : 3 * dim])
     if sol.status != 0:
         raise IntegrationFailureError(f"level integration stopped: {sol.message}")
     return LevelFlow(pair, sol.sol)
@@ -188,11 +190,23 @@ def curvature_profile(pair: ham.HamiltonianPair, lams):
     motion, falls back to one stacked diagonalization of the whole grid and
     the perturbation sum (route "diagonalization"; always defined as long
     as the ground state itself stays separated).  Both routes return 1-D
-    arrays over the grid.
+    arrays over the grid.  A c2 that overflows or divides by a zero gap on
+    either route (energies near the float range's edge, a tied ground
+    state) is refused with a SimulationError, without a RuntimeWarning.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     try:
-        return (*solve_levels(pair).curvatures(lams), "level_dynamics")
+        flow = solve_levels(pair)
     except (NearDegeneracyError, IntegrationFailureError):
-        es = ham.spectrum_at(pair, lams)
-        return (*curvature_from_spectrum(es, pair.bias), "diagonalization")
+        flow = None
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # refused below
+        if flow is not None:
+            c2_full, c2_pair = flow.curvatures(lams)
+            route = "level_dynamics"
+        else:
+            es = ham.spectrum_at(pair, lams)
+            c2_full, c2_pair = curvature_from_spectrum(es, pair.bias)
+            route = "diagonalization"
+    if not (np.isfinite(c2_full).all() and np.isfinite(c2_pair).all()):
+        raise SimulationError(f"the {route} route gave a non-finite curvature c2")
+    return c2_full, c2_pair, route

@@ -5,6 +5,7 @@ import pytest
 
 from aqcsim import experiments as xp
 from aqcsim import hamiltonians as ham
+from aqcsim import spectral
 
 
 def pytest_configure(config):
@@ -46,6 +47,28 @@ def degenerate_seed(monkeypatch):
         monkeypatch.setattr(xp, "make_instance", make_instance)
 
     return make_degenerate
+
+
+@pytest.fixture
+def level_problem(monkeypatch):
+    """Call with a pair: solve_levels' flow, and the positional and keyword
+    arguments it hands to spectral.solve_ivp."""
+
+    def solve(pair):
+        calls = []
+        real = spectral.solve_ivp
+
+        def record(*args, **kwargs):
+            calls.append((args, kwargs))
+            return real(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, "solve_ivp", record)
+            flow = spectral.solve_levels(pair)
+        ((args, kwargs),) = calls
+        return flow, args, kwargs
+
+    return solve
 
 
 @pytest.fixture

@@ -465,6 +465,18 @@ def test_non_finite_sweep_exits_3_without_manifest(tmp_path, capsys):
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("epsilon", ["1e200,1,1", "1e300,1e-300,1"])
+def test_profile_of_a_tied_ground_state_exits_3_and_writes_nothing(tmp_path, capsys, epsilon):
+    # both problems tie their ground states; their perturbation sum divides by a zero gap
+    out = tmp_path / "o"
+    code = cli.main(["profile", "--n", "2", "--epsilon", epsilon, "--resolution", "16",
+                     "--out", str(out)])
+    assert code == 3
+    assert "tied ground states" in capsys.readouterr().err
+    assert not (out / "profile.csv").exists()
+    assert not (out / "manifest.json").exists()
+
+
 def test_manifest_refuses_non_finite_numbers(tmp_path):
     with pytest.raises(ValueError):
         cli.emit_tables({}, str(tmp_path), {"results": {"P": float("nan")}})

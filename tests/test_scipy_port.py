@@ -18,39 +18,30 @@ scipy_optimize = pytest.importorskip("scipy.optimize")
 CASES = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2), (5, 1)]
 
 
-def _level_problem(monkeypatch, pair):
-    """solve_levels' flow, and the (rhs, t_span, y0) and tolerances it hands to spectral.solve_ivp."""
-    calls = []
-    real = spectral.solve_ivp
-
-    def record(*args, **kwargs):
-        calls.append((args, kwargs))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(spectral, "solve_ivp", record)
-    flow = spectral.solve_levels(pair)
-    ((args, kwargs),) = calls
-    return flow, args, kwargs
-
-
 @pytest.mark.parametrize("n, seed", CASES)
-def test_level_solve_equals_scipy_dop853_bitwise(monkeypatch, n, seed):
+def test_level_solve_equals_scipy_dop853_bitwise(level_problem, n, seed):
     pair = ham.pair_from_seed(n, seed)
-    flow, (rhs, t_span, y0), tol = _level_problem(monkeypatch, pair)
-    ours = port.solve_ivp(rhs, t_span, y0, **tol)
+    flow, (rhs, t_span, y0), kwargs = level_problem(pair)
+    rows = kwargs.pop("rows")
     ref = scipy_integrate.solve_ivp(
-        rhs, t_span, y0, method="DOP853", dense_output=True, **tol)
-    assert (ours.nfev, ours.status, ours.message) == (ref.nfev, ref.status, ref.message)
-    np.testing.assert_array_equal(ours.sol.ts, ref.t)
+        rhs, t_span, y0, method="DOP853", dense_output=True, **kwargs)
+    kept = port.solve_ivp(rhs, t_span, y0, rows=rows, **kwargs)
+    full = port.solve_ivp(rhs, t_span, y0, rows=slice(None), **kwargs)
+    for ours in (kept, full):
+        assert (ours.nfev, ours.status, ours.message) == (ref.nfev, ref.status, ref.message)
+        np.testing.assert_array_equal(ours.sol.ts, ref.t)
+    dim = pair.dim
     plan = evo.build_schedule(pair, 256)
     for lams in (np.concatenate([plan.lams, plan.mids]), np.linspace(1.0, 0.0, 1024)):
-        np.testing.assert_array_equal(ours.sol(lams), ref.sol(lams))
+        want = ref.sol(lams)
+        np.testing.assert_array_equal(full.sol(lams), want)
+        np.testing.assert_array_equal(kept.sol(lams), want[rows])
     # the ends, interior points and a step boundary, where the segment choice matters
     for lam in (1.0, 0.0, 0.3, plan.mids[7], ref.t[len(ref.t) // 2]):
         want = ref.sol(lam)
-        np.testing.assert_array_equal(ours.sol(lam), want)
-        state = flow.state_at(lam)
-        np.testing.assert_array_equal(np.concatenate([state.E, state.v, state.L.ravel()]), want)
+        np.testing.assert_array_equal(full.sol(lam), want)
+        np.testing.assert_array_equal(kept.sol(lam), want[rows])
+        np.testing.assert_array_equal(flow.energies(lam)[:, 0], want[:dim])
 
 
 def _scan_targets(pair):
@@ -102,7 +93,7 @@ def _blow_up(t, y):
 
 def test_a_step_below_float_spacing_stops_as_scipy_does():
     y0 = np.array([2.0, 3.0])
-    ours = port.solve_ivp(_blow_up, (1.0, 0.0), y0, rtol=1e-8, atol=1e-10)
+    ours = port.solve_ivp(_blow_up, (1.0, 0.0), y0, rtol=1e-8, atol=1e-10, rows=slice(None))
     ref = scipy_integrate.solve_ivp(
         _blow_up, (1.0, 0.0), y0, method="DOP853", rtol=1e-8, atol=1e-10, dense_output=True)
     assert ours.status == ref.status == -1
@@ -112,8 +103,9 @@ def test_a_step_below_float_spacing_stops_as_scipy_does():
 
 
 def test_a_failed_level_solve_raises_integration_failure(monkeypatch):
-    def failing(rhs, t_span, y0, rtol, atol):
-        return port.solve_ivp(_blow_up, t_span, np.full_like(y0, 2.0), rtol=rtol, atol=atol)
+    def failing(rhs, t_span, y0, rtol, atol, rows):
+        return port.solve_ivp(_blow_up, t_span, np.full_like(y0, 2.0), rtol=rtol, atol=atol,
+                              rows=rows)
 
     monkeypatch.setattr(spectral, "solve_ivp", failing)
     with pytest.raises(IntegrationFailureError, match=re.escape(port.TOO_SMALL_STEP)):

@@ -24,7 +24,8 @@ def _never_called(*args):
 )
 def test_solve_ivp_refuses_before_the_first_evaluation(t_span, y0, match):
     with pytest.raises(ValueError, match=match):
-        solve_ivp(_never_called, t_span, np.asarray(y0), rtol=1e-8, atol=1e-10)
+        solve_ivp(_never_called, t_span, np.asarray(y0), rtol=1e-8, atol=1e-10,
+                  rows=slice(None))
 
 
 @pytest.mark.parametrize(
@@ -49,5 +50,6 @@ def test_solve_ivp_stops_at_once_on_a_nan_right_hand_side():
             raise AssertionError("the solve kept stepping on NaN")
         return np.full_like(y, np.nan)
 
-    res = solve_ivp(nan_rhs, (1.0, 0.0), np.array([1.0]), rtol=1e-8, atol=1e-10)
+    res = solve_ivp(nan_rhs, (1.0, 0.0), np.array([1.0]), rtol=1e-8, atol=1e-10,
+                    rows=slice(None))
     assert res.status == -1 and res.nfev == len(calls) <= 10

@@ -1,5 +1,7 @@
 """Level-dynamics checks against closed forms and finite differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,14 @@ from hypothesis import strategies as st
 from aqcsim import evolution as evo
 from aqcsim import hamiltonians as ham
 from aqcsim import spectral
-from aqcsim.errors import NearDegeneracyError
+from aqcsim._scipy_port import solve_ivp
+from aqcsim.errors import NearDegeneracyError, SimulationError
+
+
+def full_solve(level_problem, pair):
+    """solve_levels' flow, and the dense output of all dim (dim + 2) rows of the same solve."""
+    flow, args, kwargs = level_problem(pair)
+    return flow, solve_ivp(*args, **{**kwargs, "rows": slice(None)}).sol
 
 
 def one_qubit_pair(eps=3.0, Z=5.0):
@@ -89,14 +98,15 @@ def test_level_sum_is_conserved():
     np.testing.assert_allclose(sums, pair.problem_diag.sum(), atol=1e-8)
 
 
-def test_velocity_matches_energy_derivative():
+def test_velocity_matches_energy_derivative(level_problem):
     pair = ham.pair_from_seed(2, 31)
-    flow = spectral.solve_levels(pair)
+    flow, full = full_solve(level_problem, pair)
+    dim = pair.dim
     h = 1e-5
     for lam in (0.3, 0.6, 0.9):
-        s = flow.state_at(lam)
+        v = full(lam)[dim : 2 * dim]
         dE = (flow.energies(lam + h)[:, 0] - flow.energies(lam - h)[:, 0]) / (2 * h)
-        np.testing.assert_allclose(s.v, dE, atol=1e-6 * np.abs(dE).max())
+        np.testing.assert_allclose(v, dE, atol=1e-6 * np.abs(dE).max())
 
 
 @pytest.mark.parametrize("n,seed", [(2, 1), (2, 8), (3, 4)])
@@ -115,17 +125,18 @@ def test_curvature_matches_finite_difference(n, seed):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_two_route_agreement_along_sweep(n):
+def test_two_route_agreement_along_sweep(level_problem, n):
     # the dynamical curvature and the one-shot perturbation sum are
     # independent computations of the same derivative
     pair = ham.pair_from_seed(n, 44)
-    flow = spectral.solve_levels(pair)
+    flow, full = full_solve(level_problem, pair)
+    dim = pair.dim
     lams = np.linspace(1.0, 0.0, 64)
     for lam in lams:
-        state = flow.state_at(lam)
-        assert state.L.dtype == np.float64
-        scale = np.abs(state.L).max()
-        np.testing.assert_allclose(state.L, -state.L.T, rtol=0, atol=1e-12 * scale)
+        L = full(lam)[2 * dim :].reshape(dim, dim)
+        assert L.dtype == np.float64
+        scale = np.abs(L).max()
+        np.testing.assert_allclose(L, -L.T, rtol=0, atol=1e-12 * scale)
     c2_full, c2_pair = flow.curvatures(lams)
     d_full, d_pair = spectral.curvature_from_spectrum(ham.spectrum_at(pair, lams), pair.bias)
     assert c2_full == pytest.approx(d_full, rel=1e-6)
@@ -229,17 +240,50 @@ def _dense_output_grids(pair):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_cut_dense_output_equals_full_dense_output_bitwise(n):
-    # energies and curvatures evaluate only the E and L-row-0 components
+def test_cut_dense_output_equals_full_dense_output_bitwise(level_problem, n):
+    # the flow keeps only the E and L-row-0 rows of each step
     pair = ham.pair_from_seed(n, 3)
-    flow = spectral.solve_levels(pair)
+    flow, full = full_solve(level_problem, pair)
     dim = pair.dim
     for lams in _dense_output_grids(pair):
-        full = flow._dense(lams)
-        assert full.shape == (dim * (dim + 2), lams.size)
-        E, L0 = full[:dim], full[2 * dim : 3 * dim]
+        state = full(lams)
+        assert state.shape == (dim * (dim + 2), lams.size)
+        E, L0 = state[:dim], state[2 * dim : 3 * dim]
         np.testing.assert_array_equal(flow.energies(lams), E)
         terms = 2.0 * L0[1:] ** 2 / (E[1:] - E[:1]) ** 3
         c2_full, c2_pair = flow.curvatures(lams)
         np.testing.assert_array_equal(c2_full, -np.sum(terms, axis=0))
         np.testing.assert_array_equal(c2_pair, -terms[0])
+
+
+def test_a_level_profile_holds_only_the_rows_it_reads(join_plan_threads):
+    # with every row of every step kept, this profile's traced peak was 17.8 MiB
+    pair = ham.pair_from_seed(5, 3)
+    lams = np.linspace(1.0, 0.0, 1024)
+    join_plan_threads()  # an earlier test's plan thread would be traced too
+    tracemalloc.start()
+    try:
+        *_, route = spectral.curvature_profile(pair, lams)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert route == "level_dynamics"
+    assert peak < 6 * 2**20
+
+
+def test_a_curvature_that_overflows_is_refused():
+    # a bias of 1e200 squares past the float range in the perturbation sum
+    spec = ham.ProblemSpec(n=2, epsilon=np.array([1.0, 2.0, 3.0]), seed=0)
+    pair = ham.make_pair(spec, ham.BiasSpec(n=2, Z=1e200))
+    with pytest.raises(SimulationError, match="non-finite"):
+        spectral.curvature_profile(pair, np.linspace(1.0, 0.0, 16))
+
+
+def test_a_non_finite_level_curvature_is_refused(monkeypatch):
+    def overflowed(self, lams):
+        c2 = np.full(np.size(lams), -np.inf)
+        return c2, c2
+
+    monkeypatch.setattr(spectral.LevelFlow, "curvatures", overflowed)
+    with pytest.raises(SimulationError, match="level_dynamics route gave a non-finite"):
+        spectral.curvature_profile(ham.pair_from_seed(2, 10), np.linspace(1.0, 0.0, 16))
