@@ -17,6 +17,16 @@ checked before the command starts, sizes whose arrays cannot fit in memory
 included; a malformed --replay file also exits 2), 3 numerical failure
 (SimulationError, or any other ValueError raised inside a command), 4 I/O
 failure (an unreadable --config or --replay file, an unwritable output).
+
+Sizes are checked against one memory model, _footprint: the command's peak
+bytes as terms named by the flag that sizes them, counted from the constants
+the allocating code uses; the first term that takes their running sum past
+physical memory is refused.  Stacks alive together are summed: the plan's
+midpoint stack (on its worker thread from n = 3) with the largest stack its
+caller builds beside it, then per propagated column its cell times, their
+np.hstack copy and its share of propagate's one reused chunk.  Not counted:
+cells the bisection adds beyond steps (up to 80 in all on seeds 1-29 at
+n = 2..5), and the level solve's dense output (about 2 MiB at n = 5).
 """
 
 from __future__ import annotations
@@ -47,7 +57,7 @@ def _int_list(text: str):
 
 
 def _check_fits(what: str, need: int, holds: str) -> None:
-    """Refuse, before it is allocated, an array of `need` bytes that physical memory cannot hold."""
+    """Refuse, before they are allocated, `need` bytes that physical memory cannot hold."""
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         raise ValueError(
@@ -191,23 +201,42 @@ _BOUNDS = {
 }
 
 
-def _stack_points(command: str, v: dict) -> int:
-    """The fewest lam points of the largest stacked eigendecomposition the command makes.
-
-    Each point holds H(lam) and its eigenvectors, 16 * dim**2 bytes.  A plan
-    decomposes _BASE_CELLS + 1 bisection nodes and at least max(steps,
-    _BASE_CELLS) midpoints; a live feedback sweep's diagonalization fallback
-    decomposes the plan's 2 * cells + 1 nodes and midpoints; the T_ad scan
-    decomposes _SCAN_POINTS.  profile makes no plan: its grid is counted
-    with --resolution.
-    """
+def _footprint(command: str, v: dict) -> list:
+    """The command's peak bytes as [(flag, bytes, what)] terms, in the order they are summed."""
+    n_values = v["n_values"] if "n_values" in v else (v["n"],)
+    n = max(n_values)
+    dim = 2 ** min(n, 64)  # 8 * 4**64 B exceeds any memory
+    fixed, csv = 256 << 10, 96  # parser, pair and manifest; a CSV cell: repr, line, text, copy
+    point = 16 * dim * dim + 8 * dim  # a stacked point: H(lam), its eigenvectors and energies
     if command == "profile":
-        return 0
+        return [(f"n = {n}", fixed + point, "the parser, the pair and the manifest"),
+                ("--resolution", v["resolution"] * (max(point, 3 * csv) + 24),
+                 "the diagonalization fallback's stacks, or the table, on the whole grid")]
     cells = max(v["steps"], evo._BASE_CELLS)
-    live_feedback = command != "run" or (v["controller"] == "feedback" and v["replay"] is None)
+    live = command != "run" or (v["controller"] == "feedback" and v["replay"] is None)
     scan = command == "scaling" or v.get("t_units") == "tad"
-    return max(evo._BASE_CELLS + 1, cells, 2 * cells + 1 if live_feedback else 0,
-               evo._SCAN_POINTS if scan else 0)
+    beside = max(evo._BASE_CELLS + 1, 2 * cells + 1 if live else 0, evo._SCAN_POINTS * scan)
+    # a column: 17 B a cell; per chunk cell 40 B a level and 40 B for the norms; 48 B a level
+    column = 17 * cells + 40 * min(cells, evo._PHASE_CHUNK) * (dim + 1) + 48 * dim
+    # run's one sweep; a scaling pass holds two scans' requests, a doubling or a halving ladder
+    halving = len(xp._ladder(xp._SCAN_START, 0.5, lambda T: T > xp._SUDDEN_FLOOR))
+    columns = {"run": 1, "scaling": 2 * max(2**xp._LOOKAHEAD, halving)}.get(command, 0)
+    terms = [(f"n = {n}", fixed + point * (1 + cells + beside) + 40 * cells + columns * column,
+              "the pair, the plan's stacks and lam vectors, and the fixed columns")]
+    if command == "run" and v["sample_stride"] > 0:
+        rows = -(-cells // v["sample_stride"]) + 1
+        terms.append(("--sample-stride", rows * (2 * point + 5 * csv),
+                      "the stacks at the trajectory rows, and the table"))
+    if command in ("sweep-t", "deltap"):
+        flag, count = (("--t-points", v["t_points"]) if command == "sweep-t"
+                       else ("--k-grid", len(v["k_grid"])))
+        terms.append((flag, 2 * count * column, f"2 propagated columns per {flag} value"))
+    if "samples" in v:
+        # an instance's key (140 B), record (80 B), family -> T dict or dP tuple (32 B a gain)
+        value = 40 + 32 * len(v["k_grid"]) if "k_grid" in v else 232
+        terms.append(("--samples", (220 + value) * v["samples"] * len(n_values),
+                      "an (n, index, seed) key and a kept record with its value per instance"))
+    return terms
 
 
 def _validate(command: str, v: dict) -> None:
@@ -254,32 +283,10 @@ def _validate(command: str, v: dict) -> None:
             raise ValueError(f"unknown controller {v['controller']!r}")
     if command == "sweep-t" and v["t_units"] not in ("tad", "abs"):
         raise ValueError("--t-units must be 'tad' or 'abs'")
-    # the largest array each size sets; 8 * 4**64 B exceeds any memory
-    n_values = v["n_values"] if "n_values" in v else (v["n"],)
-    n, steps = max(n_values), v.get("steps", 0)
-    _check_fits(f"n = {n}", 8 * 4 ** min(n, 64) * (1 + 2 * _stack_points(command, v)),
-                "the dense bias and the largest stack of H(lambda) with its eigenvectors")
-    # a propagation block of 2 columns per T or k: its cell times (8 * steps B a
-    # column) and propagate's phase-chunk theta, phases and states (40 B per
-    # chunk cell and level)
-    column = 8 * steps + 40 * min(steps, evo._PHASE_CHUNK) * 2 ** min(n, 64)
-    if command == "sweep-t":
-        _check_fits("--t-points", 2 * v["t_points"] * column,
-                    "the 2 t-points column propagation block")
-    if command == "deltap":
-        _check_fits("--k-grid", 2 * len(v["k_grid"]) * column,
-                    "the 2 k-grid column propagation block")
-    if command == "profile":
-        # when the level equations refuse the instance, the whole grid is diagonalized
-        _check_fits("--resolution", 16 * 4 ** min(n, 64) * v["resolution"],
-                    "the fallback's stacks of H(lambda) and its eigenvectors on the grid")
-    if "samples" in v:
-        # per instance: map_instances' key, built before the first instance runs (a list
-        # slot, an (n, index, seed) tuple and two ints: 140 B), and the kept record (80 B)
-        # with its value, a family -> T dict (232 B) or a dP tuple (40 + 32 B a gain)
-        value = 40 + 32 * len(v["k_grid"]) if "k_grid" in v else 232
-        _check_fits("--samples", (220 + value) * v["samples"] * len(n_values),
-                    "an (n, index, seed) key and a kept record with its value per instance")
+    total = 0  # named: the first term that takes the running total past memory
+    for flag, need, what in _footprint(command, v):
+        total += need
+        _check_fits(flag, total, what)
     # after the size checks: 2**n of a huge n would not finish
     if "epsilon" in v and v["epsilon"] is not None and "n" in v:
         want = 2 ** v["n"] - 1
@@ -394,18 +401,14 @@ def replay_profile(path: str):
             if not line:
                 continue
             tokens = line.split(",")
-            if lineno == 1 and any(
-                not _is_number(tok) for tok in tokens[:2]
-            ):
-                continue  # header row
-            if len(tokens) < 2:
-                raise ProfileFormatError("expected at least two columns", line=lineno)
             try:
                 lam, c2 = float(tokens[0]), float(tokens[1])
+            except IndexError:
+                raise ProfileFormatError("expected at least two columns", line=lineno) from None
             except ValueError:
-                raise ProfileFormatError(
-                    f"non-numeric row: {line!r}", line=lineno
-                ) from None
+                if lineno == 1:
+                    continue  # header row
+                raise ProfileFormatError(f"non-numeric row: {line!r}", line=lineno) from None
             if not (math.isfinite(lam) and math.isfinite(c2)):
                 raise ProfileFormatError(f"non-finite value: {line!r}", line=lineno)
             if lams and lam >= lams[-1]:
@@ -423,14 +426,6 @@ def replay_profile(path: str):
             f"got [{lams[0]}, {lams[-1]}]"
         )
     return np.asarray(lams), np.asarray(c2s)
-
-
-def _is_number(token: str) -> bool:
-    try:
-        float(token)
-        return True
-    except ValueError:
-        return False
 
 
 def _instance(cfg: RunConfig) -> ham.HamiltonianPair:

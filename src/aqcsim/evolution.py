@@ -343,15 +343,17 @@ def propagate(plan: SchedulePlan, dts, coeffs, start: int = 0, stop: int | None 
     scaled = np.empty_like(c)
     # frame maps are real: each step is one real matmul on the interleaved (re, im) view
     scaled_flat = scaled.view(float)
+    # one chunk's buffers, reused by every chunk: c after each step, its phases, their angles
+    states, phases = np.empty((2, min(_PHASE_CHUNK, stop - start), *c.shape), complex)
+    angles = np.empty(states.shape)
     for a in range(start, stop, _PHASE_CHUNK):
         b = min(a + _PHASE_CHUNK, stop)
+        theta, flat = angles[: b - a], states[: b - a].view(float)
         # exp(-i w dt) as cos + i sin of -w dt, cheaper than a complex exp
-        theta = -(plan.mid_energies[a:b, :, None] * dts[a:b, None, :])
-        phases = np.empty(theta.shape, dtype=complex)
-        np.cos(theta, out=phases.real)
-        np.sin(theta, out=phases.imag)
-        states = np.empty((b - a, *c.shape), dtype=complex)  # c after each step
-        flat = states.view(float)
+        np.multiply(plan.mid_energies[a:b, :, None], dts[a:b, None, :], out=theta)
+        np.negative(theta, out=theta)
+        np.cos(theta, out=phases[: b - a].real)
+        np.sin(theta, out=phases[: b - a].imag)
         maps = plan.frame_maps[a:b]
         for phase, state, state_flat, frame_map in zip(phases, states, flat, maps):
             np.multiply(c, phase, out=scaled)

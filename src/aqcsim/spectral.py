@@ -134,11 +134,14 @@ class LevelFlow:
 def solve_levels(
     pair: ham.HamiltonianPair, rtol: float = 1e-8, atol: float = 1e-10
 ) -> LevelFlow:
-    """Integrate the level equations from lam = 1 down to 0."""
+    """Integrate the level equations from lam = 1 down to 0 (a start they overflow is refused)."""
     dim = pair.dim
     start = init_spectrum(pair)
     scale = float(np.max(start.E) - np.min(start.E)) or 1.0
     floor = COLLISION_FLOOR * scale
+    big = float(np.finfo(float).max)  # the RHS cubes level differences, squares couplings
+    if not (scale < big ** (1 / 3) and np.abs(start.L).max() < (big / 2) ** 0.5):
+        raise IntegrationFailureError(f"a start spread of {scale:.3g} overflows the level RHS")
 
     def rhs(lam, y):
         # Pair sums as matrix algebra over D[l, k] = E_l - E_k, whose

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -185,6 +186,62 @@ def test_a_grid_count_in_the_config_file_is_refused_before_the_grid_is_built(
     assert cli.main(["deltap", "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("aqcsim: --k-grid: a grid of")
     assert not out.exists()
+
+
+# every one-qubit sigma_z at weight 1: a unique ground state, and excited levels tied by the
+# exchange of qubits, which the level equations refuse
+_SYMMETRIC = {n: ",".join("1" if j & (j - 1) == 0 else "0" for j in range(1, 2**n))
+              for n in (3, 4)}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["run", "--n", "4", "--epsilon", _SYMMETRIC[4], "--controller", "feedback", "--k", "0.1",
+      "--steps", "1024"],
+     ["run", "--n", "2", "--controller", "linear", "--t-total", "1", "--steps", "4000",
+      "--sample-stride", "1"],
+     ["profile", "--n", "3", "--epsilon", _SYMMETRIC[3], "--resolution", "20000"],
+     ["sweep-t", "--n", "2", "--t-points", "400", "--steps", "256"],
+     ["deltap", "--n", "3", "--samples", "1", "--k-grid", "0.01:1:400", "--steps", "256"],
+     ["scaling", "--n-values", "2,3,4", "--samples", "1", "--steps", "2048"]],
+    ids=["run-fallback", "run-trajectory", "profile-fallback", "sweep-t", "deltap",
+         "scaling-fallback"],
+)
+def test_the_traced_peak_of_each_command_meets_its_footprint(
+    tmp_path, monkeypatch, join_plan_threads, argv
+):
+    # sizes at which the counted terms outweigh the fixed cost, on the route the model
+    # counts: a symmetric problem takes the diagonalization fallback, here and in scaling
+    real = xp.make_instance
+    symmetric = ham.make_pair(ham.ProblemSpec(4, np.array(_SYMMETRIC[4].split(","), float), 0))
+    monkeypatch.setattr(xp, "make_instance",
+                        lambda n, seed: symmetric if n == 4 else real(n, seed))
+    cfg = cli.parse_config(argv)
+    footprint = sum(need for _, need, _ in cli._footprint(cfg.command, cfg.values))
+    # a first run, so that one-off imports and caches are not traced
+    warm = ["run", "--controller", "linear", "--t-total", "1", "--steps", "1"]
+    assert cli.main([*warm, "--out", str(tmp_path / "warm")]) == 0
+    join_plan_threads()  # an earlier plan's thread would be traced too
+    out = tmp_path / "o"
+    tracemalloc.start()
+    try:
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    route = json.loads((out / "manifest.json").read_text())["results"].get("curvature_route")
+    assert route in (None, "diagonalization" if "--epsilon" in argv else "level_dynamics")
+    assert peak <= footprint <= 3 * peak
+
+
+def test_a_profile_whose_levels_would_overflow_takes_the_diagonalization_route(tmp_path):
+    out = tmp_path / "o"
+    argv = ["profile", "--n", "2", "--epsilon", "1e150,1e140,1", "--resolution", "16"]
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["results"] == {
+        "curvature_route": "diagonalization"}
+    c2 = np.loadtxt(out / "profile.csv", delimiter=",", skiprows=1)[:, 1:]
+    np.testing.assert_allclose(c2, -1e-138, rtol=1e-5)
 
 
 @pytest.mark.parametrize("name", ["missing.cfg", "."], ids=["missing-file", "directory"])

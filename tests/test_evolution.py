@@ -400,24 +400,29 @@ def test_trajectory_sampling_contracts():
 
 
 def test_trajectory_rows_match_expm_chain():
+    # 256 cells in 16-cell segments; and 200 cells, three whole phase chunks and a partial
+    # one in the whole sweep, 72-cell segments of a whole chunk and a partial one in the
+    # trajectory, through propagate's reused chunk buffers
     pair = ham.pair_from_seed(3, 11)
-    plan = evo.build_schedule(pair, steps=256)
     controller = evo.PaceController.linear(2.0)
-    rec = evo.evolve(pair, controller, steps=256, sample_stride=16)
-    dts = plan.widths * 2.0
-    marks = [*range(0, plan.cells, 16), plan.cells]
-    assert rec.samples.shape[0] == len(marks)
-    for row, b in zip(rec.samples, marks):
-        assert row[0] == plan.lams[b]
-        psi = _expm_chain(plan, dts[:b])  # stopped at node b
-        es = ham.spectrum_at(pair, plan.lams[b])
-        assert row[2] == pytest.approx(abs(es.states[:, 0] @ psi) ** 2, abs=1e-12)
-        assert row[3] == pytest.approx(es.gap(), rel=1e-12)
-        c2_full, _ = spectral.curvature_from_spectrum(es, pair.bias)
-        assert row[4] == pytest.approx(abs(c2_full), rel=1e-12)
-    whole = evo.evolve(pair, controller, steps=256)
-    assert rec.samples[-1, 2] == pytest.approx(whole.P, abs=1e-12)
-    assert rec.P == whole.P
+    for steps, stride in ((256, 16), (200, 72)):
+        plan = evo.build_schedule(pair, steps=steps)
+        assert plan.cells == steps
+        rec = evo.evolve(pair, controller, steps=steps, sample_stride=stride)
+        dts = plan.widths * 2.0
+        marks = [*range(0, plan.cells, stride), plan.cells]
+        assert rec.samples.shape[0] == len(marks)
+        for row, b in zip(rec.samples, marks):
+            assert row[0] == plan.lams[b]
+            psi = _expm_chain(plan, dts[:b])  # stopped at node b
+            es = ham.spectrum_at(pair, plan.lams[b])
+            assert row[2] == pytest.approx(abs(es.states[:, 0] @ psi) ** 2, abs=1e-12)
+            assert row[3] == pytest.approx(es.gap(), rel=1e-12)
+            c2_full, _ = spectral.curvature_from_spectrum(es, pair.bias)
+            assert row[4] == pytest.approx(abs(c2_full), rel=1e-12)
+        whole = evo.evolve(pair, controller, steps=steps)
+        assert rec.samples[-1, 2] == pytest.approx(whole.P, abs=1e-12)
+        assert rec.P == whole.P and rec.norm_drift == whole.norm_drift
 
 
 def test_negative_sample_stride_is_refused():

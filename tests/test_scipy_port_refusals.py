@@ -53,3 +53,20 @@ def test_solve_ivp_stops_at_once_on_a_nan_right_hand_side():
     res = solve_ivp(nan_rhs, (1.0, 0.0), np.array([1.0]), rtol=1e-8, atol=1e-10,
                     rows=slice(None))
     assert res.status == -1 and res.nfev == len(calls) <= 10
+
+
+def test_solve_ivp_stops_on_an_infinite_right_hand_side():
+    calls = []
+
+    def inf_rhs(t, y):
+        calls.append(t)
+        if len(calls) > 10_000:  # a regression fails here instead of spinning forever
+            raise AssertionError("the solve kept stepping on inf")
+        return np.full_like(y, np.inf)
+
+    # the initial-step heuristic and the error norm turn inf into NaN on the way, as
+    # scipy's do; the warnings that arithmetic raises are not what this test checks
+    with np.errstate(invalid="ignore", over="ignore"):
+        res = solve_ivp(inf_rhs, (1.0, 0.0), np.array([1.0]), rtol=1e-8, atol=1e-10,
+                        rows=slice(None))
+    assert res.status == -1 and res.nfev == len(calls) <= 20

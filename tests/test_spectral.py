@@ -11,7 +11,7 @@ from aqcsim import evolution as evo
 from aqcsim import hamiltonians as ham
 from aqcsim import spectral
 from aqcsim._scipy_port import solve_ivp
-from aqcsim.errors import NearDegeneracyError, SimulationError
+from aqcsim.errors import IntegrationFailureError, NearDegeneracyError, SimulationError
 
 
 def full_solve(level_problem, pair):
@@ -277,6 +277,30 @@ def test_a_curvature_that_overflows_is_refused():
     pair = ham.make_pair(spec, ham.BiasSpec(n=2, Z=1e200))
     with pytest.raises(SimulationError, match="non-finite"):
         spectral.curvature_profile(pair, np.linspace(1.0, 0.0, 16))
+
+
+def test_a_start_that_overflows_the_level_equations_takes_the_diagonalization_route(
+    monkeypatch,
+):
+    # a level spread of 2e150 cubes past the float range in the RHS, whose pair sums then
+    # gave c2 = -0.0 on every lam; the perturbation sum gives about -1e-138
+    spec = ham.ProblemSpec(n=2, epsilon=np.array([1e150, 1e140, 1.0]), seed=0)
+    pair = ham.make_pair(spec)
+    lams = np.linspace(1.0, 0.0, 16)
+
+    def never_called(*args, **kwargs):
+        raise AssertionError("the level equations were integrated")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "solve_ivp", never_called)
+        with pytest.raises(IntegrationFailureError, match="overflows"):
+            spectral.solve_levels(pair)
+    c2_full, c2_pair, route = spectral.curvature_profile(pair, lams)
+    assert route == "diagonalization"
+    want = spectral.curvature_from_spectrum(ham.spectrum_at(pair, lams), pair.bias)
+    np.testing.assert_array_equal(c2_full, want[0])
+    np.testing.assert_array_equal(c2_pair, want[1])
+    np.testing.assert_allclose(c2_full, -1e-138, rtol=1e-5)
 
 
 def test_a_non_finite_level_curvature_is_refused(monkeypatch):
