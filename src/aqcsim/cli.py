@@ -21,10 +21,11 @@ failure (an unreadable --config or --replay file, an unwritable output).
 Sizes are checked against one memory model, _footprint: the command's peak
 bytes as terms named by the flag that sizes them, counted from the constants
 the allocating code uses; the first term that takes their running sum past
-physical memory is refused.  Stacks alive together are summed: the plan's
-midpoint stack (on its worker thread from n = 3) with the largest stack its
-caller builds beside it, then per propagated column its cell times, their
-np.hstack copy and its share of propagate's one reused chunk.  Not counted:
+physical memory is refused.  What is alive together is summed: the plan's
+frame maps and energies, one chunk of stacked decompositions
+(hamiltonians.chunk_size) on the plan's worker thread and one on the caller,
+then per propagated column its cell times and its share of propagate's one
+reused chunk.  Not counted:
 cells the bisection adds beyond steps (up to 80 in all on seeds 1-29 at
 n = 2..5), and the level solve's dense output (about 2 MiB at n = 5).
 """
@@ -208,29 +209,49 @@ def _footprint(command: str, v: dict) -> list:
     dim = 2 ** min(n, 64)  # 8 * 4**64 B exceeds any memory
     fixed, csv = 256 << 10, 96  # parser, pair and manifest; a CSV cell: repr, line, text, copy
     point = 16 * dim * dim + 8 * dim  # a stacked point: H(lam), its eigenvectors and energies
+
+    def stack(points: int) -> int:
+        """A chunked decomposition of `points` lam values: one chunk and the last one's V."""
+        return min(points, ham.chunk_size(dim)) * (point + 8 * dim * dim)
+
+    # a curvature point on the level route: 40 B a level for the interpolated E and L[0]
+    # rows and their temporaries; on either route 24 B for lam, c2_full and c2_pair
+    level = 40 * dim
     if command == "profile":
+        res = v["resolution"]
         return [(f"n = {n}", fixed + point, "the parser, the pair and the manifest"),
-                ("--resolution", v["resolution"] * (max(point, 3 * csv) + 24),
-                 "the diagonalization fallback's stacks, or the table, on the whole grid")]
+                ("--resolution", stack(res) + res * (24 + max(level, 3 * csv)),
+                 "the curvature on the grid, a chunk of its fallback, or the table")]
     cells = max(v["steps"], evo._BASE_CELLS)
     live = command != "run" or (v["controller"] == "feedback" and v["replay"] is None)
     scan = command == "scaling" or v.get("t_units") == "tad"
-    beside = max(evo._BASE_CELLS + 1, 2 * cells + 1 if live else 0, evo._SCAN_POINTS * scan)
-    # a column: 17 B a cell; per chunk cell 40 B a level and 40 B for the norms; 48 B a level
-    column = 17 * cells + 40 * min(cells, evo._PHASE_CHUNK) * (dim + 1) + 48 * dim
+    curve = 2 * cells + 1 if live else 0  # |c2| at the plan's nodes and midpoints
+    beside = max(curve, evo._SCAN_POINTS * scan)
+    # the plan keeps frame maps, energies and lam vectors per cell; while its midpoints are
+    # decomposed (on the worker from n = 3) the caller may decompose the live feedback
+    # fallback's points or the T_ad scan, and a live curvature point holds its level-route
+    # rows and 48 B of grid, c2 and |c2|; before, the bisection stacks its 65 base nodes
+    plan = max((evo._BASE_CELLS + 1) * point,
+               cells * (8 * dim * (dim + 1) + 40) + stack(cells) + stack(beside)
+               + curve * (level + 48))
+    # a column: 9 B a cell; per chunk cell 40 B a level and 24 B for the norms; 48 B a level
+    column = 9 * cells + min(cells, evo._PHASE_CHUNK) * (40 * dim + 24) + 48 * dim
     # run's one sweep; a scaling pass holds two scans' requests, a doubling or a halving ladder
     halving = len(xp._ladder(xp._SCAN_START, 0.5, lambda T: T > xp._SUDDEN_FLOOR))
     columns = {"run": 1, "scaling": 2 * max(2**xp._LOOKAHEAD, halving)}.get(command, 0)
-    terms = [(f"n = {n}", fixed + point * (1 + cells + beside) + 40 * cells + columns * column,
-              "the pair, the plan's stacks and lam vectors, and the fixed columns")]
+    terms = [(f"n = {n}", fixed + plan + columns * column,
+              "the pair, the plan, one chunk of decompositions a thread, and the fixed columns")]
     if command == "run" and v["sample_stride"] > 0:
         rows = -(-cells // v["sample_stride"]) + 1
-        terms.append(("--sample-stride", rows * (2 * point + 5 * csv),
-                      "the stacks at the trajectory rows, and the table"))
+        # a row: its state (16 B a level and the array's header), the table row and its text
+        terms.append(("--sample-stride", stack(rows) + rows * (16 * dim + 152 + 5 * csv),
+                      "a chunk of the trajectory's decompositions, its states and the table"))
     if command in ("sweep-t", "deltap"):
-        flag, count = (("--t-points", v["t_points"]) if command == "sweep-t"
-                       else ("--k-grid", len(v["k_grid"])))
-        terms.append((flag, 2 * count * column, f"2 propagated columns per {flag} value"))
+        # 2 propagated columns per value, and its table cells: 2 rows of 3, or a row of 4
+        flag, count, table = (("--t-points", v["t_points"], 6) if command == "sweep-t"
+                              else ("--k-grid", len(v["k_grid"]), 4))
+        terms.append((flag, count * (2 * column + table * csv),
+                      f"2 propagated columns and the table row(s) per {flag} value"))
     if "samples" in v:
         # an instance's key (140 B), record (80 B), family -> T dict or dP tuple (32 B a gain)
         value = 40 + 32 * len(v["k_grid"]) if "k_grid" in v else 232

@@ -29,6 +29,12 @@ An Instance holds one problem instance's plan, curvature source, pace
 floor and unit-gain pace; evolve and the ensembles in the experiments
 module all run their sweeps through it.
 
+Every stacked eigendecomposition here (the plan's midpoints, the T_ad and
+min-gap scan, a trajectory's rows) goes through ham.spectrum_chunks,
+which bounds each stack by hamiltonians._STACK_BYTES; the callers fill
+preallocated outputs, so only those outlive a chunk.  The plan keeps its
+midpoint energies and frame maps, not the eigenvectors.
+
 From n = 3 up, build_schedule lays out the grid on the caller's thread
 and hands the midpoint eigendecomposition (the frame maps, the midpoint
 energies and c0) to a one-worker ThreadPoolExecutor of its own, shut
@@ -49,6 +55,7 @@ import math
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import chain, zip_longest
 
 import numpy as np
 
@@ -162,9 +169,10 @@ class BackactionWindow:
 class SchedulePlan:
     """Precomputed lam grid, midpoint energies and frame overlaps.
 
-    Building the plan costs one stacked eigendecomposition of the cell
-    midpoints; every run on the instance (any controller, any T) then
-    reuses it, which is what makes the time-to-target scans affordable.
+    Building the plan costs one eigendecomposition of the cell midpoints,
+    a chunk of ham.spectrum_chunks at a time; every run on the instance
+    (any controller, any T) then reuses it, which is what makes the
+    time-to-target scans affordable.
     frame_maps[s] = V_{s+1}^T V_s carries eigenframe coefficients from cell
     s into cell s + 1; the last one is V_{cells-1} itself, back to the
     computational basis.  With them propagate() steps many total times in
@@ -279,15 +287,19 @@ def build_schedule(pair: ham.HamiltonianPair, steps: int = 2048) -> SchedulePlan
 
     psi0 = ham.spectrum_at(pair, 1.0).states[:, 0].astype(complex)
     ground_index = ham.problem_ground_index(pair)
+    # allocated here and filled by the worker, which then allocates and frees only
+    # its chunks (glibc gives each thread a malloc arena; plan arrays allocated in
+    # the worker's raised perfbench's ttt_scaling peak RSS by 6 MiB in some runs)
+    outputs = np.empty((mids.size, pair.dim)), np.empty((mids.size, pair.dim, pair.dim))
     if pair.dim >= _THREAD_MIN_DIM:
         # a pool per plan, never a module-level one: its thread exits when the
         # work returns, so no idle plan thread is alive when map_instances forks
         pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="aqcsim-plan")
-        frames = pool.submit(_midpoint_frames, pair, mids, psi0)
+        frames = pool.submit(_midpoint_frames, pair, mids, psi0, *outputs)
         pool.shutdown(wait=False)
     else:
         frames = Future()
-        frames.set_result(_midpoint_frames(pair, mids, psi0))
+        frames.set_result(_midpoint_frames(pair, mids, psi0, *outputs))
     return SchedulePlan(
         pair=pair,
         lams=lams,
@@ -299,14 +311,23 @@ def build_schedule(pair: ham.HamiltonianPair, steps: int = 2048) -> SchedulePlan
     )
 
 
-def _midpoint_frames(pair: ham.HamiltonianPair, mids: np.ndarray, psi0: np.ndarray):
-    """(mid_energies, frame_maps, c0) from one stacked eigendecomposition of the midpoints."""
-    mid = ham.spectrum_at(pair, mids)
-    V = mid.states
-    frame_maps = np.empty_like(V)
-    np.matmul(V[1:].transpose(0, 2, 1), V[:-1], out=frame_maps[:-1])
-    frame_maps[-1] = V[-1]
-    return mid.energies, frame_maps, V[0].T @ psi0
+def _midpoint_frames(pair: ham.HamiltonianPair, mids, psi0, energies, frame_maps):
+    """Fill (mid_energies, frame_maps) from the midpoints' eigendecomposition, chunk by chunk.
+
+    Returns them with c0.  Only the outputs outlive a chunk: the map across
+    a chunk boundary is built from the previous chunk's last eigenvectors.
+    """
+    for part, mid in ham.spectrum_chunks(pair, mids):
+        a, b, V = part.start, part.stop, mid.states
+        energies[part] = mid.energies
+        if a == 0:
+            c0 = V[0].T @ psi0
+        else:
+            np.matmul(V[:1].transpose(0, 2, 1), last, out=frame_maps[a - 1 : a])
+        np.matmul(V[1:].transpose(0, 2, 1), V[:-1], out=frame_maps[a : b - 1])
+        last = V[-1:]
+    frame_maps[-1] = last[0]
+    return energies, frame_maps, c0
 
 
 def initial_coefficients(plan: SchedulePlan, columns: int = 1) -> np.ndarray:
@@ -343,9 +364,12 @@ def propagate(plan: SchedulePlan, dts, coeffs, start: int = 0, stop: int | None 
     scaled = np.empty_like(c)
     # frame maps are real: each step is one real matmul on the interleaved (re, im) view
     scaled_flat = scaled.view(float)
-    # one chunk's buffers, reused by every chunk: c after each step, its phases, their angles
+    # one chunk's buffers, reused by every chunk: c after each step, its phases, their
+    # angles, and the squared norms of the (re, im) halves and the norms' drift
     states, phases = np.empty((2, min(_PHASE_CHUNK, stop - start), *c.shape), complex)
     angles = np.empty(states.shape)
+    halves = np.empty((len(states), 2 * c.shape[1]))
+    norms = np.empty((len(states), c.shape[1]))
     for a in range(start, stop, _PHASE_CHUNK):
         b = min(a + _PHASE_CHUNK, stop)
         theta, flat = angles[: b - a], states[: b - a].view(float)
@@ -359,9 +383,13 @@ def propagate(plan: SchedulePlan, dts, coeffs, start: int = 0, stop: int | None 
             np.multiply(c, phase, out=scaled)
             np.matmul(frame_map, scaled_flat, out=state_flat)
             c = state
-        norm2 = np.einsum("kij,kij->kj", flat, flat)
-        norms = np.sqrt(norm2[:, 0::2] + norm2[:, 1::2])
-        drift = np.maximum(drift, np.abs(norms - 1.0).max(axis=0))
+        norm2, off = halves[: b - a], norms[: b - a]
+        np.einsum("kij,kij->kj", flat, flat, out=norm2)
+        np.add(norm2[:, 0::2], norm2[:, 1::2], out=off)
+        np.sqrt(off, out=off)
+        np.subtract(off, 1.0, out=off)
+        np.abs(off, out=off)
+        np.maximum(drift, off.max(axis=0), out=drift)
     return c.copy(), drift
 
 
@@ -430,14 +458,24 @@ class Instance:
     def T_ad(self) -> float:
         return adiabatic_time(self.pair)
 
-    def cell_times(self, family: str, T) -> np.ndarray:
-        """(cells, len(T)) per-cell times of sweeps of realized total times T."""
+    def cell_times(self, family: str, T, out: np.ndarray | None = None) -> np.ndarray:
+        """(cells, len(T)) per-cell times of sweeps of realized total times T, into out if given."""
         T = np.atleast_1d(np.asarray(T, dtype=float))
         if family == "linear":
-            return np.multiply.outer(self.plan.widths, T)
+            return np.multiply.outer(self.plan.widths, T, out=out)
         if family == "feedback":
-            return np.multiply.outer(self.unit_dts, T / self.unit_time)
+            return np.multiply.outer(self.unit_dts, T / self.unit_time, out=out)
         raise ValueError(f"unknown controller family {family!r}")
+
+    def cell_block(self, batches) -> np.ndarray:
+        """The cell times of (family, T) batches, side by side in one (cells, columns) block."""
+        dts = np.empty((self.plan.cells, sum(np.size(T) for _, T in batches)))
+        a = 0
+        for family, T in batches:
+            b = a + np.size(T)
+            self.cell_times(family, T, out=dts[:, a:b])
+            a = b
+        return dts
 
     def success(self, dts: np.ndarray) -> np.ndarray:
         """P of every sweep (column of dts), stepped together in one pass."""
@@ -479,14 +517,16 @@ def evolve(
     c = initial_coefficients(plan)
     if sample_stride > 0:
         marks = np.array([*range(0, plan.cells, sample_stride), plan.cells])
-        # between cells the coefficients live in the next cell's eigenbasis
-        bases = ham.spectrum_at(pair, plan.mids[marks[1:-1]]).states
+        # between cells the coefficients live in the next cell's eigenbasis,
+        # decomposed a chunk at a time; after the last cell, in the computational one
+        chunks = ham.spectrum_chunks(pair, plan.mids[marks[1:-1]])
+        bases = chain.from_iterable(es.states for _, es in chunks)
         drift = np.zeros(1)
         psis = [plan.psi0]
-        for i, (a, b) in enumerate(zip(marks[:-1], marks[1:])):
+        for (a, b), V in zip_longest(zip(marks[:-1], marks[1:]), bases):
             c, d = propagate(plan, dts[:, None], c, a, b)
             drift = np.maximum(drift, d)
-            psis.append(c[:, 0] if b == plan.cells else bases[i] @ c[:, 0])
+            psis.append(c[:, 0] if V is None else V @ c[:, 0])
         t_cum = np.concatenate([[0.0], np.cumsum(dts)])
         samples = _sample_rows(pair, plan.lams[marks], t_cum[marks], psis)
     else:
@@ -506,16 +546,31 @@ def evolve(
 
 
 def _sample_rows(pair, lams, times, psis) -> np.ndarray:
-    """SAMPLE_COLUMNS rows at nodes lams, from one stacked diagonalization."""
-    es = ham.spectrum_at(pair, lams)
-    c2_full, _ = spectral.curvature_from_spectrum(es, pair.bias)
-    p_inst = [abs(V[:, 0] @ psi.conj()) ** 2 for V, psi in zip(es.states, psis)]
-    return np.column_stack([lams, times, p_inst, es.gap(), np.abs(c2_full)])
+    """SAMPLE_COLUMNS rows at nodes lams, from their diagonalization chunk by chunk."""
+    rows = np.empty((lams.size, len(SAMPLE_COLUMNS)))
+    rows[:, 0], rows[:, 1] = lams, times
+    for part, es in ham.spectrum_chunks(pair, lams):
+        c2_full, _ = spectral.curvature_from_spectrum(es, pair.bias)
+        states = zip(es.states, psis[part])
+        rows[part, 2] = [abs(V[:, 0] @ psi.conj()) ** 2 for V, psi in states]
+        rows[part, 3] = es.gap()
+        rows[part, 4] = np.abs(c2_full)
+    return rows
 
 
 def _bracket(lams: np.ndarray, i: int):
     """The scan cells on either side of grid point i."""
     return lams[max(i - 1, 0)], lams[min(i + 1, lams.size - 1)]
+
+
+def _ground_scan(pair: ham.HamiltonianPair):
+    """The _SCAN_POINTS lam grid, max_k |<0|H_b|k>| and the gap on it, chunk by chunk."""
+    lams = np.linspace(0.0, 1.0, _SCAN_POINTS)
+    peaks, gaps = np.empty(lams.size), np.empty(lams.size)
+    for part, es in ham.spectrum_chunks(pair, lams):
+        np.abs(es.ground_couplings(pair.bias)).max(axis=1, out=peaks[part])
+        gaps[part] = es.gap()
+    return lams, peaks, gaps
 
 
 def _refine_min_gap(pair: ham.HamiltonianPair, lams: np.ndarray, gaps: np.ndarray):
@@ -540,8 +595,8 @@ def min_gap(pair: ham.HamiltonianPair):
     and parabolic steps) in the bracketing cells (boundary minima included --
     the single-qubit model has its minimum exactly at lam = 0).
     """
-    lams = np.linspace(0.0, 1.0, _SCAN_POINTS)
-    return _refine_min_gap(pair, lams, ham.spectrum_at(pair, lams).gap())
+    lams, _, gaps = _ground_scan(pair)
+    return _refine_min_gap(pair, lams, gaps)
 
 
 def adiabatic_time(pair: ham.HamiltonianPair) -> float:
@@ -551,9 +606,7 @@ def adiabatic_time(pair: ham.HamiltonianPair) -> float:
     at T >> this value reach P ~ 1.  One scan of the lam grid serves both
     the coupling peak and the minimum gap.
     """
-    lams = np.linspace(0.0, 1.0, _SCAN_POINTS)
-    es = ham.spectrum_at(pair, lams)
-    values = np.abs(es.ground_couplings(pair.bias)).max(axis=1)
+    lams, values, gaps = _ground_scan(pair)
 
     def coupling(lam: float) -> float:
         m = ham.spectrum_at(pair, lam).ground_couplings(pair.bias)
@@ -563,7 +616,7 @@ def adiabatic_time(pair: ham.HamiltonianPair) -> float:
     lo, hi = _bracket(lams, i)
     _, fun = minimize_scalar_bounded(lambda lam: -coupling(lam), (lo, hi), xatol=1e-10)
     peak = max(values[i], -float(fun))
-    gap_min, _ = _refine_min_gap(pair, lams, es.gap())
+    gap_min, _ = _refine_min_gap(pair, lams, gaps)
     return peak / gap_min**2
 
 

@@ -217,7 +217,7 @@ def sweep_T(
         raise ValueError("T_values must be finite, positive and strictly ascending")
     inst = evo.Instance(pair, steps, curvature_floor)
     families = CONTROLLER_FAMILIES
-    dts = np.hstack([inst.cell_times(fam, T_values) for fam in families])
+    dts = inst.cell_block([(fam, T_values) for fam in families])
     P = inst.success(dts).reshape(len(families), T_values.size)
     return {fam: np.column_stack([T_values, p]) for fam, p in zip(families, P)}
 
@@ -275,8 +275,8 @@ def _lockstep_scans(inst: evo.Instance, families, target_P: float, cap_factor: f
     """Run one time-to-target scan per family on inst, sharing every propagation pass.
 
     Each round evaluates the batches of T that every live scan asks for in
-    one inst.success call on their stacked cell times and hands each scan
-    its P values.  Returns family -> TargetResult, or the
+    one inst.success call on their cell times, written into one block, and
+    hands each scan its P values.  Returns family -> TargetResult, or the
     UnreachableTargetError its scan raised, in the order of families.
     """
     plan = inst.plan
@@ -299,7 +299,7 @@ def _lockstep_scans(inst: evo.Instance, families, target_P: float, cap_factor: f
     while requests:
         live = list(requests.items())
         requests.clear()
-        P = inst.success(np.hstack([inst.cell_times(fam, T) for fam, T in live]))
+        P = inst.success(inst.cell_block(live))
         offsets = np.cumsum([len(T) for _, T in live[:-1]])
         for (fam, _), values in zip(live, np.split(P, offsets)):
             resume(fam, values.tolist())
@@ -481,7 +481,7 @@ def _instance_delta_p(pair, k_values, steps):
     """dP per gain on one instance; excludes it as "zero P_lin" when a linear P is 0."""
     inst = evo.Instance(pair, steps)
     T = np.asarray(k_values) * inst.unit_time
-    dts = np.hstack([inst.cell_times("feedback", T), inst.cell_times("linear", T)])
+    dts = inst.cell_block([("feedback", T), ("linear", T)])
     p_fb, p_lin = inst.success(dts).reshape(2, T.size)
     if np.any(p_lin == 0.0):
         raise _Excluded("zero P_lin")

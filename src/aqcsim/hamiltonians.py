@@ -24,6 +24,10 @@ import numpy as np
 
 from .errors import DegenerateGroundError
 
+# Bytes of H(lam) and eigenvectors that one stacked decomposition may hold:
+# at most 64 matrices at n = 5, 256 at n = 4, 1024 at n = 3 (spectrum_chunks).
+_STACK_BYTES = 1 << 20
+
 __all__ = [
     "ProblemSpec",
     "BiasSpec",
@@ -37,6 +41,8 @@ __all__ = [
     "pair_from_seed",
     "total_hamiltonian",
     "spectrum_at",
+    "chunk_size",
+    "spectrum_chunks",
     "problem_ground_index",
 ]
 
@@ -238,6 +244,31 @@ def spectrum_at(pair: HamiltonianPair, lam) -> EigenSystem:
     """
     w, V = np.linalg.eigh(total_hamiltonian(pair, lam))
     return EigenSystem(energies=w, states=V)
+
+
+def chunk_size(dim: int) -> int:
+    """Most matrices per stacked decomposition: H(lam) and its eigenvectors in _STACK_BYTES.
+
+    At least 3, so that spectrum_chunks never leaves one matrix alone.
+    """
+    return max(3, _STACK_BYTES // (16 * dim * dim))
+
+
+def spectrum_chunks(pair: HamiltonianPair, lams: np.ndarray):
+    """(part, EigenSystem of lams[part]) for consecutive slices of a 1-D lams, in order.
+
+    lams is split into as few chunks of at most chunk_size(dim) matrices
+    as it takes, as even as they go, so that no chunk of a larger stack
+    holds a single matrix: numpy multiplies a one-row matrix by gemv, not
+    gemm, and EigenSystem.ground_couplings would change in the last bit.
+    Every matrix is decomposed by its own LAPACK call, so the spectra and
+    what the callers compute from them are bitwise those of one stacked
+    spectrum_at over all of lams.
+    """
+    count = -(-lams.size // chunk_size(pair.dim))
+    for i in range(count):
+        a, b = lams.size * i // count, lams.size * (i + 1) // count
+        yield slice(a, b), spectrum_at(pair, lams[a:b])
 
 
 def problem_ground_index(pair: HamiltonianPair) -> int:

@@ -23,8 +23,9 @@ Every curvature function returns both as a (c2_full, c2_pair) pair of
 arrays: the feedback controller uses the full sum, and the pair term
 documents how dominant the nearest level is.  curvature_profile is the one
 place that chooses the route on a lam grid: the level equations, or, when
-they hit a near-degeneracy or fail, one stacked diagonalization and the
-perturbation sum; it returns the route's name after the two arrays.
+they hit a near-degeneracy or fail, a diagonalization of the grid in
+chunks of a bounded size and the perturbation sum; it returns the
+route's name after the two arrays.
 
 Everything here is a pure function of the Hamiltonian pair; trajectories
 for different instances can be computed concurrently without shared state.
@@ -190,10 +191,10 @@ def curvature_profile(pair: ham.HamiltonianPair, lams):
 
     Tries the level-dynamics route first (route "level_dynamics"); if the
     instance sits too close to a level collision for the equations of
-    motion, falls back to one stacked diagonalization of the whole grid and
-    the perturbation sum (route "diagonalization"; always defined as long
-    as the ground state itself stays separated).  Both routes return 1-D
-    arrays over the grid.  A c2 that overflows or divides by a zero gap on
+    motion, falls back to diagonalizing the grid, a chunk of
+    ham.spectrum_chunks at a time, and the perturbation sum (route
+    "diagonalization"; always defined as long as the ground state itself
+    stays separated).  Both routes return 1-D arrays over the grid.  A c2 that overflows or divides by a zero gap on
     either route (energies near the float range's edge, a tied ground
     state) is refused with a SimulationError, without a RuntimeWarning.
     """
@@ -207,8 +208,9 @@ def curvature_profile(pair: ham.HamiltonianPair, lams):
             c2_full, c2_pair = flow.curvatures(lams)
             route = "level_dynamics"
         else:
-            es = ham.spectrum_at(pair, lams)
-            c2_full, c2_pair = curvature_from_spectrum(es, pair.bias)
+            c2_full, c2_pair = np.empty(lams.size), np.empty(lams.size)
+            for part, es in ham.spectrum_chunks(pair, lams):
+                c2_full[part], c2_pair[part] = curvature_from_spectrum(es, pair.bias)
             route = "diagonalization"
     if not (np.isfinite(c2_full).all() and np.isfinite(c2_pair).all()):
         raise SimulationError(f"the {route} route gave a non-finite curvature c2")

@@ -132,14 +132,76 @@ def test_plan_midpoints_are_decomposed_off_the_caller_thread_from_n_3(monkeypatc
     real = ham.spectrum_at
 
     def recording(pair, lam):
-        calls.append((threading.get_ident(), np.size(lam)))
+        calls.append((threading.get_ident(), np.array(lam)))
         return real(pair, lam)
 
     monkeypatch.setattr(ham, "spectrum_at", recording)
-    plan = evo.build_schedule(ham.pair_from_seed(n, 3), steps=256)
+    # 300 cells: one chunk at n = 2 and 3, two of 150 at n = 4, five of 60 at n = 5
+    plan = evo.build_schedule(ham.pair_from_seed(n, 3), steps=300)
     plan.frame_maps  # joins the worker, if any
-    (thread,) = [ident for ident, size in calls if size == plan.cells]
+    assert plan.cells == 300
+    # psi0's single lam comes last on the caller; every call after it is a midpoint chunk
+    (psi0_call,) = [i for i, (_, lam) in enumerate(calls) if lam.ndim == 0]
+    chunks = calls[psi0_call + 1 :]
+    want = {2: [300], 3: [300], 4: [150] * 2, 5: [60] * 5}[n]
+    assert [lam.size for _, lam in chunks] == want
+    assert np.array_equal(np.concatenate([lam for _, lam in chunks]), plan.mids)
+    (thread,) = {ident for ident, _ in chunks}
     assert (thread != threading.get_ident()) == (n >= 3)
+
+
+@pytest.mark.parametrize("n, count", [(4, 300), (4, 257), (5, 150), (5, 129)],
+                         ids=["n4-partial", "n4-one-over", "n5-partial", "n5-one-over"])
+def test_chunked_midpoint_frames_equal_one_whole_stack_bitwise(n, count):
+    # at most 256 (n = 4) and 64 (n = 5) matrices a chunk; the count not a multiple of it,
+    # or one over a multiple, where fixed-size chunks would leave one matrix alone
+    pair = ham.pair_from_seed(n, 2)
+    mids = np.linspace(1.0, 0.0, count + 2)[1:-1]
+    psi0 = ham.spectrum_at(pair, 1.0).states[:, 0].astype(complex)
+    assert ham.chunk_size(pair.dim) < count
+    outputs = np.empty((count, pair.dim)), np.empty((count, pair.dim, pair.dim))
+    energies, frame_maps, c0 = evo._midpoint_frames(pair, mids, psi0, *outputs)
+    whole = ham.spectrum_at(pair, mids)
+    V = whole.states
+    assert np.array_equal(energies, whole.energies)
+    assert np.array_equal(frame_maps, np.concatenate([V[1:].transpose(0, 2, 1) @ V[:-1], V[-1:]]))
+    assert np.array_equal(c0, V[0].T @ psi0)
+
+
+def _symmetric_pair(n):
+    """Every one-qubit sigma_z at weight 1: excited levels tied, which the level equations refuse."""
+    eps = np.array([1.0 if j & (j - 1) == 0 else 0.0 for j in range(1, 2**n)])
+    return ham.make_pair(ham.ProblemSpec(n, eps, seed=0))
+
+
+@pytest.mark.parametrize("n, per_chunk", [(2, 37), (3, 37), (4, None), (5, None), (5, 3)])
+def test_chunked_scans_fallback_and_trajectory_equal_one_whole_stack_bitwise(
+    monkeypatch, n, per_chunk
+):
+    # at most per_chunk matrices a chunk (None: the module's budget) against one whole stack;
+    # 2049 fallback points and 257 trajectory rows are one over a multiple of 256 and 64
+    pair, symmetric = ham.pair_from_seed(n, 4), _symmetric_pair(n)
+
+    def outputs():
+        rec = evo.evolve(pair, evo.PaceController.linear(2.0), steps=256, sample_stride=1)
+        assert rec.samples.shape[0] == 257
+        # ascending, so that the last point, alone in a chunk of fixed-size chunks, is
+        # not lam = 0, where H(lam) is diagonal and every product exact
+        fallback = spectral.curvature_profile(symmetric, np.linspace(0.0, 1.0, 2049))
+        assert fallback[2] == "diagonalization"
+        return (evo.adiabatic_time(pair), *evo.min_gap(pair), *fallback[:2], rec.samples,
+                rec.psi, rec.P, rec.norm_drift)
+
+    with monkeypatch.context() as m:
+        if per_chunk is not None:
+            m.setattr(ham, "_STACK_BYTES", per_chunk * 16 * pair.dim**2)
+        assert ham.chunk_size(pair.dim) < evo._SCAN_POINTS
+        chunked = outputs()
+    monkeypatch.setattr(ham, "_STACK_BYTES", 1 << 62)
+    assert ham.chunk_size(pair.dim) > evo._SCAN_POINTS
+    whole = outputs()
+    for got, want in zip(chunked, whole):
+        assert np.array_equal(got, want)
 
 
 def test_plan_worker_failure_surfaces_from_the_first_read(monkeypatch, capfd):
@@ -397,6 +459,9 @@ def test_trajectory_sampling_contracts():
     assert s[-1, 1] == pytest.approx(rec.T, rel=1e-12)
     assert s[0, 2] == pytest.approx(1.0, abs=1e-12)  # starts in the ground state
     assert np.all(s[:, 3] > 0)  # gaps
+    # a stride past the last cell: the two end rows, and no basis between cells to decompose
+    ends = evo.evolve(pair, evo.PaceController.linear(1.0), steps=256, sample_stride=10**6)
+    assert np.array_equal(ends.samples, s[[0, -1]])
 
 
 def test_trajectory_rows_match_expm_chain():

@@ -2,6 +2,7 @@
 
 import os
 import threading
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -298,6 +299,22 @@ def test_instance_scans_share_three_passes(monkeypatch):
         assert got[family] == xp.time_to_target(pair, family, 0.9, context=ctx).T
 
 
+def test_an_n5_instance_holds_one_chunk_of_decompositions_a_thread(join_plan_threads):
+    # plan, T_ad scan, level curvature and both scans of one n = 5, 1024-step instance: the
+    # plan's 8 MiB of frame maps, one 1 MiB chunk of H(lam) and eigenvectors on the plan's
+    # thread and one on the caller's, the level solve's dense output and the passes' columns
+    # (the whole midpoint and scan stacks side by side would take 24.4 MiB)
+    xp._instance_times(ham.pair_from_seed(5, 2), 0.9, 1024)  # imports and caches, untraced
+    join_plan_threads()
+    tracemalloc.start()
+    try:
+        xp._instance_times(ham.pair_from_seed(5, 1), 0.9, 1024)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 14 << 20
+
+
 def test_lockstep_scans_stop_at_the_cap(monkeypatch):
     # 3 T_ad stops each ladder at its 12th rung, inside the first pass
     ctx = evo.Instance(ham.pair_from_seed(2, 5), 512)
@@ -305,9 +322,9 @@ def test_lockstep_scans_stop_at_the_cap(monkeypatch):
     evaluated = []
     cell_times = ctx.cell_times
 
-    def recorded_cell_times(family, T):
+    def recorded_cell_times(family, T, out=None):
         evaluated.extend(T)
-        return cell_times(family, T)
+        return cell_times(family, T, out)
 
     monkeypatch.setattr(ctx, "cell_times", recorded_cell_times)
     results = xp._lockstep_scans(ctx, xp.CONTROLLER_FAMILIES, 0.999, cap_factor=3.0)
