@@ -20,17 +20,15 @@ from .errors import (
     UnreachableTargetError,
 )
 from .hamiltonians import (
-    BiasSpec,
     EigenSystem,
     HamiltonianPair,
-    ProblemSpec,
     build_bias,
     build_problem,
     default_bias_strength,
     make_pair,
     pair_from_seed,
     problem_ground_index,
-    sample_problem,
+    sample_epsilon,
     spectrum_at,
     total_hamiltonian,
 )
@@ -56,7 +54,6 @@ from .evolution import (
 )
 from .experiments import (
     DeltaPResult,
-    EnsembleSpec,
     EnsembleSummary,
     InstanceRecord,
     PowerLawFit,

@@ -211,29 +211,27 @@ def _footprint(command: str, v: dict) -> list:
     point = 16 * dim * dim + 8 * dim  # a stacked point: H(lam), its eigenvectors and energies
 
     def stack(points: int) -> int:
-        """A chunked decomposition of `points` lam values: one chunk and the last one's V."""
+        """One chunk of `points` decomposed and the last one's V; a chunk of level rows is less."""
         return min(points, ham.chunk_size(dim)) * (point + 8 * dim * dim)
 
-    # a curvature point on the level route: 40 B a level for the interpolated E and L[0]
-    # rows and their temporaries; on either route 24 B for lam, c2_full and c2_pair
-    level = 40 * dim
     if command == "profile":
         res = v["resolution"]
+        # a grid point: 24 B for lam, c2_full and c2_pair, and its table row
         return [(f"n = {n}", fixed + point, "the parser, the pair and the manifest"),
-                ("--resolution", stack(res) + res * (24 + max(level, 3 * csv)),
-                 "the curvature on the grid, a chunk of its fallback, or the table")]
+                ("--resolution", stack(res) + res * (24 + 3 * csv),
+                 "the curvature and the table on the grid, and a chunk of either route")]
     cells = max(v["steps"], evo._BASE_CELLS)
     live = command != "run" or (v["controller"] == "feedback" and v["replay"] is None)
     scan = command == "scaling" or v.get("t_units") == "tad"
     curve = 2 * cells + 1 if live else 0  # |c2| at the plan's nodes and midpoints
     beside = max(curve, evo._SCAN_POINTS * scan)
     # the plan keeps frame maps, energies and lam vectors per cell; while its midpoints are
-    # decomposed (on the worker from n = 3) the caller may decompose the live feedback
-    # fallback's points or the T_ad scan, and a live curvature point holds its level-route
-    # rows and 48 B of grid, c2 and |c2|; before, the bisection stacks its 65 base nodes
+    # decomposed (on the worker from n = 3) the caller may hold a chunk of the T_ad scan, or
+    # of a live feedback sweep's curvature on either route, whose points hold 48 B of grid,
+    # c2 and |c2| each; before, the bisection stacks its 65 base nodes
     plan = max((evo._BASE_CELLS + 1) * point,
                cells * (8 * dim * (dim + 1) + 40) + stack(cells) + stack(beside)
-               + curve * (level + 48))
+               + curve * 48)
     # a column: 9 B a cell; per chunk cell 40 B a level and 24 B for the norms; 48 B a level
     column = 9 * cells + min(cells, evo._PHASE_CHUNK) * (40 * dim + 24) + 48 * dim
     # run's one sweep; a scaling pass holds two scans' requests, a doubling or a halving ladder
@@ -347,8 +345,10 @@ def parse_config(argv=None) -> RunConfig:
     return RunConfig(command=command, values=values, provenance=provenance)
 
 
-def _format_cell(value) -> str:
+def _format_cell(name: str, column: str, value) -> str:
     if isinstance(value, (float, np.floating)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name}: column {column} holds the non-finite {float(value)!r}")
         return repr(float(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
@@ -362,14 +362,25 @@ def _atomic_write(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _non_finite_key(doc, key: str = ""):
+    """The key path of the first non-finite float in a JSON-like document, or None."""
+    if isinstance(doc, (dict, list, tuple)):
+        items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+        found = (_non_finite_key(value, f"{key}.{k}" if key else str(k)) for k, value in items)
+        return next((path for path in found if path is not None), None)
+    return key if isinstance(doc, float) and not math.isfinite(doc) else None
+
+
 def emit_tables(results: dict, out_dir: str, manifest: dict | None = None):
     """Write CSV tables (and the manifest) atomically into out_dir.
 
     results maps file name -> (column names, row iterable), or -> text that
     is written as it is (a plot).  Rows may be empty; the header is still
     written so downstream tooling sees the schema.  Every file is
-    serialized before the first is written, so a refused manifest leaves
-    nothing behind.  Returns the written paths.
+    serialized before the first is written, so a refused file leaves
+    nothing behind: a non-finite float in a CSV cell (named by file and
+    column) or anywhere in the manifest (named by its key) raises
+    ValueError.  Returns the written paths.
     """
     files = {}
     for name, table in results.items():
@@ -378,11 +389,14 @@ def emit_tables(results: dict, out_dir: str, manifest: dict | None = None):
             continue
         columns, rows = table
         lines = [",".join(columns)]
-        lines.extend(",".join(_format_cell(cell) for cell in row) for row in rows)
+        lines.extend(",".join(_format_cell(name, col, cell) for col, cell in zip(columns, row))
+                     for row in rows)
         files[name] = "\n".join(lines) + "\n"
     if manifest is not None:
-        text = json.dumps(manifest, indent=2, default=str, allow_nan=False)
-        files["manifest.json"] = text + "\n"
+        key = _non_finite_key(manifest)
+        if key is not None:
+            raise ValueError(f"manifest.json: {key} is not a finite number")
+        files["manifest.json"] = json.dumps(manifest, indent=2, default=str) + "\n"
     os.makedirs(out_dir, exist_ok=True)
     written = []
     for name, text in files.items():
@@ -451,10 +465,7 @@ def replay_profile(path: str):
 
 def _instance(cfg: RunConfig) -> ham.HamiltonianPair:
     if cfg.values.get("epsilon") is not None:
-        spec = ham.ProblemSpec(
-            n=cfg["n"], epsilon=np.array(cfg["epsilon"]), seed=cfg["seed"]
-        )
-        return ham.make_pair(spec)
+        return ham.make_pair(cfg["n"], cfg["epsilon"], cfg["seed"])
     return ham.pair_from_seed(cfg["n"], cfg["seed"])
 
 
@@ -470,8 +481,6 @@ def _cmd_run(cfg: RunConfig) -> dict:
     record = evo.evolve(
         pair, controller, steps=cfg["steps"], sample_stride=cfg["sample_stride"]
     )
-    if not (math.isfinite(record.P) and math.isfinite(record.T)):
-        raise SimulationError(f"sweep gave P = {record.P!r}, T = {record.T!r}")
     tables = {}
     if record.samples is not None:
         tables["trajectory.csv"] = (evo.SAMPLE_COLUMNS, record.samples)
@@ -532,13 +541,8 @@ def _cmd_sweep_t(cfg: RunConfig) -> dict:
 
 
 def _cmd_scaling(cfg: RunConfig) -> dict:
-    spec = xp.EnsembleSpec(
-        n_values=cfg["n_values"],
-        samples_per_n=cfg["samples"],
-        master_seed=cfg["master_seed"],
-        target_P=cfg["target_p"],
-    )
-    summary = xp.scaling_study(spec, steps=cfg["steps"], workers=cfg["workers"])
+    summary = xp.scaling_study(cfg["n_values"], cfg["samples"], cfg["master_seed"],
+                               cfg["target_p"], steps=cfg["steps"], workers=cfg["workers"])
     for c in summary.cells:
         if c.count == 0:
             raise SimulationError(

@@ -143,7 +143,6 @@ class PaceController:
 class RunRecord:
     """Outcome of one sweep: success probability, realized time, diagnostics."""
 
-    pair: ham.HamiltonianPair
     controller: PaceController
     P: float
     T: float
@@ -534,7 +533,6 @@ def evolve(
         samples = None
 
     return RunRecord(
-        pair=pair,
         controller=controller,
         P=float(abs(c[plan.ground_index, 0]) ** 2),
         T=float(dts.sum()),

@@ -20,7 +20,7 @@ Instance seeding: instance_seed(master_seed, n, index) feeds the tuple
 (master_seed, n, index) through numpy's SeedSequence and keeps the first
 64-bit word.  The rule is platform independent and gives every instance an
 independent, reconstructible stream; each recorded seed replays its
-instance exactly via sample_problem(n, seed).
+instance exactly via hamiltonians.pair_from_seed(n, seed).
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .errors import (
 )
 
 __all__ = [
-    "EnsembleSpec",
     "EnsembleSummary",
     "InstanceRecord",
     "ScalingCell",
@@ -70,23 +69,6 @@ def instance_seed(master_seed: int, n: int, index: int) -> int:
 
 def make_instance(n: int, seed: int) -> ham.HamiltonianPair:
     return ham.pair_from_seed(n, seed)
-
-
-@dataclass(frozen=True)
-class EnsembleSpec:
-    """Everything defining one ensemble experiment (and hence its outputs)."""
-
-    n_values: tuple
-    samples_per_n: int = 100
-    master_seed: int = 7
-    target_P: float = 0.9
-
-    def __post_init__(self):
-        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
-        if self.samples_per_n < 1:
-            raise ValueError("samples_per_n must be >= 1")
-        if not 0.0 < self.target_P < 1.0:
-            raise ValueError("target_P must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -125,7 +107,6 @@ class _Excluded(Exception):
 
 @dataclass(frozen=True)
 class EnsembleSummary:
-    spec: EnsembleSpec
     cells: tuple
     fits: dict
     exclusions: dict  # reason -> count over (instance, controller) pairs
@@ -410,7 +391,10 @@ def _instance_times(pair, target_P, steps):
 
 
 def scaling_study(
-    spec: EnsembleSpec,
+    n_values,
+    samples: int = 100,
+    master_seed: int = 7,
+    target_P: float = 0.9,
     *,
     steps: int = 2048,
     workers: int = 0,
@@ -418,24 +402,26 @@ def scaling_study(
     """Mean time-to-target versus qubit count, with power-law fits.
 
     For every n and controller family the study averages time_to_target
-    over samples_per_n seeded instances (excluding degenerate or
-    unreachable ones, which are counted per cell) and fits
-    log(mean T) = a + b log(n) by least squares.  workers > 1 runs
-    instances in a process pool; reduction is in instance order either way,
-    so the output is identical.
+    over `samples` seeded instances (excluding degenerate or unreachable
+    ones, which are counted per cell) and fits log(mean T) = a + b log(n)
+    by least squares.  workers > 1 runs instances in a process pool;
+    reduction is in instance order either way, so the output is identical.
+    The arguments are checked before any instance is built.
     """
-    n_values = spec.n_values
-    if any(n < 2 for n in n_values) or any(
-        b <= a for a, b in zip(n_values, n_values[1:])
-    ):
+    n_values = tuple(int(n) for n in n_values)
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    if not 0.0 < target_P < 1.0:
+        raise ValueError(f"target_P must lie in (0, 1), got {target_P}")
+    if any(n < 2 for n in n_values) or any(b <= a for a, b in zip(n_values, n_values[1:])):
         raise ValueError("n_values must be ascending and each >= 2")
     if len(set(n_values)) < 3:
         raise FitUnderdeterminedError(
             f"power-law fit needs >= 3 distinct sizes, got {sorted(set(n_values))}"
         )
 
-    task = partial(_instance_times, target_P=spec.target_P, steps=steps)
-    records = map_instances(task, n_values, spec.samples_per_n, spec.master_seed, workers)
+    task = partial(_instance_times, target_P=target_P, steps=steps)
+    records = map_instances(task, n_values, samples, master_seed, workers)
 
     cells = []
     exclusions: Counter = Counter()
@@ -460,7 +446,7 @@ def scaling_study(
         fam: fit_power_law(n_values, [c.mean_T for c in cells if c.controller == fam])
         for fam in CONTROLLER_FAMILIES
     }
-    return EnsembleSummary(spec, tuple(cells), fits, dict(exclusions), tuple(records))
+    return EnsembleSummary(tuple(cells), fits, dict(exclusions), tuple(records))
 
 
 def fit_power_law(n_values, mean_times) -> PowerLawFit:

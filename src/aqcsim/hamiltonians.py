@@ -25,16 +25,14 @@ import numpy as np
 from .errors import DegenerateGroundError
 
 # Bytes of H(lam) and eigenvectors that one stacked decomposition may hold:
-# at most 64 matrices at n = 5, 256 at n = 4, 1024 at n = 3 (spectrum_chunks).
+# at most 64 matrices at n = 5, 256 at n = 4, 1024 at n = 3 (chunk_slices).
 _STACK_BYTES = 1 << 20
 
 __all__ = [
-    "ProblemSpec",
-    "BiasSpec",
     "HamiltonianPair",
     "EigenSystem",
     "default_bias_strength",
-    "sample_problem",
+    "sample_epsilon",
     "build_problem",
     "build_bias",
     "make_pair",
@@ -42,6 +40,7 @@ __all__ = [
     "total_hamiltonian",
     "spectrum_at",
     "chunk_size",
+    "chunk_slices",
     "spectrum_chunks",
     "problem_ground_index",
 ]
@@ -50,46 +49,6 @@ __all__ = [
 def default_bias_strength(n: int) -> float:
     """Strong-bias field strength used throughout: Z = 10**(n/2)."""
     return 10.0 ** (n / 2.0)
-
-
-@dataclass(frozen=True)
-class ProblemSpec:
-    """Coefficients of a random diagonal problem Hamiltonian.
-
-    epsilon[j-1] multiplies the sigma_z product labelled j = 1 .. 2**n - 1.
-    The seed that produced epsilon is carried along so any instance can be
-    reconstructed exactly from (n, seed).
-    """
-
-    n: int
-    epsilon: np.ndarray
-    seed: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "epsilon", np.asarray(self.epsilon, dtype=float))
-        if self.n < 1:
-            raise ValueError(f"need n >= 1, got {self.n}")
-        if self.epsilon.shape != (2**self.n - 1,):
-            raise ValueError(
-                f"epsilon must have length 2**n - 1 = {2**self.n - 1}, "
-                f"got shape {self.epsilon.shape}"
-            )
-
-
-@dataclass(frozen=True)
-class BiasSpec:
-    n: int
-    Z: float
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"need n >= 1, got {self.n}")
-        if not 0 < self.Z < np.inf:
-            raise ValueError(f"need finite Z > 0, got {self.Z}")
-
-    @classmethod
-    def default(cls, n: int) -> "BiasSpec":
-        return cls(n=n, Z=default_bias_strength(n))
 
 
 @dataclass(frozen=True)
@@ -155,63 +114,68 @@ class EigenSystem:
         return ((V[..., :, 0] @ bias)[..., None, :] @ V[..., :, 1:])[..., 0, :]
 
 
-def sample_problem(n: int, seed: int) -> ProblemSpec:
-    """Draw the 2**n - 1 coupling strengths for one random instance.
+def sample_epsilon(n: int, seed: int) -> np.ndarray:
+    """Draw the 2**n - 1 coupling strengths of one random instance.
 
-    Uses PCG64 seeded through SeedSequence, so results are identical across
-    platforms and numpy versions that share the generator.
+    epsilon[j-1] multiplies the sigma_z product labelled j.  Uses PCG64
+    seeded through SeedSequence, so results are identical across platforms
+    and numpy versions that share the generator.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    eps = rng.normal(loc=0.0, scale=float(n) ** 2, size=2**n - 1)
-    return ProblemSpec(n=n, epsilon=eps, seed=seed)
+    return rng.normal(loc=0.0, scale=float(n) ** 2, size=2**n - 1)
 
 
-def _popcount_table(dim: int) -> np.ndarray:
-    return np.array([bin(x).count("1") for x in range(dim)])
-
-
-def build_problem(spec: ProblemSpec) -> np.ndarray:
+def build_problem(n: int, epsilon: np.ndarray) -> np.ndarray:
     """Diagonal of H_p in the computational basis.
 
     Entry b is sum_j epsilon_j * (-1)**popcount(j & b): each sigma_z product
     is diagonal, so H_p is as well.
     """
-    dim = 2**spec.n
-    pop = _popcount_table(dim)
+    dim = 2**n
+    pop = np.array([bin(x).count("1") for x in range(dim)])
     b = np.arange(dim)
     diag = np.zeros(dim)
     for j in range(1, dim):
-        diag += spec.epsilon[j - 1] * (1.0 - 2.0 * (pop[j & b] & 1))
+        diag += epsilon[j - 1] * (1.0 - 2.0 * (pop[j & b] & 1))
     return diag
 
 
-def build_bias(spec: BiasSpec) -> np.ndarray:
+def build_bias(n: int, Z: float) -> np.ndarray:
     """Dense -Z * sum_i sigma_x^(i): entries -Z between labels one bit apart."""
-    dim = 2**spec.n
+    dim = 2**n
     H = np.zeros((dim, dim))
     rows = np.arange(dim)
-    for i in range(spec.n):
-        H[rows, rows ^ (1 << i)] = -spec.Z
+    for i in range(n):
+        H[rows, rows ^ (1 << i)] = -Z
     return H
 
 
-def make_pair(problem: ProblemSpec, bias: BiasSpec | None = None) -> HamiltonianPair:
-    if bias is None:
-        bias = BiasSpec.default(problem.n)
+def make_pair(n: int, epsilon, seed: int = 0, Z: float | None = None) -> HamiltonianPair:
+    """The pair of n qubits with couplings epsilon under a bias of strength Z.
+
+    Refuses n < 1, an epsilon whose length is not 2**n - 1, and a Z that is
+    not finite and positive; Z = None is default_bias_strength(n).  seed is
+    recorded with the pair, so that an instance can be rebuilt from (n, seed).
+    """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    epsilon = np.asarray(epsilon, dtype=float)
+    if epsilon.shape != (2**n - 1,):
+        raise ValueError(f"epsilon needs 2**n - 1 = {2**n - 1} entries, got {epsilon.shape}")
+    if Z is None:
+        Z = default_bias_strength(n)
+    elif not 0 < Z < np.inf:
+        raise ValueError(f"need finite Z > 0, got {Z}")
     return HamiltonianPair(
-        problem_diag=build_problem(problem),
-        bias=build_bias(bias),
-        n=problem.n,
-        Z=bias.Z,
-        seed=problem.seed,
+        problem_diag=build_problem(n, epsilon), bias=build_bias(n, Z), n=n, Z=Z, seed=seed
     )
 
 
 def pair_from_seed(n: int, seed: int) -> HamiltonianPair:
-    """Convenience: sample, build and pair up one instance at the default bias."""
-    return make_pair(sample_problem(n, seed))
+    """Sample, build and pair up one instance at the default bias."""
+    return make_pair(n, sample_epsilon(n, seed), seed)
 
 
 def total_hamiltonian(pair: HamiltonianPair, lam) -> np.ndarray:
@@ -249,26 +213,32 @@ def spectrum_at(pair: HamiltonianPair, lam) -> EigenSystem:
 def chunk_size(dim: int) -> int:
     """Most matrices per stacked decomposition: H(lam) and its eigenvectors in _STACK_BYTES.
 
-    At least 3, so that spectrum_chunks never leaves one matrix alone.
+    At least 3, so that chunk_slices never leaves one point alone.
     """
     return max(3, _STACK_BYTES // (16 * dim * dim))
 
 
-def spectrum_chunks(pair: HamiltonianPair, lams: np.ndarray):
-    """(part, EigenSystem of lams[part]) for consecutive slices of a 1-D lams, in order.
+def chunk_slices(size: int, dim: int):
+    """Consecutive slices of range(size), at most chunk_size(dim) long, few and even.
 
-    lams is split into as few chunks of at most chunk_size(dim) matrices
-    as it takes, as even as they go, so that no chunk of a larger stack
-    holds a single matrix: numpy multiplies a one-row matrix by gemv, not
-    gemm, and EigenSystem.ground_couplings would change in the last bit.
-    Every matrix is decomposed by its own LAPACK call, so the spectra and
-    what the callers compute from them are bitwise those of one stacked
-    spectrum_at over all of lams.
+    No slice of a larger range holds a single point: numpy multiplies a
+    one-row matrix by gemv, not gemm, and EigenSystem.ground_couplings
+    would change in the last bit.
     """
-    count = -(-lams.size // chunk_size(pair.dim))
+    count = -(-size // chunk_size(dim))
     for i in range(count):
-        a, b = lams.size * i // count, lams.size * (i + 1) // count
-        yield slice(a, b), spectrum_at(pair, lams[a:b])
+        yield slice(size * i // count, size * (i + 1) // count)
+
+
+def spectrum_chunks(pair: HamiltonianPair, lams: np.ndarray):
+    """(part, EigenSystem of lams[part]) for the chunk_slices of a 1-D lams, in order.
+
+    Every matrix is decomposed by its own LAPACK call, so the spectra and
+    what the callers compute from them (EigenSystem.ground_couplings
+    included) are bitwise those of one stacked spectrum_at over all of lams.
+    """
+    for part in chunk_slices(lams.size, pair.dim):
+        yield part, spectrum_at(pair, lams[part])
 
 
 def problem_ground_index(pair: HamiltonianPair) -> int:

@@ -23,8 +23,8 @@ Every curvature function returns both as a (c2_full, c2_pair) pair of
 arrays: the feedback controller uses the full sum, and the pair term
 documents how dominant the nearest level is.  curvature_profile is the one
 place that chooses the route on a lam grid: the level equations, or, when
-they hit a near-degeneracy or fail, a diagonalization of the grid in
-chunks of a bounded size and the perturbation sum; it returns the
+they hit a near-degeneracy or fail, a diagonalization of the grid and the
+perturbation sum, either in chunks of a bounded size; it returns the
 route's name after the two arrays.
 
 Everything here is a pure function of the Hamiltonian pair; trajectories
@@ -125,6 +125,8 @@ class LevelFlow:
 
         c2_full = -sum_k 2 L0k^2 / (E_k - E_0)^3 over row l = 0 of L, and
         c2_pair is its k = 1 term.  Both are <= 0 for the ground level.
+        Every point is interpolated on its own, so a grid evaluated in
+        chunks of at least two points gives the whole grid's values bitwise.
         """
         lams = np.clip(np.atleast_1d(np.asarray(lams, dtype=float)), 0.0, 1.0)
         E, L0 = np.split(self._dense(lams), 2)
@@ -191,27 +193,28 @@ def curvature_profile(pair: ham.HamiltonianPair, lams):
 
     Tries the level-dynamics route first (route "level_dynamics"); if the
     instance sits too close to a level collision for the equations of
-    motion, falls back to diagonalizing the grid, a chunk of
-    ham.spectrum_chunks at a time, and the perturbation sum (route
-    "diagonalization"; always defined as long as the ground state itself
-    stays separated).  Both routes return 1-D arrays over the grid.  A c2 that overflows or divides by a zero gap on
-    either route (energies near the float range's edge, a tied ground
-    state) is refused with a SimulationError, without a RuntimeWarning.
+    motion, falls back to diagonalizing the grid and the perturbation sum
+    (route "diagonalization"; always defined as long as the ground state
+    itself stays separated).  Either route takes the grid one
+    ham.chunk_slices chunk at a time, bitwise the whole grid at once, into
+    1-D arrays over it.  A c2 that overflows or divides by a zero gap
+    (energies near the float range's edge, a tied ground state) is refused
+    with a SimulationError, without a RuntimeWarning.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     try:
         flow = solve_levels(pair)
     except (NearDegeneracyError, IntegrationFailureError):
         flow = None
+    route = "diagonalization" if flow is None else "level_dynamics"
+    c2_full, c2_pair = np.empty(lams.size), np.empty(lams.size)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # refused below
-        if flow is not None:
-            c2_full, c2_pair = flow.curvatures(lams)
-            route = "level_dynamics"
-        else:
-            c2_full, c2_pair = np.empty(lams.size), np.empty(lams.size)
-            for part, es in ham.spectrum_chunks(pair, lams):
-                c2_full[part], c2_pair[part] = curvature_from_spectrum(es, pair.bias)
-            route = "diagonalization"
+        for part in ham.chunk_slices(lams.size, pair.dim):
+            if flow is None:
+                c2 = curvature_from_spectrum(ham.spectrum_at(pair, lams[part]), pair.bias)
+            else:
+                c2 = flow.curvatures(lams[part])
+            c2_full[part], c2_pair[part] = c2
     if not (np.isfinite(c2_full).all() and np.isfinite(c2_pair).all()):
         raise SimulationError(f"the {route} route gave a non-finite curvature c2")
     return c2_full, c2_pair, route

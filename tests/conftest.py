@@ -41,7 +41,7 @@ def degenerate_seed(monkeypatch):
     def make_degenerate(*targets):
         def make_instance(n, seed):
             if seed in targets:
-                return ham.make_pair(ham.ProblemSpec(n, np.zeros(2**n - 1), seed))
+                return ham.make_pair(n, np.zeros(2**n - 1), seed)
             return real(n, seed)
 
         monkeypatch.setattr(xp, "make_instance", make_instance)

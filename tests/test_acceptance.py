@@ -66,9 +66,9 @@ def test_criterion_2_curvature_correctness(acceptance):
 
     worst_closed = 0.0
     for seed in range(5):
-        spec = ham.sample_problem(1, seed)
-        pair = ham.make_pair(spec)
-        eps, Z = spec.epsilon[0], pair.Z
+        epsilon = ham.sample_epsilon(1, seed)
+        pair = ham.make_pair(1, epsilon, seed)
+        eps, Z = epsilon[0], pair.Z
         # the 1e-7 absolute bar sits below the default integration
         # tolerance, so verify against a tightly integrated flow
         flow = spectral.solve_levels(pair, rtol=1e-11, atol=1e-13)
@@ -182,10 +182,9 @@ def test_criterion_6_scaling_exponent_bands(acceptance):
     means, no trimming) and its measured exponents are reported; the test
     is an expected failure rather than a gamed pass.
     """
-    spec = xp.EnsembleSpec(
-        n_values=(2, 3, 4, 5), samples_per_n=100, master_seed=7, target_P=0.9
+    summary = xp.scaling_study(
+        (2, 3, 4, 5), samples=100, master_seed=7, target_P=0.9, steps=1024
     )
-    summary = xp.scaling_study(spec, steps=1024)
     b_lin = summary.fits["linear"].exponent
     b_fb = summary.fits["feedback"].exponent
     ok = (b_lin - b_fb >= 1.0) and (2.3 <= b_lin <= 4.3) and (0.6 <= b_fb <= 2.4)

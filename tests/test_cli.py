@@ -213,7 +213,7 @@ def test_the_traced_peak_of_each_command_meets_its_footprint(
     # sizes at which the counted terms outweigh the fixed cost, on the route the model
     # counts: a symmetric problem takes the diagonalization fallback, here and in scaling
     real = xp.make_instance
-    symmetric = ham.make_pair(ham.ProblemSpec(4, np.array(_SYMMETRIC[4].split(","), float), 0))
+    symmetric = ham.make_pair(4, np.array(_SYMMETRIC[4].split(","), float))
     monkeypatch.setattr(xp, "make_instance",
                         lambda n, seed: symmetric if n == 4 else real(n, seed))
     cfg = cli.parse_config(argv)
@@ -545,6 +545,33 @@ def test_manifest_refuses_non_finite_numbers(tmp_path):
     assert not out.exists()
 
 
+def test_a_non_finite_cell_or_result_writes_nothing_and_is_named(tmp_path):
+    out = tmp_path / "o"
+    tables = {"a.csv": (("x",), [(1.0,)]),
+              "t.csv": (("n", "controller", "x"), [(1, "linear", 0.5), (2, "feedback", np.nan)])}
+    with pytest.raises(ValueError, match=r"^t\.csv: column x holds the non-finite nan"):
+        cli.emit_tables(tables, str(out), {"command": "t"})
+    assert not out.exists()
+    manifest = {"results": {"linear": {"exponent": 1.0}, "feedback": {"exponent": -np.inf}}}
+    with pytest.raises(ValueError, match=r"results\.feedback\.exponent is not a finite"):
+        cli.emit_tables({"a.csv": (("x",), [(1.0,)])}, str(out), manifest)
+    assert not out.exists()
+
+
+def test_a_non_finite_table_cell_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    def nan_curves(pair, T_values, **kwargs):
+        T = np.asarray(T_values, dtype=float)
+        nan = np.column_stack([T, np.full(T.size, np.nan)])
+        return dict.fromkeys(xp.CONTROLLER_FAMILIES, nan)
+
+    monkeypatch.setattr(xp, "sweep_T", nan_curves)
+    out = tmp_path / "o"
+    assert cli.main(["sweep-t", "--n", "2", "--t-points", "2", "--steps", "64",
+                     "--out", str(out)]) == 3
+    assert "fig2_curve.csv: column P holds the non-finite nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_replay_profile_tolerates_header_and_extra_columns(tmp_path):
     p = tmp_path / "p.csv"
     p.write_text("lambda,c2_full,c2_pair\n1.0,-1.5,-1.0\n0.5,-9.0,-8.0\n0.0,-2.0,-1.0\n")
@@ -589,6 +616,19 @@ def test_sweep_t_reruns_are_byte_identical(tmp_path):
     assert cli.main([*args, "--out", str(a)]) == 0
     assert cli.main([*args, "--out", str(b)]) == 0
     assert (a / "fig2_curve.csv").read_bytes() == (b / "fig2_curve.csv").read_bytes()
+
+
+def test_sweep_t_in_absolute_units_scans_the_grid_as_given(tmp_path):
+    out = tmp_path / "o"
+    assert cli.main(["sweep-t", "--n", "2", "--seed", "8", "--t-units", "abs", "--t-min", "0.3",
+                     "--t-max", "7", "--t-points", "5", "--steps", "64", "--out", str(out)]) == 0
+    lines = (out / "fig2_curve.csv").read_text().splitlines()
+    assert lines[0] == "controller,T,P"
+    rows = [line.split(",") for line in lines[1:]]
+    for fam in ("linear", "feedback"):
+        T = [float(t) for controller, t, _ in rows if controller == fam]
+        np.testing.assert_array_equal(T, np.linspace(0.3, 7.0, 5))
+    assert "T_ad" not in json.loads((out / "manifest.json").read_text()).get("results", {})
 
 
 def test_run_trajectory_dump(tmp_path):

@@ -18,8 +18,7 @@ from aqcsim.errors import DegenerateGroundError
 
 
 def one_qubit_pair(eps=3.0, Z=5.0):
-    spec = ham.ProblemSpec(n=1, epsilon=np.array([eps]), seed=0)
-    return ham.make_pair(spec, ham.BiasSpec(n=1, Z=Z))
+    return ham.make_pair(1, np.array([eps]), Z=Z)
 
 
 # ---------------------------------------------------------------- controllers
@@ -171,7 +170,7 @@ def test_chunked_midpoint_frames_equal_one_whole_stack_bitwise(n, count):
 def _symmetric_pair(n):
     """Every one-qubit sigma_z at weight 1: excited levels tied, which the level equations refuse."""
     eps = np.array([1.0 if j & (j - 1) == 0 else 0.0 for j in range(1, 2**n)])
-    return ham.make_pair(ham.ProblemSpec(n, eps, seed=0))
+    return ham.make_pair(n, eps)
 
 
 @pytest.mark.parametrize("n, per_chunk", [(2, 37), (3, 37), (4, None), (5, None), (5, 3)])
@@ -238,7 +237,7 @@ def test_plan_threads_finish_once_their_frames_are_read(join_plan_threads):
 
 def test_plan_argument_errors_raise_on_the_caller_thread_before_any_worker():
     threads = threading.active_count()
-    tied = ham.make_pair(ham.ProblemSpec(3, np.zeros(7), seed=0))
+    tied = ham.make_pair(3, np.zeros(7))
     for build in (evo.build_schedule, evo.Instance):
         with pytest.raises(DegenerateGroundError, match="tied ground states"):
             build(tied, 64)
@@ -525,13 +524,10 @@ def test_adiabatic_time_single_qubit_closed_form():
 
 
 def test_adiabatic_time_scales_inversely_with_energy():
-    spec = ham.sample_problem(2, 21)
-    pair = ham.make_pair(spec)
+    epsilon = ham.sample_epsilon(2, 21)
+    pair = ham.make_pair(2, epsilon, 21)
     c = 3.0
-    scaled = ham.make_pair(
-        ham.ProblemSpec(n=2, epsilon=spec.epsilon * c, seed=spec.seed),
-        ham.BiasSpec(n=2, Z=pair.Z * c),
-    )
+    scaled = ham.make_pair(2, epsilon * c, 21, Z=pair.Z * c)
     assert evo.adiabatic_time(scaled) == pytest.approx(
         evo.adiabatic_time(pair) / c, rel=1e-6
     )

@@ -37,13 +37,15 @@ def test_make_instance_round_trips_through_seed():
     np.testing.assert_array_equal(pair.problem_diag, again.problem_diag)
 
 
-def test_ensemble_spec_validation():
-    spec = xp.EnsembleSpec(n_values=[2, 3, 4])
-    assert spec.n_values == (2, 3, 4)
-    with pytest.raises(ValueError):
-        xp.EnsembleSpec(n_values=(2, 3, 4), samples_per_n=0)
-    with pytest.raises(ValueError):
-        xp.EnsembleSpec(n_values=(2, 3, 4), target_P=1.0)
+def test_scaling_study_validates_samples_and_target(monkeypatch):
+    def no_instance(n, seed):
+        raise AssertionError("an instance was built before the arguments were checked")
+
+    monkeypatch.setattr(xp, "make_instance", no_instance)
+    with pytest.raises(ValueError, match="samples"):
+        xp.scaling_study([2, 3, 4], samples=0)
+    with pytest.raises(ValueError, match="target_P"):
+        xp.scaling_study([2, 3, 4], target_P=1.0)
 
 
 # -------------------------------------------------------------------- sweep_T
@@ -353,16 +355,16 @@ def test_non_monotone_probes_are_flagged():
 
 def test_scaling_study_validates_sizes():
     with pytest.raises(ValueError):
-        xp.scaling_study(xp.EnsembleSpec(n_values=(3, 2, 4)))
+        xp.scaling_study((3, 2, 4))
     with pytest.raises(ValueError):
-        xp.scaling_study(xp.EnsembleSpec(n_values=(1, 2, 3)))
+        xp.scaling_study((1, 2, 3))
     with pytest.raises(FitUnderdeterminedError):
-        xp.scaling_study(xp.EnsembleSpec(n_values=(2, 3)))
+        xp.scaling_study((2, 3))
 
 
 def test_scaling_study_small_ensemble_accounting():
-    spec = xp.EnsembleSpec(n_values=(2, 3, 4), samples_per_n=3, master_seed=11)
-    summary = xp.scaling_study(spec, steps=256)
+    spec = dict(n_values=(2, 3, 4), samples=3, master_seed=11)
+    summary = xp.scaling_study(**spec, steps=256)
     assert len(summary.cells) == 6  # 3 sizes x 2 families
     for cell in summary.cells:
         assert cell.count + cell.excluded == 3
@@ -370,15 +372,15 @@ def test_scaling_study_small_ensemble_accounting():
             assert np.isfinite(cell.mean_T) and cell.mean_T > 0
     assert set(summary.fits) == {"linear", "feedback"}
     # rerunning the same spec reproduces the numbers exactly
-    again = xp.scaling_study(spec, steps=256)
+    again = xp.scaling_study(**spec, steps=256)
     for a, b in zip(summary.cells, again.cells):
         assert a == b
 
 
 def test_scaling_study_worker_pool_matches_serial():
-    spec = xp.EnsembleSpec(n_values=(2, 3, 4), samples_per_n=2, master_seed=3)
-    serial = xp.scaling_study(spec, steps=256, workers=0)
-    pooled = xp.scaling_study(spec, steps=256, workers=2)
+    spec = dict(n_values=(2, 3, 4), samples=2, master_seed=3)
+    serial = xp.scaling_study(**spec, steps=256, workers=0)
+    pooled = xp.scaling_study(**spec, steps=256, workers=2)
     for a, b in zip(serial.cells, pooled.cells):
         assert a == b
     assert serial.records == pooled.records
@@ -430,8 +432,7 @@ def test_ensembles_count_exclusions_by_reason(monkeypatch, degenerate_seed):
     np.testing.assert_array_equal(res.mean_dP, np.mean(kept, axis=0))
     assert res.exclusions == dict(Counter(r.excluded for r in res.records if r.excluded))
 
-    spec = xp.EnsembleSpec(n_values=(2, 3, 4), samples_per_n=2, master_seed=9)
-    summary = xp.scaling_study(spec, steps=128)
+    summary = xp.scaling_study((2, 3, 4), samples=2, master_seed=9, steps=128)
     # the degenerate instance once per family, the stuck one for feedback only
     assert summary.exclusions == {"degenerate": 2, "unreachable": 1}
     assert [c.excluded for c in summary.cells] == [1, 1, 0, 1, 0, 0]
@@ -542,7 +543,7 @@ def test_delta_p_rows_match_single_runs():
             lambda pair: evo.PaceController.feedback(0.1, curvature_floor=np.nan),
             id="floor-nan",
         ),
-        pytest.param(lambda pair: ham.BiasSpec(n=2, Z=np.nan), id="bias-Z-nan"),
+        pytest.param(lambda pair: ham.make_pair(2, np.zeros(3), Z=np.nan), id="bias-Z-nan"),
         pytest.param(lambda pair: evo.BackactionWindow(np.nan, 2.0, 1.0), id="window-nan"),
         pytest.param(lambda pair: xp.sweep_T(pair, [1.0, np.nan], steps=64), id="sweep-T-nan"),
         pytest.param(lambda pair: xp.sweep_T(pair, [1.0, np.inf], steps=64), id="sweep-T-inf"),
@@ -603,7 +604,7 @@ def _sign_sensitive_outputs(pair) -> dict:
         *(pytest.param(ham.pair_from_seed(n, 3), id=f"n{n}") for n in (2, 3, 4, 5)),
         # an exactly degenerate excited pair: the diagonalization route
         pytest.param(
-            ham.make_pair(ham.ProblemSpec(2, np.array([1.0, 1.0, 0.0]), seed=0)),
+            ham.make_pair(2, np.array([1.0, 1.0, 0.0])),
             id="degenerate",
         ),
     ],

@@ -34,9 +34,9 @@ def problem_diag_reference(n, epsilon):
 
 @pytest.mark.parametrize("n,seed", [(1, 0), (2, 3), (3, 14), (4, 99)])
 def test_problem_diag_matches_reference(n, seed):
-    spec = ham.sample_problem(n, seed)
-    got = ham.build_problem(spec)
-    want = problem_diag_reference(n, spec.epsilon)
+    epsilon = ham.sample_epsilon(n, seed)
+    got = ham.build_problem(n, epsilon)
+    want = problem_diag_reference(n, epsilon)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * max(1, np.abs(want).max()))
 
 
@@ -44,17 +44,17 @@ def test_problem_diag_matches_reference(n, seed):
 @given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
 def test_problem_diag_is_the_hadamard_transform(n, seed):
     # the signs (-1)**popcount(j & b) are the Sylvester-Hadamard matrix entries
-    spec = ham.sample_problem(n, seed)
-    want = hadamard(2**n, dtype=float) @ np.concatenate([[0.0], spec.epsilon])
+    epsilon = ham.sample_epsilon(n, seed)
+    want = hadamard(2**n, dtype=float) @ np.concatenate([[0.0], epsilon])
     np.testing.assert_allclose(
-        ham.build_problem(spec), want, rtol=0, atol=1e-13 * np.abs(want).max()
+        ham.build_problem(n, epsilon), want, rtol=0, atol=1e-13 * np.abs(want).max()
     )
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_bias_matches_kronecker_sum(n):
     Z = ham.default_bias_strength(n)
-    got = ham.build_bias(ham.BiasSpec(n=n, Z=Z))
+    got = ham.build_bias(n, Z)
     want = np.zeros((2**n, 2**n))
     for i in range(n):
         ops = [ID2] * n
@@ -70,27 +70,37 @@ def test_bias_strength_values():
 
 
 def test_sampling_is_deterministic_and_sized():
-    a = ham.sample_problem(3, 42)
-    b = ham.sample_problem(3, 42)
-    c = ham.sample_problem(3, 43)
-    assert a.epsilon.shape == (7,)
-    np.testing.assert_array_equal(a.epsilon, b.epsilon)
-    assert not np.array_equal(a.epsilon, c.epsilon)
+    a = ham.sample_epsilon(3, 42)
+    b = ham.sample_epsilon(3, 42)
+    c = ham.sample_epsilon(3, 43)
+    assert a.shape == (7,)
+    np.testing.assert_array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_sampling_scale_tracks_qubit_count():
     # couplings are drawn with standard deviation n^2
     for n, sd in [(2, 4.0), (3, 9.0)]:
         pooled = np.concatenate(
-            [ham.sample_problem(n, s).epsilon for s in range(400)]
+            [ham.sample_epsilon(n, s) for s in range(400)]
         )
         assert abs(pooled.std() - sd) / sd < 0.05
         assert abs(pooled.mean()) < 0.2 * sd
 
 
-def test_problem_spec_rejects_wrong_length():
-    with pytest.raises(ValueError):
-        ham.ProblemSpec(n=2, epsilon=np.zeros(2), seed=0)
+def test_make_pair_rejects_wrong_length():
+    with pytest.raises(ValueError, match="epsilon"):
+        ham.make_pair(2, np.zeros(2))
+
+
+@pytest.mark.parametrize(
+    "n, epsilon, Z, field",
+    [(0, np.zeros(0), None, "n >= 1"), (-1, np.zeros(0), None, "n >= 1"),
+     *((2, np.zeros(3), Z, "Z") for Z in (0.0, -1.0, np.inf))],
+)
+def test_make_pair_refuses_a_size_or_bias_strength_it_cannot_build(n, epsilon, Z, field):
+    with pytest.raises(ValueError, match=field):
+        ham.make_pair(n, epsilon, Z=Z)
 
 
 def test_total_hamiltonian_interpolates():
@@ -154,11 +164,6 @@ def test_malformed_pair_is_refused_where_it_is_built(key, edit, field):
         ham.HamiltonianPair(**kwargs)
 
 
-def test_make_pair_refuses_a_bias_for_another_size():
-    with pytest.raises(ValueError):
-        ham.make_pair(ham.sample_problem(2, 0), ham.BiasSpec.default(3))
-
-
 def test_energy_shift_moves_spectrum_not_vectors():
     pair = ham.pair_from_seed(2, 17)
     shifted = ham.HamiltonianPair(
@@ -177,12 +182,11 @@ def test_energy_shift_moves_spectrum_not_vectors():
 
 
 def test_problem_ground_index_and_degeneracy_guard():
-    spec = ham.ProblemSpec(n=2, epsilon=np.array([3.0, -1.0, 0.5]), seed=0)
-    pair = ham.make_pair(spec)
+    pair = ham.make_pair(2, np.array([3.0, -1.0, 0.5]))
     idx = ham.problem_ground_index(pair)
     assert idx == int(np.argmin(pair.problem_diag))
 
-    flat = ham.make_pair(ham.ProblemSpec(n=2, epsilon=np.zeros(3), seed=0))
+    flat = ham.make_pair(2, np.zeros(3))
     with pytest.raises(DegenerateGroundError):
         ham.problem_ground_index(flat)
 
@@ -213,8 +217,7 @@ def test_initial_ground_is_nearly_uniform_at_default_strength():
 
 
 def test_initial_ground_approaches_uniform_for_strong_bias():
-    spec = ham.sample_problem(2, 4)
-    pair = ham.make_pair(spec, ham.BiasSpec(n=2, Z=1e5))
+    pair = ham.make_pair(2, ham.sample_epsilon(2, 4), 4, Z=1e5)
     es = ham.spectrum_at(pair, 1.0)
     uniform = np.full(4, 4**-0.5)
     assert abs(es.states[:, 0] @ uniform) ** 2 > 1.0 - 1e-6

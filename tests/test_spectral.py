@@ -21,8 +21,7 @@ def full_solve(level_problem, pair):
 
 
 def one_qubit_pair(eps=3.0, Z=5.0):
-    spec = ham.ProblemSpec(n=1, epsilon=np.array([eps]), seed=0)
-    return ham.make_pair(spec, ham.BiasSpec(n=1, Z=Z))
+    return ham.make_pair(1, np.array([eps]), Z=Z)
 
 
 def closed_form_c2(lam, eps, Z):
@@ -156,7 +155,7 @@ def test_ground_curvature_is_nonpositive():
 def test_exact_degeneracy_is_refused():
     # with all couplings zero the bias spectrum has an exactly degenerate
     # middle pair, which the equations of motion cannot propagate through
-    flat = ham.make_pair(ham.ProblemSpec(n=2, epsilon=np.zeros(3), seed=0))
+    flat = ham.make_pair(2, np.zeros(3))
     with pytest.raises(NearDegeneracyError) as err:
         spectral.init_spectrum(flat)
     assert err.value.pair == (1, 2)
@@ -256,6 +255,25 @@ def test_cut_dense_output_equals_full_dense_output_bitwise(level_problem, n):
         np.testing.assert_array_equal(c2_pair, -terms[0])
 
 
+@pytest.mark.parametrize("n, per_chunk", [(4, None), (5, None), (5, 3)])
+def test_a_level_profile_in_chunks_equals_one_whole_grid_bitwise(monkeypatch, n, per_chunk):
+    # at most per_chunk points a chunk (None: the module's budget) against one whole grid;
+    # 2049 points are one over a multiple of 256 and 64, 65 one over a chunk at n = 5
+    pair = ham.pair_from_seed(n, 4)
+    flow = spectral.solve_levels(pair)
+    if per_chunk is not None:
+        monkeypatch.setattr(ham, "_STACK_BYTES", per_chunk * 16 * pair.dim**2)
+    for size in (2049, 65, 2):
+        lams = np.linspace(1.0, 0.0, size)
+        parts = list(ham.chunk_slices(size, pair.dim))
+        assert len(parts) > 1 or size <= ham.chunk_size(pair.dim)
+        assert min(part.stop - part.start for part in parts) >= 2
+        *got, route = spectral.curvature_profile(pair, lams)
+        assert route == "level_dynamics"
+        for a, b in zip(got, flow.curvatures(lams)):
+            np.testing.assert_array_equal(a, b)
+
+
 def test_a_level_profile_holds_only_the_rows_it_reads(join_plan_threads):
     # with every row of every step kept, this profile's traced peak was 17.8 MiB
     pair = ham.pair_from_seed(5, 3)
@@ -273,8 +291,7 @@ def test_a_level_profile_holds_only_the_rows_it_reads(join_plan_threads):
 
 def test_a_curvature_that_overflows_is_refused():
     # a bias of 1e200 squares past the float range in the perturbation sum
-    spec = ham.ProblemSpec(n=2, epsilon=np.array([1.0, 2.0, 3.0]), seed=0)
-    pair = ham.make_pair(spec, ham.BiasSpec(n=2, Z=1e200))
+    pair = ham.make_pair(2, np.array([1.0, 2.0, 3.0]), Z=1e200)
     with pytest.raises(SimulationError, match="non-finite"):
         spectral.curvature_profile(pair, np.linspace(1.0, 0.0, 16))
 
@@ -284,8 +301,7 @@ def test_a_start_that_overflows_the_level_equations_takes_the_diagonalization_ro
 ):
     # a level spread of 2e150 cubes past the float range in the RHS, whose pair sums then
     # gave c2 = -0.0 on every lam; the perturbation sum gives about -1e-138
-    spec = ham.ProblemSpec(n=2, epsilon=np.array([1e150, 1e140, 1.0]), seed=0)
-    pair = ham.make_pair(spec)
+    pair = ham.make_pair(2, np.array([1e150, 1e140, 1.0]))
     lams = np.linspace(1.0, 0.0, 16)
 
     def never_called(*args, **kwargs):
