@@ -181,25 +181,41 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-# key -> (accepts, requirement) for the values a command's library call
-# would refuse; an option left unset (None) is not checked here.
-_BOUNDS = {
-    "n": (lambda x: x >= 1, "must be >= 1"),
-    "seed": (lambda x: x >= 0, "must be >= 0"),
-    "master_seed": (lambda x: x >= 0, "must be >= 0"),
-    "steps": (lambda x: x >= 1, "must be >= 1"),
-    "samples": (lambda x: x >= 1, "must be >= 1"),
-    "sample_stride": (lambda x: x >= 0, "must be >= 0"),
-    "resolution": (lambda x: x >= 2, "must be >= 2"),
-    "t_points": (lambda x: x >= 1, "must be >= 1"),
-    "t_min": (lambda x: x > 0, "must be > 0"),
-    "t_total": (lambda x: x > 0, "must be > 0"),
-    "k": (lambda x: x > 0, "must be > 0"),
-    "curvature_floor": (lambda x: x > 0, "must be > 0"),
-    "target_p": (lambda x: 0 < x < 1, "must lie in (0, 1)"),
-    "workers": (lambda x: 0 <= x <= (os.cpu_count() or 1),
-                f"must lie in [0, {os.cpu_count() or 1}] (the CPU count)"),
-}
+def _ascending(xs) -> bool:
+    return all(a < b for a, b in zip(xs, xs[1:]))
+
+
+# (key, accepts, requirement) for every value a command's library call would
+# refuse, checked in order; a key the command does not take, or leaves unset
+# (None), is skipped.  Rules that tie two options together are in _validate.
+_RULES = (
+    *((key, lambda x: all(math.isfinite(e) for e in np.atleast_1d(x)), "must be finite")
+      for key, (convert, _, _) in _OPTIONS.items() if convert in (float, _float_list)),
+    ("n", lambda x: x >= 1, "must be >= 1"),
+    ("seed", lambda x: x >= 0, "must be >= 0"),
+    ("master_seed", lambda x: x >= 0, "must be >= 0"),
+    ("steps", lambda x: x >= 1, "must be >= 1"),
+    ("samples", lambda x: x >= 1, "must be >= 1"),
+    ("sample_stride", lambda x: x >= 0, "must be >= 0"),
+    ("resolution", lambda x: x >= 2, "must be >= 2"),
+    ("t_points", lambda x: x >= 1, "must be >= 1"),
+    ("t_min", lambda x: x > 0, "must be > 0"),
+    ("t_total", lambda x: x > 0, "must be > 0"),
+    ("k", lambda x: x > 0, "must be > 0"),
+    ("curvature_floor", lambda x: x > 0, "must be > 0"),
+    ("target_p", lambda x: 0 < x < 1, "must lie in (0, 1)"),
+    ("workers", lambda x: 0 <= x <= (os.cpu_count() or 1),
+     f"must lie in [0, {os.cpu_count() or 1}] (the CPU count)"),
+    ("k_grid", lambda ks: len(ks) > 0, "must not be empty"),
+    ("k_grid", lambda ks: ks[0] > 0 and _ascending(ks), "must be positive and strictly ascending"),
+    ("n_values", lambda ns: ns[0] >= 2 and _ascending(ns), "must be ascending and each >= 2"),
+    ("n_values", lambda ns: len(ns) >= 3, "needs >= 3 distinct sizes for the fit"),
+    ("t_units", lambda u: u in ("tad", "abs"), "must be 'tad' or 'abs'"),
+    ("controller", lambda c: c in xp.CONTROLLER_FAMILIES, "must be 'linear' or 'feedback'"),
+)
+
+# run's parameters per controller: the first is required, the other's are refused
+_CONTROLLER_OPTIONS = {"linear": ("t_total",), "feedback": ("k", "curvature_floor", "replay")}
 
 
 def _footprint(command: str, v: dict) -> list:
@@ -259,55 +275,32 @@ def _footprint(command: str, v: dict) -> list:
 
 
 def _validate(command: str, v: dict) -> None:
-    """Reject combinations the commands cannot honor, field by field.
+    """Reject the values and combinations the commands cannot honor.
 
     Every value a command's library call would refuse is refused here,
     before any work, so that a ValueError raised inside a command is a
     failure of the run (exit 3), not of its arguments.
     """
-    for key, value in v.items():
-        if _OPTIONS[key][0] in (float, _float_list) and value is not None:
-            if not all(math.isfinite(x) for x in np.atleast_1d(value)):
-                raise ValueError(f"{_flag(key)} must be finite")
-    for key, (accepts, requirement) in _BOUNDS.items():
+    for key, accepts, requirement in _RULES:
         if v.get(key) is not None and not accepts(v[key]):
             raise ValueError(f"{_flag(key)} {requirement}, got {v[key]}")
     if command == "sweep-t" and v["t_max"] <= v["t_min"]:
         raise ValueError(f"--t-max must exceed --t-min, got {v['t_max']} <= {v['t_min']}")
-    if "k_grid" in v:
-        ks = np.asarray(v["k_grid"])
-        if ks.size == 0:
-            raise ValueError("--k-grid must not be empty")
-        if np.any(ks <= 0) or np.any(np.diff(ks) <= 0):
-            raise ValueError("--k-grid must be positive and strictly ascending")
-    if "n_values" in v:
-        ns = v["n_values"]
-        if any(n < 2 for n in ns) or any(b <= a for a, b in zip(ns, ns[1:])):
-            raise ValueError(f"--n-values must be ascending and each >= 2, got {ns}")
-        if len(ns) < 3:
-            raise ValueError(f"--n-values needs >= 3 distinct sizes for the fit, got {ns}")
     if command == "run":
-        if v["controller"] == "linear":
-            if v["t_total"] is None:
-                raise ValueError("--t-total is required for --controller linear")
-            for bad in ("k", "curvature_floor", "replay"):
-                if v[bad] is not None:
-                    raise ValueError(f"{_flag(bad)} is not valid for --controller linear")
-        elif v["controller"] == "feedback":
-            if v["k"] is None:
-                raise ValueError("--k is required for --controller feedback")
-            if v["t_total"] is not None:
-                raise ValueError("--t-total is not valid for --controller feedback")
-        else:
-            raise ValueError(f"unknown controller {v['controller']!r}")
-    if command == "sweep-t" and v["t_units"] not in ("tad", "abs"):
-        raise ValueError("--t-units must be 'tad' or 'abs'")
+        mode = v["controller"]
+        other = "feedback" if mode == "linear" else "linear"
+        required = _CONTROLLER_OPTIONS[mode][0]
+        if v[required] is None:
+            raise ValueError(f"{_flag(required)} is required for --controller {mode}")
+        for bad in _CONTROLLER_OPTIONS[other]:
+            if v[bad] is not None:
+                raise ValueError(f"{_flag(bad)} is not valid for --controller {mode}")
     total = 0  # named: the first term that takes the running total past memory
     for flag, need, what in _footprint(command, v):
         total += need
         _check_fits(flag, total, what)
     # after the size checks: 2**n of a huge n would not finish
-    if "epsilon" in v and v["epsilon"] is not None and "n" in v:
+    if v.get("epsilon") is not None:
         want = 2 ** v["n"] - 1
         if len(v["epsilon"]) != want:
             raise ValueError(f"--epsilon needs {want} values for n={v['n']}")
@@ -406,7 +399,7 @@ def emit_tables(results: dict, out_dir: str, manifest: dict | None = None):
     return written
 
 
-def _manifest(cfg: RunConfig, results: dict | None = None) -> dict:
+def _manifest(cfg: RunConfig, results: dict) -> dict:
     doc = {
         "tool": "aqcsim",
         "version": __version__,
@@ -464,12 +457,16 @@ def replay_profile(path: str):
 
 
 def _instance(cfg: RunConfig) -> ham.HamiltonianPair:
-    if cfg.values.get("epsilon") is not None:
-        return ham.make_pair(cfg["n"], cfg["epsilon"], cfg["seed"])
-    return ham.pair_from_seed(cfg["n"], cfg["seed"])
+    """The command's pair; one whose problem ties its ground states is refused before any work."""
+    if cfg["epsilon"] is not None:
+        pair = ham.make_pair(cfg["n"], cfg["epsilon"], cfg["seed"])
+    else:
+        pair = ham.pair_from_seed(cfg["n"], cfg["seed"])
+    ham.problem_ground_index(pair)
+    return pair
 
 
-def _cmd_run(cfg: RunConfig) -> dict:
+def _cmd_run(cfg: RunConfig):
     pair = _instance(cfg)
     if cfg["controller"] == "linear":
         controller = evo.PaceController.linear(cfg["t_total"])
@@ -484,22 +481,16 @@ def _cmd_run(cfg: RunConfig) -> dict:
     tables = {}
     if record.samples is not None:
         tables["trajectory.csv"] = (evo.SAMPLE_COLUMNS, record.samples)
-    results = {
-        "P": record.P,
-        "T": record.T,
-        "norm_drift": record.norm_drift,
-        "problem_seed": pair.seed,
-    }
+    results = {"P": record.P, "T": record.T, "norm_drift": record.norm_drift,
+               "problem_seed": pair.seed}
     if record.curvature_route is not None:
         results["curvature_route"] = record.curvature_route
-    emit_tables(tables, cfg["out"], _manifest(cfg, results))
-    print(f"P = {record.P!r}  T = {record.T!r}  norm_drift = {record.norm_drift:.3e}")
-    return results
+    summary = f"P = {record.P!r}  T = {record.T!r}  norm_drift = {record.norm_drift:.3e}"
+    return tables, results, summary
 
 
-def _cmd_profile(cfg: RunConfig) -> dict:
+def _cmd_profile(cfg: RunConfig):
     pair = _instance(cfg)
-    ham.problem_ground_index(pair)  # the guard every other command applies
     lams = np.linspace(1.0, 0.0, cfg["resolution"])
     c2_full, c2_pair, route = spectral.curvature_profile(pair, lams)
     rows = zip(lams, c2_full, c2_pair)
@@ -509,13 +500,11 @@ def _cmd_profile(cfg: RunConfig) -> dict:
             [("|c2|", list(zip(lams, np.abs(c2_full))))],
             xlabel="lambda", ylabel="|c2|", logy=True,
         )
-    emit_tables(tables, cfg["out"], _manifest(cfg, {"curvature_route": route}))
     peak = float(lams[np.argmax(np.abs(c2_full))])
-    print(f"profile written; |c2| peaks at lambda = {peak!r}")
-    return {"peak_lambda": peak}
+    return tables, {"curvature_route": route}, f"profile written; |c2| peaks at lambda = {peak!r}"
 
 
-def _cmd_sweep_t(cfg: RunConfig) -> dict:
+def _cmd_sweep_t(cfg: RunConfig):
     pair = _instance(cfg)
     grid = np.linspace(cfg["t_min"], cfg["t_max"], cfg["t_points"])
     results: dict = {}
@@ -526,21 +515,17 @@ def _cmd_sweep_t(cfg: RunConfig) -> dict:
     curves = xp.sweep_T(
         pair, grid, steps=cfg["steps"], curvature_floor=cfg["curvature_floor"]
     )
-    rows = [
-        (fam, T, P) for fam in ("linear", "feedback") for T, P in curves[fam]
-    ]
+    rows = [(fam, T, P) for fam in xp.CONTROLLER_FAMILIES for T, P in curves[fam]]
     tables = {"fig2_curve.csv": (("controller", "T", "P"), rows)}
     if cfg["plots"]:
         tables["fig2_curve.svg"] = _plot_lines(
             [(fam, [tuple(row) for row in curves[fam]]) for fam in curves],
             xlabel="T", ylabel="P",
         )
-    emit_tables(tables, cfg["out"], _manifest(cfg, results))
-    print(f"sweep-t: {len(rows)} rows -> fig2_curve.csv")
-    return results
+    return tables, results, f"sweep-t: {len(rows)} rows -> fig2_curve.csv"
 
 
-def _cmd_scaling(cfg: RunConfig) -> dict:
+def _cmd_scaling(cfg: RunConfig):
     summary = xp.scaling_study(cfg["n_values"], cfg["samples"], cfg["master_seed"],
                                cfg["target_p"], steps=cfg["steps"], workers=cfg["workers"])
     for c in summary.cells:
@@ -573,13 +558,12 @@ def _cmd_scaling(cfg: RunConfig) -> dict:
         tables["fig3_scaling.svg"] = _plot_lines(
             series, xlabel="n", ylabel="mean T", logx=True, logy=True
         )
-    emit_tables(tables, cfg["out"], _manifest(cfg, results))
-    for fam, fit in summary.fits.items():
-        print(f"{fam}: T ~ n^{fit.exponent:.2f} (residual {fit.residual_rms:.3f})")
-    return results
+    lines = (f"{fam}: T ~ n^{fit.exponent:.2f} (residual {fit.residual_rms:.3f})"
+             for fam, fit in summary.fits.items())
+    return tables, results, "\n".join(lines)
 
 
-def _cmd_deltap(cfg: RunConfig) -> dict:
+def _cmd_deltap(cfg: RunConfig):
     res = xp.delta_p_sweep(
         cfg["k_grid"],
         n=cfg["n"],
@@ -610,12 +594,8 @@ def _cmd_deltap(cfg: RunConfig) -> dict:
             [("mean dP", list(zip(res.k_values, res.mean_dP)))],
             xlabel="k", ylabel="mean dP", logx=True,
         )
-    emit_tables(tables, cfg["out"], _manifest(cfg, results))
-    print(
-        f"deltap: peak mean dP = {results['best_mean_dP']:.4f} "
-        f"at k = {results['best_k']:.4g}"
-    )
-    return results
+    return tables, results, (f"deltap: peak mean dP = {results['best_mean_dP']:.4f} "
+                             f"at k = {results['best_k']:.4g}")
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
@@ -670,6 +650,7 @@ def _plot_lines(series, xlabel="", ylabel="", logx=False, logy=False) -> str:
     return "\n".join(parts) + "\n"
 
 
+# command -> function returning (tables, manifest results, summary); main writes and prints them
 _COMMANDS = {
     "run": _cmd_run,
     "profile": _cmd_profile,
@@ -689,7 +670,8 @@ def main(argv=None) -> int:
         print(f"aqcsim: I/O failure: {err}", file=sys.stderr)
         return 4
     try:
-        _COMMANDS[cfg.command](cfg)
+        tables, results, summary = _COMMANDS[cfg.command](cfg)
+        emit_tables(tables, cfg["out"], _manifest(cfg, results))
     except ProfileFormatError as err:  # a malformed --replay file is a usage error
         print(f"aqcsim: {err}", file=sys.stderr)
         return 2
@@ -699,6 +681,7 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"aqcsim: I/O failure: {err}", file=sys.stderr)
         return 4
+    print(summary)
     return 0
 
 

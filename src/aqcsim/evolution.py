@@ -62,6 +62,7 @@ import numpy as np
 from . import hamiltonians as ham
 from . import spectral
 from ._scipy_port import minimize_scalar_bounded
+from .errors import SimulationError
 
 __all__ = [
     "PaceController",
@@ -250,14 +251,16 @@ def build_schedule(pair: ham.HamiltonianPair, steps: int = 2048) -> SchedulePlan
     """Lay out the lam grid and cache the midpoint eigensystems.
 
     The grid, psi0 and ground_index are computed here, on the caller's
-    thread, and so are their errors (steps < 1, a degenerate problem ground
-    state).  The midpoint eigendecomposition runs inline for dim < 8
-    (n = 2) and otherwise on a worker thread that overlaps whatever the
-    caller does next (the T_ad scan, the level ODE) until the first read
-    of mid_energies, frame_maps or c0 waits for it.
+    thread, and so are their errors (steps < 1, then a degenerate problem
+    ground state, before the bisection: on a tied pair the bisection can
+    split into 10^5 cells).  The midpoint eigendecomposition runs inline for
+    dim < 8 (n = 2) and otherwise on a worker thread that overlaps whatever
+    the caller does next (the T_ad scan, the level ODE) until the first
+    read of mid_energies, frame_maps or c0 waits for it.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
+    ground_index = ham.problem_ground_index(pair)
     cells = _ground_rotation_cells(pair)
     steps = max(steps, len(cells))
     widths = np.array([a - b for a, b, _ in cells])
@@ -285,7 +288,6 @@ def build_schedule(pair: ham.HamiltonianPair, steps: int = 2048) -> SchedulePlan
     cell_widths = lams[:-1] - lams[1:]
 
     psi0 = ham.spectrum_at(pair, 1.0).states[:, 0].astype(complex)
-    ground_index = ham.problem_ground_index(pair)
     # allocated here and filled by the worker, which then allocates and frees only
     # its chunks (glibc gives each thread a malloc arena; plan arrays allocated in
     # the worker's raised perfbench's ttt_scaling peak RSS by 6 MiB in some runs)
@@ -513,24 +515,21 @@ def evolve(
         controller = replace(controller, curvature_floor=inst.floor)
         route = inst.curvature_route
 
-    c = initial_coefficients(plan)
+    # the trajectory's rows, or with none one stretch over every cell; between cells the
+    # coefficients live in the next cell's eigenbasis, decomposed a chunk at a time, and
+    # after the last cell in the computational one
+    marks = np.array([*range(0, plan.cells, sample_stride or plan.cells), plan.cells])
+    chunks = ham.spectrum_chunks(pair, plan.mids[marks[1:-1]])
+    bases = chain.from_iterable(es.states for _, es in chunks)
+    c, drift, psis = initial_coefficients(plan), np.zeros(1), [plan.psi0]
+    for (a, b), V in zip_longest(zip(marks[:-1], marks[1:]), bases):
+        c, d = propagate(plan, dts[:, None], c, a, b)
+        drift = np.maximum(drift, d)
+        psis.append(c[:, 0] if V is None else V @ c[:, 0])
+    samples = None
     if sample_stride > 0:
-        marks = np.array([*range(0, plan.cells, sample_stride), plan.cells])
-        # between cells the coefficients live in the next cell's eigenbasis,
-        # decomposed a chunk at a time; after the last cell, in the computational one
-        chunks = ham.spectrum_chunks(pair, plan.mids[marks[1:-1]])
-        bases = chain.from_iterable(es.states for _, es in chunks)
-        drift = np.zeros(1)
-        psis = [plan.psi0]
-        for (a, b), V in zip_longest(zip(marks[:-1], marks[1:]), bases):
-            c, d = propagate(plan, dts[:, None], c, a, b)
-            drift = np.maximum(drift, d)
-            psis.append(c[:, 0] if V is None else V @ c[:, 0])
         t_cum = np.concatenate([[0.0], np.cumsum(dts)])
         samples = _sample_rows(pair, plan.lams[marks], t_cum[marks], psis)
-    else:
-        c, drift = propagate(plan, dts[:, None], c)
-        samples = None
 
     return RunRecord(
         controller=controller,
@@ -602,7 +601,9 @@ def adiabatic_time(pair: ham.HamiltonianPair) -> float:
 
     The timescale beyond which a sweep is effectively adiabatic; linear runs
     at T >> this value reach P ~ 1.  One scan of the lam grid serves both
-    the coupling peak and the minimum gap.
+    the coupling peak and the minimum gap.  Raises SimulationError when the
+    quotient is not a finite positive number (a gap whose square overflows
+    or underflows).
     """
     lams, values, gaps = _ground_scan(pair)
 
@@ -613,9 +614,18 @@ def adiabatic_time(pair: ham.HamiltonianPair) -> float:
     i = int(np.argmax(values))
     lo, hi = _bracket(lams, i)
     _, fun = minimize_scalar_bounded(lambda lam: -coupling(lam), (lo, hi), xatol=1e-10)
-    peak = max(values[i], -float(fun))
+    peak = float(max(values[i], -float(fun)))
     gap_min, _ = _refine_min_gap(pair, lams, gaps)
-    return peak / gap_min**2
+    try:
+        t_ad = peak / gap_min**2
+    except (OverflowError, ZeroDivisionError):
+        t_ad = math.nan
+    if not 0 < t_ad < math.inf:
+        raise SimulationError(
+            f"no finite adiabatic time: peak coupling {peak:.3g} over the minimum gap "
+            f"{gap_min:.3g} squared"
+        )
+    return t_ad
 
 
 def backaction_window_ok(w: BackactionWindow) -> bool:

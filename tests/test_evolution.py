@@ -14,7 +14,7 @@ from scipy.optimize import minimize_scalar
 from aqcsim import evolution as evo
 from aqcsim import hamiltonians as ham
 from aqcsim import spectral
-from aqcsim.errors import DegenerateGroundError
+from aqcsim.errors import DegenerateGroundError, SimulationError
 
 
 def one_qubit_pair(eps=3.0, Z=5.0):
@@ -244,6 +244,21 @@ def test_plan_argument_errors_raise_on_the_caller_thread_before_any_worker():
         with pytest.raises(ValueError, match="steps must be >= 1"):
             build(ham.pair_from_seed(3, 1), 0)
     assert threading.active_count() == threads
+
+
+def test_the_ground_state_guard_runs_before_the_rotation_bisection(monkeypatch):
+    # tied ground states whose bisection, run first, took 161,564 cells and 42 s
+    tied = ham.make_pair(3, np.array([
+        -2.7073059950688183e87, 8.823280889232753e131, 2.1954820977704256e201,
+        1.3387405515545478e-131, -1.3517621996884554e-171, -3.97034311557689e83,
+        -1.0786980335118326e183]))
+
+    def bisect(pair):
+        raise AssertionError("the rotation bisection ran on a tied pair")
+
+    monkeypatch.setattr(evo, "_ground_rotation_cells", bisect)
+    with pytest.raises(DegenerateGroundError, match="tied ground states"):
+        evo.build_schedule(tied, 32)
 
 
 # ------------------------------------------------------------------- evolving
@@ -531,6 +546,19 @@ def test_adiabatic_time_scales_inversely_with_energy():
     assert evo.adiabatic_time(scaled) == pytest.approx(
         evo.adiabatic_time(pair) / c, rel=1e-6
     )
+
+
+@pytest.mark.parametrize(
+    "epsilon",
+    [[-8.80899680437482e-179],
+     [1.8976573441440942e270, -3.131609715724274e-214, -1.5476340718728332e269]],
+    ids=["gap-squared-underflows", "gap-squared-overflows"],
+)
+def test_an_adiabatic_time_that_is_not_finite_is_refused(epsilon):
+    # n = 1 once returned inf with a RuntimeWarning; n = 2 raised OverflowError
+    pair = ham.make_pair(len(epsilon).bit_length(), np.array(epsilon))
+    with pytest.raises(SimulationError, match="no finite adiabatic time"):
+        evo.adiabatic_time(pair)
 
 
 def test_sweep_slower_than_adiabatic_time_succeeds_everywhere():

@@ -14,7 +14,7 @@ from aqcsim import evolution as evo
 from aqcsim import experiments as xp
 from aqcsim import hamiltonians as ham
 from aqcsim import spectral
-from aqcsim.errors import FitUnderdeterminedError, UnreachableTargetError
+from aqcsim.errors import FitUnderdeterminedError, SimulationError, UnreachableTargetError
 
 
 def test_instance_seeds_are_deterministic_and_distinct():
@@ -339,6 +339,14 @@ def test_time_to_target_unreachable_under_cap():
     pair = ham.pair_from_seed(2, 5)
     with pytest.raises(UnreachableTargetError):
         xp.time_to_target(pair, "linear", 0.999, steps=256, cap_factor=1e-2)
+
+
+def test_time_to_target_refuses_an_adiabatic_time_that_is_not_finite():
+    # the minimum gap squared underflows: the scan once returned T = inf and P = nan
+    pair = ham.make_pair(1, np.array([-8.80899680437482e-179]))
+    for family in xp.CONTROLLER_FAMILIES:
+        with pytest.raises(SimulationError, match="no finite adiabatic time"):
+            xp.time_to_target(pair, family, steps=64)
 
 
 def test_non_monotone_probes_are_flagged():
