@@ -16,7 +16,9 @@ operation, so every float they return is bitwise the one scipy returns:
   t_bound and step methods) and no direction sign: each step goes t -> t - h.
   Its dense output keeps only the rows of the state that the caller names
   (the level solve names 2 dim of its dim (dim + 2)), and their values
-  are scipy's bitwise.
+  are scipy's bitwise.  Only the layout differs, never an operation: the
+  stage views K[:s].T and tableau rows are built once per solve, step
+  control runs on Python floats, and a norm is numpy's own sqrt(x.dot(x)).
 - minimize_scalar_bounded: scipy.optimize.minimize_scalar(method="bounded"),
   Brent's golden-section and parabolic search on a closed interval.
 
@@ -55,7 +57,7 @@ OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import inf, nextafter, sqrt
 
 import numpy as np
 
@@ -253,6 +255,9 @@ D[3, 13] = 0.96324553959188282948394950600e+2
 D[3, 14] = -0.39177261675615439165231486172e+2
 D[3, 15] = -0.14972683625798562581422125276e+3
 
+# each stage's tableau row A[s, :s] and node C[s], as a Python float
+_TABLEAU = tuple((A[s, :s], float(C[s])) for s in range(N_STAGES_EXTENDED))
+
 # -- step-size control ---------------------------------------------------------
 
 SAFETY = 0.9  # multiplies steps computed from the asymptotic error behaviour
@@ -290,26 +295,25 @@ def select_initial_step(fun, t0, y0, f0, interval_length, rtol, atol):
     return min(100 * h0, h1, interval_length)
 
 
-def _error_norm(K, h, scale):
-    """The RMS of the scaled local error, from the 5th- and 3rd-order estimates."""
-    err5 = np.dot(K.T, E5) / scale
-    err3 = np.dot(K.T, E3) / scale
-    err5_norm_2 = np.linalg.norm(err5)**2
-    err3_norm_2 = np.linalg.norm(err3)**2
+def _error_norm(K_T, h, scale):
+    """The RMS of the scaled local error, from the 5th- and 3rd-order estimates, as a float."""
+    err5 = np.dot(K_T, E5) / scale
+    err3 = np.dot(K_T, E3) / scale
+    err5_norm_2 = sqrt(err5.dot(err5))**2
+    err3_norm_2 = sqrt(err3.dot(err3))**2
     if err5_norm_2 == 0 and err3_norm_2 == 0:
         return 0.0
     denom = err5_norm_2 + 0.01 * err3_norm_2
-    return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+    return abs(h) * err5_norm_2 / sqrt(denom * len(scale))
 
 
-def _stages(fun, K, t, y, h, stages):
-    """Rows `stages` of K: each stage of the tableau at t + C[s] h, from the rows before it."""
+def _stages(fun, t, y, h, stages):
+    """Fill rows of K: each stage (K[s], K[:s].T, A[s, :s], C[s]) of the tableau at t + C[s] h."""
     y_stage = np.empty_like(y)  # one buffer for every stage's state; K[s] copies fun's result
-    for s in stages:
-        np.dot(K[:s].T, A[s, :s], out=y_stage)
-        y_stage *= h
-        y_stage += y
-        K[s] = fun(t + C[s] * h, y_stage)
+    for K_s, K_T, a, c in stages:
+        np.multiply(np.dot(K_T, a, y_stage), h, y_stage)
+        np.add(y_stage, y, y_stage)
+        K_s[:] = fun(t + c * h, y_stage)
 
 
 class DenseSolution:
@@ -401,11 +405,15 @@ def solve_ivp(fun, t_span, y0, rtol, atol, rows) -> OdeResult:
 
     t, y = t0, y0
     f = counted(t, y)
-    h_abs = select_initial_step(counted, t, y, f, t0 - tf, rtol, atol)
+    h_abs = float(select_initial_step(counted, t, y, f, t0 - tf, rtol, atol))
     K = np.empty((N_STAGES_EXTENDED, y.size), dtype=float)  # the stages of a step
+    # each stage's row of K, the rows before it as columns, its tableau row and node
+    stages = [(K[s], K[:s].T, a, c) for s, (a, c) in enumerate(_TABLEAU)]
+    step_stages, extra_stages = stages[1:N_STAGES], stages[N_STAGES + 1:]
+    K_step, K_error = K[:N_STAGES].T, K[:N_STAGES + 1].T
     while t > tf:
         K[0] = f
-        min_step = 10 * np.abs(np.nextafter(t, -np.inf) - t)
+        min_step = 10 * abs(nextafter(t, -inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:  # shrink the step until its error is accepted
@@ -413,13 +421,13 @@ def solve_ivp(fun, t_span, y0, rtol, atol, rows) -> OdeResult:
                 return result(-1, TOO_SMALL_STEP)
             t_new = max(t - h_abs, tf)
             h = t_new - t
-            h_abs = np.abs(h)
-            _stages(counted, K, t, y, h, range(1, N_STAGES))
-            y_new = y + h * np.dot(K[:N_STAGES].T, B)
+            h_abs = abs(h)
+            _stages(counted, t, y, h, step_stages)
+            y_new = y + h * np.dot(K_step, B)
             f_new = counted(t + h, y_new)
             K[N_STAGES] = f_new
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = _error_norm(K[:N_STAGES + 1], h, scale)
+            error_norm = _error_norm(K_error, h, scale)
             if error_norm < 1:
                 break
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
@@ -430,7 +438,7 @@ def solve_ivp(fun, t_span, y0, rtol, atol, rows) -> OdeResult:
             factor = min(MAX_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
         h_abs *= min(1, factor) if rejected else factor
         # the 7 coefficients of the step's interpolant, from three extra stages
-        _stages(counted, K, t, y, h, range(N_STAGES + 1, N_STAGES_EXTENDED))
+        _stages(counted, t, y, h, extra_stages)
         # scipy's elementwise expressions on the kept rows, and its product D K cut to them
         f_kept, y_kept = f[rows], y[rows]
         delta_y = y_new[rows] - y_kept

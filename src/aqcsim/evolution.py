@@ -374,15 +374,14 @@ def propagate(plan: SchedulePlan, dts, coeffs, start: int = 0, stop: int | None 
     for a in range(start, stop, _PHASE_CHUNK):
         b = min(a + _PHASE_CHUNK, stop)
         theta, flat = angles[: b - a], states[: b - a].view(float)
-        # exp(-i w dt) as cos + i sin of -w dt, cheaper than a complex exp
-        np.multiply(plan.mid_energies[a:b, :, None], dts[a:b, None, :], out=theta)
-        np.negative(theta, out=theta)
-        np.cos(theta, out=phases[: b - a].real)
-        np.sin(theta, out=phases[: b - a].imag)
+        # exp(-i w dt) as cos + i sin of (-w) dt, cheaper than a complex exp
+        np.multiply(np.negative(plan.mid_energies[a:b, :, None]), dts[a:b, None, :], theta)
+        np.cos(theta, phases[: b - a].real)
+        np.sin(theta, phases[: b - a].imag)
         maps = plan.frame_maps[a:b]
         for phase, state, state_flat, frame_map in zip(phases, states, flat, maps):
-            np.multiply(c, phase, out=scaled)
-            np.matmul(frame_map, scaled_flat, out=state_flat)
+            np.multiply(c, phase, scaled)
+            np.matmul(frame_map, scaled_flat, state_flat)
             c = state
         norm2, off = halves[: b - a], norms[: b - a]
         np.einsum("kij,kij->kj", flat, flat, out=norm2)

@@ -39,6 +39,7 @@ from . import hamiltonians as ham
 from .errors import (
     DegenerateGroundError,
     FitUnderdeterminedError,
+    SimulationError,
     UnreachableTargetError,
 )
 
@@ -384,6 +385,10 @@ def _finish(T, p, probes) -> TargetResult:
 def _instance_times(pair, target_P, steps):
     """Time to target per family on one instance; None for a family that cannot reach it."""
     inst = evo.Instance(pair, steps)
+    try:  # every scan is scaled by T_ad: an instance without a finite one is excluded
+        inst.T_ad
+    except SimulationError as err:
+        raise _Excluded("no finite T_ad") from err
     return {
         fam: None if isinstance(res, UnreachableTargetError) else res.T
         for fam, res in _lockstep_scans(inst, CONTROLLER_FAMILIES, target_P).items()

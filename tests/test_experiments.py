@@ -349,6 +349,24 @@ def test_time_to_target_refuses_an_adiabatic_time_that_is_not_finite():
             xp.time_to_target(pair, family, steps=64)
 
 
+def test_scaling_study_excludes_an_instance_without_a_finite_adiabatic_time(monkeypatch):
+    # the minimum gap's square overflows; this one instance once ended the whole study
+    epsilon = [1.8976573441440942e270, -3.131609715724274e-214, -1.5476340718728332e269]
+    first, real = xp.instance_seed(7, 2, 0), xp.make_instance
+
+    def make_instance(n, seed):
+        return ham.make_pair(2, np.array(epsilon), seed) if seed == first else real(n, seed)
+
+    monkeypatch.setattr(xp, "make_instance", make_instance)
+    with pytest.raises(SimulationError, match="no finite adiabatic time"):
+        xp.time_to_target(make_instance(2, first), "linear", steps=64)
+    summary = xp.scaling_study((2, 3, 4), samples=2, steps=64)
+    assert summary.exclusions == {"no finite T_ad": 2}
+    assert [r.excluded for r in summary.records] == ["no finite T_ad"] + [None] * 5
+    assert [c.excluded for c in summary.cells] == [1, 1, 0, 0, 0, 0]
+    assert [c.count for c in summary.cells] == [1, 1, 2, 2, 2, 2]
+
+
 def test_non_monotone_probes_are_flagged():
     res = xp._finish(
         2.0, 0.95, [(0.5, 0.30), (1.0, 0.80), (1.5, 0.60), (2.0, 0.95)]

@@ -166,6 +166,43 @@ def test_a_nan_gap_fails_the_separation_check():
         spectral._check_separation(np.array([0.0, np.nan, 1.0]), 0.5, 1.0)
 
 
+def level_rhs(level_problem, pair):
+    """solve_levels' right-hand side, its start state and its separation floor."""
+    _, (rhs, _, y0), _ = level_problem(pair)
+    E = y0[: pair.dim]
+    return rhs, y0, spectral.COLLISION_FLOOR * (E.max() - E.min())
+
+
+@pytest.mark.parametrize(
+    "level, shift, want",
+    [(7, np.nan, (6, 7)), (3, -0.5, (2, 3)), (5, 0.25, (4, 5))],
+    ids=["nan-level", "crossed-pair", "gap-below-floor"],
+)
+def test_the_level_rhs_refuses_a_state_naming_its_pair(level_problem, level, shift, want):
+    pair = ham.pair_from_seed(3, 4)
+    rhs, y0, floor = level_rhs(level_problem, pair)
+    y = y0.copy()
+    # a multiple of the floor past level - 1, or NaN
+    y[level] = y[level - 1] + shift * floor
+    with pytest.raises(NearDegeneracyError) as err:
+        rhs(0.5, y)
+    assert err.value.pair == want
+    assert "lambda=0.500000" in str(err.value)
+
+
+def test_the_level_rhs_carries_nothing_between_calls(level_problem):
+    pair = ham.pair_from_seed(3, 4)
+    rhs, a, _ = level_rhs(level_problem, pair)
+    a_before = a.copy()
+    b = a - 0.01 * rhs(1.0, a)  # a state one small Euler step down
+    first, other, again = rhs(1.0, a), rhs(0.99, b), rhs(1.0, a)
+    assert first.tobytes() == again.tobytes()
+    assert not np.array_equal(first, other)
+    for x, y in [(first, other), (first, again), (other, again), (first, a), (again, b)]:
+        assert not np.shares_memory(x, y)
+    assert a.tobytes() == a_before.tobytes()
+
+
 def test_profile_grid_and_values():
     pair = ham.pair_from_seed(2, 10)
     lams = np.linspace(1.0, 0.0, 65)
