@@ -17,8 +17,9 @@ operation, so every float they return is bitwise the one scipy returns:
   Its dense output keeps only the rows of the state that the caller names
   (the level solve names 2 dim of its dim (dim + 2)), and their values
   are scipy's bitwise.  Only the layout differs, never an operation: the
-  stage views K[:s].T and tableau rows are built once per solve, step
-  control runs on Python floats, and a norm is numpy's own sqrt(x.dot(x)).
+  stage views K[:s].T, tableau rows and one stage buffer are built once per
+  solve, stages call fun directly and are counted per stage loop, step
+  control runs on Python floats, and a norm is numpy's sqrt(x.dot(x)).
 - minimize_scalar_bounded: scipy.optimize.minimize_scalar(method="bounded"),
   Brent's golden-section and parabolic search on a closed interval.
 
@@ -307,13 +308,14 @@ def _error_norm(K_T, h, scale):
     return abs(h) * err5_norm_2 / sqrt(denom * len(scale))
 
 
-def _stages(fun, t, y, h, stages):
-    """Fill rows of K: each stage (K[s], K[:s].T, A[s, :s], C[s]) of the tableau at t + C[s] h."""
-    y_stage = np.empty_like(y)  # one buffer for every stage's state; K[s] copies fun's result
+def _stages(fun, t, y, h, stages, y_stage):
+    """Fill K[s] of each stage (K[s], K[:s].T, A[s, :s], C[s]), its state in y_stage; count them."""
+    dot, multiply, add = np.dot, np.multiply, np.add
     for K_s, K_T, a, c in stages:
-        np.multiply(np.dot(K_T, a, y_stage), h, y_stage)
-        np.add(y_stage, y, y_stage)
-        K_s[:] = fun(t + c * h, y_stage)
+        multiply(dot(K_T, a, y_stage), h, y_stage)
+        add(y_stage, y, y_stage)
+        K_s[:] = fun(t + c * h, y_stage)  # converts to float as np.asarray does
+    return len(stages)
 
 
 class DenseSolution:
@@ -407,6 +409,7 @@ def solve_ivp(fun, t_span, y0, rtol, atol, rows) -> OdeResult:
     f = counted(t, y)
     h_abs = float(select_initial_step(counted, t, y, f, t0 - tf, rtol, atol))
     K = np.empty((N_STAGES_EXTENDED, y.size), dtype=float)  # the stages of a step
+    y_stage = np.empty_like(y)  # the state of every stage of the solve
     # each stage's row of K, the rows before it as columns, its tableau row and node
     stages = [(K[s], K[:s].T, a, c) for s, (a, c) in enumerate(_TABLEAU)]
     step_stages, extra_stages = stages[1:N_STAGES], stages[N_STAGES + 1:]
@@ -422,7 +425,7 @@ def solve_ivp(fun, t_span, y0, rtol, atol, rows) -> OdeResult:
             t_new = max(t - h_abs, tf)
             h = t_new - t
             h_abs = abs(h)
-            _stages(counted, t, y, h, step_stages)
+            nfev += _stages(fun, t, y, h, step_stages, y_stage)
             y_new = y + h * np.dot(K_step, B)
             f_new = counted(t + h, y_new)
             K[N_STAGES] = f_new
@@ -438,7 +441,7 @@ def solve_ivp(fun, t_span, y0, rtol, atol, rows) -> OdeResult:
             factor = min(MAX_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
         h_abs *= min(1, factor) if rejected else factor
         # the 7 coefficients of the step's interpolant, from three extra stages
-        _stages(counted, t, y, h, extra_stages)
+        nfev += _stages(fun, t, y, h, extra_stages, y_stage)
         # scipy's elementwise expressions on the kept rows, and its product D K cut to them
         f_kept, y_kept = f[rows], y[rows]
         delta_y = y_new[rows] - y_kept

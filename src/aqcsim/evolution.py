@@ -16,14 +16,16 @@ The state is carried as coefficients in the eigenbasis of the current cell:
 a step is a phase per level followed by the fixed real overlap
 O_s = V_{s+1}^T V_s into the next cell's basis.  The overlaps do not depend
 on time, so a block of sweeps with different total times (one column each)
-shares every step and every matmul.
+shares every step and every matmul; propagate makes its per-cell views of
+its chunk buffers once per call.
 
 The lam grid is not uniform.  Cells are distributed by blending a uniform
 measure with the rotation rate of the instantaneous ground state, found by
 adaptive bisection.  Narrow avoided crossings -- where the ground state can
 turn by nearly pi/2 over a tiny lam interval, and where all the interesting
 physics happens -- are resolved automatically this way; uniform grids of
-practical size step right over them.
+practical size step right over them.  The nodes of every cell are laid out
+in one vectorized pass, with np.linspace's arithmetic op for op.
 
 An Instance holds one problem instance's plan, curvature source, pace
 floor and unit-gain pace; evolve and the ensembles in the experiments
@@ -263,8 +265,8 @@ def build_schedule(pair: ham.HamiltonianPair, steps: int = 2048) -> SchedulePlan
     ground_index = ham.problem_ground_index(pair)
     cells = _ground_rotation_cells(pair)
     steps = max(steps, len(cells))
-    widths = np.array([a - b for a, b, _ in cells])
-    rots = np.array([r for _, _, r in cells])
+    tops, bottoms, rots = map(np.array, zip(*cells))
+    widths = tops - bottoms
     total_rot = float(rots.sum())
     if total_rot > 0:
         weights = (1.0 - _ROT_WEIGHT) * widths + _ROT_WEIGHT * rots / total_rot
@@ -279,11 +281,7 @@ def build_schedule(pair: ham.HamiltonianPair, steps: int = 2048) -> SchedulePlan
     while alloc.sum() < steps:
         alloc[np.argmax(weights / alloc)] += 1
 
-    nodes = [1.0]
-    for (a, b, _), m in zip(cells, alloc):
-        nodes.extend(np.linspace(a, b, m + 1)[1:])
-    lams = np.asarray(nodes)
-    lams[-1] = 0.0
+    lams = _nodes(tops, bottoms, alloc)
     mids = 0.5 * (lams[:-1] + lams[1:])
     cell_widths = lams[:-1] - lams[1:]
 
@@ -310,6 +308,15 @@ def build_schedule(pair: ham.HamiltonianPair, steps: int = 2048) -> SchedulePlan
         ground_index=ground_index,
         _frames=frames,
     )
+
+
+def _nodes(tops, bottoms, alloc) -> np.ndarray:
+    """1.0, then np.linspace(a, b, m + 1)[1:] of each cell (a, b), m = alloc: op for op, at once."""
+    ends = np.cumsum(alloc)  # cell k's last node, set to b itself as linspace sets it
+    i = np.arange(1, ends[-1] + 1) - np.repeat(ends - alloc, alloc)  # node i = 1..m of its cell
+    lams = np.r_[1.0, i * np.repeat((bottoms - tops) / alloc, alloc) + np.repeat(tops, alloc)]
+    lams[ends], lams[-1] = bottoms, 0.0
+    return lams
 
 
 def _midpoint_frames(pair: ham.HamiltonianPair, mids, psi0, energies, frame_maps):
@@ -368,20 +375,21 @@ def propagate(plan: SchedulePlan, dts, coeffs, start: int = 0, stop: int | None 
     # one chunk's buffers, reused by every chunk: c after each step, its phases, their
     # angles, and the squared norms of the (re, im) halves and the norms' drift
     states, phases = np.empty((2, min(_PHASE_CHUNK, stop - start), *c.shape), complex)
+    rows = list(phases), list(states), list(states.view(float))  # per-cell views, every chunk
     angles = np.empty(states.shape)
     halves = np.empty((len(states), 2 * c.shape[1]))
     norms = np.empty((len(states), c.shape[1]))
+    multiply, matmul = np.multiply, np.matmul
     for a in range(start, stop, _PHASE_CHUNK):
         b = min(a + _PHASE_CHUNK, stop)
         theta, flat = angles[: b - a], states[: b - a].view(float)
         # exp(-i w dt) as cos + i sin of (-w) dt, cheaper than a complex exp
-        np.multiply(np.negative(plan.mid_energies[a:b, :, None]), dts[a:b, None, :], theta)
+        multiply(np.negative(plan.mid_energies[a:b, :, None]), dts[a:b, None, :], theta)
         np.cos(theta, phases[: b - a].real)
         np.sin(theta, phases[: b - a].imag)
-        maps = plan.frame_maps[a:b]
-        for phase, state, state_flat, frame_map in zip(phases, states, flat, maps):
-            np.multiply(c, phase, scaled)
-            np.matmul(frame_map, scaled_flat, state_flat)
+        for phase, state, state_flat, frame_map in zip(*rows, plan.frame_maps[a:b]):
+            multiply(c, phase, scaled)
+            matmul(frame_map, scaled_flat, state_flat)
             c = state
         norm2, off = halves[: b - a], norms[: b - a]
         np.einsum("kij,kij->kj", flat, flat, out=norm2)

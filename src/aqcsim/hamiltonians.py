@@ -37,6 +37,7 @@ __all__ = [
     "build_bias",
     "make_pair",
     "pair_from_seed",
+    "checked_lams",
     "total_hamiltonian",
     "spectrum_at",
     "chunk_size",
@@ -178,11 +179,17 @@ def pair_from_seed(n: int, seed: int) -> HamiltonianPair:
     return make_pair(n, sample_epsilon(n, seed), seed)
 
 
-def total_hamiltonian(pair: HamiltonianPair, lam) -> np.ndarray:
-    """H(lam) = H_p + lam * H_b; an array of lam gives the stack of matrices."""
+def checked_lams(lam) -> np.ndarray:
+    """lam as a float array; a value outside [0, 1], or NaN, is refused with a ValueError."""
     lam = np.asarray(lam, dtype=float)
     if not np.all((lam >= 0.0) & (lam <= 1.0)):
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")
+    return lam
+
+
+def total_hamiltonian(pair: HamiltonianPair, lam) -> np.ndarray:
+    """H(lam) = H_p + lam * H_b; an array of lam gives the stack of matrices."""
+    lam = checked_lams(lam)
     H = lam[..., None, None] * pair.bias
     diagonal = np.arange(pair.dim)
     H[..., diagonal, diagonal] += pair.problem_diag

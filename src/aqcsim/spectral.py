@@ -14,11 +14,13 @@ the coupling matrix is real antisymmetric: the state [E, v, L] is carried
 as one float64 vector.  With the symmetric weights W[l, k] = 1/(E_l - E_k)^2
 (zero diagonal), M = L * W is antisymmetric and the coupling equation reads
 dL = M L - (M L)^T, one matrix product per right-hand-side evaluation.
-Each solve allocates the right-hand side's dim x dim work arrays once, and
-every evaluation overwrites them by the operations of fresh arrays; the
-separation check reads the level gaps off the sub-diagonal of
-D[l, k] = E_l - E_k.  The integrator's dense output keeps only the rows the
-package reads, E and row 0 of L: 2 dim of the dim (dim + 2), 64 of 1088 at n = 5.
+Each solve allocates the right-hand side's dim x dim work arrays and binds
+its numpy callables once; every evaluation overwrites the arrays by the
+operations of fresh arrays, and remakes its views of the state only for a
+new array, not for the solver's one stage buffer.  The separation check
+reads the level gaps off the sub-diagonal of D[l, k] = E_l - E_k.  The
+integrator's dense output keeps only the rows the package reads, E and
+row 0 of L: 2 dim of the dim (dim + 2), 64 of 1088 at n = 5.
 
 The ground-state curvature d^2 E_0 / dlam^2 is the l = 0 line of the
 velocity equation; its two-level truncation keeps only the k = 1 term.
@@ -120,19 +122,18 @@ class LevelFlow:
         self._dense = dense
 
     def energies(self, lams) -> np.ndarray:
-        """Levels at each requested lam, shape (dim, len(lams))."""
-        return self._dense(np.atleast_1d(lams))[: self.pair.dim]
+        """Levels at each requested lam, shape (dim, len(lams)); a lam outside [0, 1] is refused."""
+        return self._dense(np.atleast_1d(ham.checked_lams(lams)))[: self.pair.dim]
 
     def curvatures(self, lams) -> tuple[np.ndarray, np.ndarray]:
-        """(c2_full, c2_pair) arrays at the requested lam values.
+        """(c2_full, c2_pair) arrays at the requested lam values; one outside [0, 1] is refused.
 
         c2_full = -sum_k 2 L0k^2 / (E_k - E_0)^3 over row l = 0 of L, and
         c2_pair is its k = 1 term.  Both are <= 0 for the ground level.
         Every point is interpolated on its own, so a grid evaluated in
         chunks of at least two points gives the whole grid's values bitwise.
         """
-        lams = np.clip(np.atleast_1d(np.asarray(lams, dtype=float)), 0.0, 1.0)
-        E, L0 = np.split(self._dense(lams), 2)
+        E, L0 = np.split(self._dense(np.atleast_1d(ham.checked_lams(lams))), 2)
         terms = 2.0 * L0[1:] ** 2 / (E[1:] - E[:1]) ** 3
         return -np.sum(terms, axis=0), -terms[0]
 
@@ -153,28 +154,34 @@ def solve_levels(
     # before reading them (outputs go positionally: out= costs ~0.3 us a call)
     D, D2, work, ML = np.empty((4, dim, dim))
     D_diag, gaps = D.reshape(-1)[:: dim + 1], np.diagonal(D, -1)  # gaps[k] = E[k+1] - E[k]
+    subtract, multiply, divide, matmul = np.subtract, np.multiply, np.divide, np.matmul
+    min_reduce, add_reduce, empty, ML_T = np.minimum.reduce, np.add.reduce, np.empty, ML.T
+    rows = (dim + 2, dim)  # the state [E, v, L] as rows: E, v, then the dim rows of L
+    y_last = E = E_col = v = L = None  # the last state array and its views
 
     def rhs(lam, y):
         # Pair sums as matrix algebra over D[l, k] = E_l - E_k, whose
         # diagonal is a dummy 1: L has zero diagonal, so every k == l (and
         # k == j) term of the sums vanishes without being masked.
-        E = y[:dim]
-        L = y[2 * dim :].reshape(dim, dim)
-        np.subtract(E[:, None], E, D)
+        nonlocal y_last, E, E_col, v, L
+        if y is not y_last:  # a view reads y's current values, so only a new y needs new ones
+            y_last, Y = y, y.reshape(rows)
+            (E, v), L, E_col = Y[:2], Y[2:], Y[0, :, None]
+        subtract(E_col, E, D)
         # E stays ascending, so its adjacent differences are the sorted gaps;
         # only a failure (or a crossing, or a NaN) takes the sorting check
-        if not np.minimum.reduce(gaps) >= floor:
+        if not min_reduce(gaps) >= floor:
             _check_separation(E, lam, scale)
-        D_diag[:] = 1.0
-        np.multiply(D, D, D2)
-        np.matmul(np.divide(L, D2, work), L, ML)
-        out = np.empty_like(y)
-        out[:dim] = y[dim : 2 * dim]
-        np.multiply(np.multiply(L, L, work), 2.0, work)  # 2.0 * L**2
-        np.divide(work, np.multiply(D2, D, D), work)
-        np.add.reduce(work, 1, None, out[dim : 2 * dim])
-        np.subtract(ML, ML.T, out[2 * dim :].reshape(dim, dim))
-        return out
+        D_diag.fill(1.0)
+        multiply(D, D, D2)
+        matmul(divide(L, D2, work), L, ML)
+        out = empty(rows)
+        out[0] = v
+        multiply(multiply(L, L, work), 2.0, work)  # 2.0 * L**2
+        divide(work, multiply(D2, D, D), work)
+        add_reduce(work, 1, None, out[1])
+        subtract(ML, ML_T, out[2:])
+        return out.reshape(-1)
 
     # the dense output keeps the rows LevelFlow reads: E, then row 0 of L
     sol = solve_ivp(rhs, (1.0, 0.0), _pack(start.E, start.v, start.L), rtol=rtol, atol=atol,
@@ -211,7 +218,7 @@ def curvature_profile(pair: ham.HamiltonianPair, lams):
     (energies near the float range's edge, a tied ground state) is refused
     with a SimulationError, without a RuntimeWarning.
     """
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    lams = np.atleast_1d(ham.checked_lams(lams))  # refused before either route runs
     try:
         flow = solve_levels(pair)
     except (NearDegeneracyError, IntegrationFailureError):

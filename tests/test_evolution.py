@@ -67,6 +67,50 @@ def test_schedule_refines_near_small_gaps():
     assert density_near > 2 * density_far
 
 
+def _linspace_nodes(tops, bottoms, alloc):
+    """Reference layout: one np.linspace per cell, as the grid was first built."""
+    nodes = [1.0]
+    for a, b, m in zip(tops.tolist(), bottoms.tolist(), alloc.tolist()):
+        nodes.extend(np.linspace(a, b, m + 1)[1:])
+    lams = np.asarray(nodes)
+    lams[-1] = 0.0
+    return lams
+
+
+def test_vectorized_node_layout_equals_a_linspace_per_cell_bitwise():
+    rng = np.random.default_rng(23)
+    for cells in (1, 7, 300, 900):
+        # widths from 1e-7 up, cut from 1 down to 0 like the bisection's cells
+        widths = 10.0 ** rng.uniform(-7, -1, cells)
+        bottoms = 1.0 - np.cumsum(widths / widths.sum())
+        bottoms[-1] = 0.0
+        tops = np.concatenate([[1.0], bottoms[:-1]])
+        alloc = rng.integers(1, 51, cells)
+        got = evo._nodes(tops, bottoms, alloc)
+        assert got.tobytes() == _linspace_nodes(tops, bottoms, alloc).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_plan_grids_equal_a_linspace_per_cell_bitwise(monkeypatch, join_plan_threads, n):
+    layouts, real = [], evo._nodes
+
+    def record(*args):
+        layouts.append((args, real(*args)))
+        return layouts[-1][1]
+
+    for seed in (1, 2, 3):
+        pair = ham.pair_from_seed(n, seed)
+        for steps in (64, 1024, 2048):
+            layouts.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(evo, "_nodes", record)
+                plan = evo.build_schedule(pair, steps)
+            ((args, lams),) = layouts
+            assert plan.lams is lams
+            assert lams.tobytes() == _linspace_nodes(*args).tobytes()
+    join_plan_threads()
+
+
 def _depth_first_rotation_cells(pair):
     """Reference bisection: one single-lam eigendecomposition per new node."""
     vec_cache = {}
@@ -285,6 +329,23 @@ def test_batched_kernel_matches_expm_chain(n):
         one, one_drift = evo.propagate(plan, dts[:, j : j + 1], evo.initial_coefficients(plan))
         np.testing.assert_allclose(block[:, j], one[:, 0], atol=1e-12)
         assert drift[j] == pytest.approx(one_drift[0], abs=1e-12)
+
+
+def test_propagate_carries_nothing_between_calls():
+    # one plan, called with 1, 17 and 3 columns and then over two stretches as evolve
+    # calls it, against the same call on a freshly built plan
+    pair = ham.pair_from_seed(3, 8)
+    plan = evo.build_schedule(pair, steps=256)
+    T = np.geomspace(0.5, 50.0, 17)
+    calls = [(T[:1], 0, None), (T, 0, None), (T[5:8], 0, None), (T[:1], 0, 70), (T[:1], 70, 201)]
+    for Ts, a, b in calls:
+        dts = np.multiply.outer(plan.widths, Ts)
+        start = evo.initial_coefficients(plan, Ts.size) if a == 0 else c
+        got = evo.propagate(plan, dts, start, a, b)
+        want = evo.propagate(evo.build_schedule(pair, steps=256), dts, start, a, b)
+        for x, y in zip(got, want):
+            assert x.tobytes() == y.tobytes()
+        c = got[0]
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

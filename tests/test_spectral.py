@@ -201,6 +201,13 @@ def test_the_level_rhs_carries_nothing_between_calls(level_problem):
     for x, y in [(first, other), (first, again), (other, again), (first, a), (again, b)]:
         assert not np.shares_memory(x, y)
     assert a.tobytes() == a_before.tobytes()
+    # the solver passes one stage buffer per solve and overwrites it between calls: the
+    # RHS's views of it read its current state, and a new array gets views of its own
+    buffer = a.copy()
+    for lam, state, want in [(1.0, a, first), (0.99, b, other), (1.0, a, first)]:
+        buffer[:] = state
+        assert rhs(lam, buffer).tobytes() == want.tobytes()
+    assert rhs(1.0, a.copy()).tobytes() == first.tobytes()
 
 
 def test_profile_grid_and_values():
@@ -270,9 +277,11 @@ def test_pair_term_dominates_at_a_narrow_crossing():
 
 
 def _dense_output_grids(pair):
-    """A plan's nodes and midpoints (as Instance evaluates them) and the profile grid."""
+    """A plan's nodes and midpoints (as Instance evaluates them), the profile grid, and
+    points at the very edges of [0, 1], the range LevelFlow accepts."""
     plan = evo.build_schedule(pair, 1024)
-    return np.concatenate([plan.lams, plan.mids]), np.linspace(1.0, 0.0, 1024)
+    edges = np.array([1.0, np.nextafter(1.0, 0.0), 0.5, 5e-324, 0.0])
+    return np.concatenate([plan.lams, plan.mids]), np.linspace(1.0, 0.0, 1024), edges
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -364,3 +373,22 @@ def test_a_non_finite_level_curvature_is_refused(monkeypatch):
     monkeypatch.setattr(spectral.LevelFlow, "curvatures", overflowed)
     with pytest.raises(SimulationError, match="level_dynamics route gave a non-finite"):
         spectral.curvature_profile(ham.pair_from_seed(2, 10), np.linspace(1.0, 0.0, 16))
+
+
+@pytest.mark.parametrize("lams", [[1.5], [-0.5], [np.nan], [0.5, 1.5]],
+                         ids=["above-1", "below-0", "nan", "one-of-two"])
+def test_a_lambda_outside_the_unit_interval_is_refused_by_both_routes(monkeypatch, lams):
+    level_pair = ham.pair_from_seed(3, 1)
+    flow = spectral.solve_levels(level_pair)
+    for ask in (flow.energies, flow.curvatures):
+        with pytest.raises(ValueError, match=r"lambda must lie in \[0, 1\]"):
+            ask(lams)
+
+    def never_called(*args, **kwargs):
+        raise AssertionError("the level equations were solved")
+
+    monkeypatch.setattr(spectral, "solve_levels", never_called)
+    # the level route, and a pair the level equations refuse (diagonalization route)
+    for pair in (level_pair, ham.make_pair(2, [1.0, 1.0, 0.0])):
+        with pytest.raises(ValueError, match=r"lambda must lie in \[0, 1\]"):
+            spectral.curvature_profile(pair, lams)
