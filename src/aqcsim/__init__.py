@@ -34,7 +34,6 @@ from .hamiltonians import (
 )
 from .spectral import (
     LevelFlow,
-    SpectrumState,
     curvature_from_spectrum,
     curvature_profile,
     init_spectrum,

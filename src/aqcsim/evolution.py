@@ -28,8 +28,10 @@ practical size step right over them.  The nodes of every cell are laid out
 in one vectorized pass, with np.linspace's arithmetic op for op.
 
 An Instance holds one problem instance's plan, curvature source, pace
-floor and unit-gain pace; evolve and the ensembles in the experiments
-module all run their sweeps through it.
+floor and unit-gain pace.  Its one sweep call, Instance.run(batches),
+steps (family, T) batches as the columns of one propagate pass; the
+ensembles in the experiments module run every sweep through it, and
+evolve builds its single sweep from an Instance's plan and pace.
 
 Every stacked eigendecomposition here (the plan's midpoints, the T_ad and
 min-gap scan, a trajectory's rows) goes through ham.spectrum_chunks,
@@ -57,7 +59,7 @@ import math
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import chain, zip_longest
+from itertools import accumulate, chain, zip_longest
 
 import numpy as np
 
@@ -408,9 +410,10 @@ class Instance:
     spectral.curvature_profile on the plan's nodes and midpoints -- the
     level flow, or its diagonalization fallback near a level collision --
     computed on first use, so linear sweeps never need it), the resolved
-    pace floor and the unit-gain cell times unit_dts.  A
-    feedback sweep of gain k takes cells k * unit_dts and time
-    k * unit_time; a linear sweep of total time T takes widths * T.
+    pace floor and the unit-gain cell times unit_dts.  A feedback sweep of
+    gain k takes cells k * unit_dts and time k * unit_time; a linear sweep
+    of total time T takes widths * T.  run(batches) is the one way to
+    sweep: any mix of families and times, stepped together in one pass.
     """
 
     def __init__(
@@ -466,35 +469,28 @@ class Instance:
     def T_ad(self) -> float:
         return adiabatic_time(self.pair)
 
-    def cell_times(self, family: str, T, out: np.ndarray | None = None) -> np.ndarray:
-        """(cells, len(T)) per-cell times of sweeps of realized total times T, into out if given."""
-        T = np.atleast_1d(np.asarray(T, dtype=float))
-        if family == "linear":
-            return np.multiply.outer(self.plan.widths, T, out=out)
-        if family == "feedback":
-            return np.multiply.outer(self.unit_dts, T / self.unit_time, out=out)
-        raise ValueError(f"unknown controller family {family!r}")
+    def run(self, batches) -> list[np.ndarray]:
+        """P after each (family, T) batch of sweeps of realized total times T, in one pass.
 
-    def cell_block(self, batches) -> np.ndarray:
-        """The cell times of (family, T) batches, side by side in one (cells, columns) block."""
-        dts = np.empty((self.plan.cells, sum(np.size(T) for _, T in batches)))
-        a = 0
-        for family, T in batches:
-            b = a + np.size(T)
-            self.cell_times(family, T, out=dts[:, a:b])
-            a = b
-        return dts
-
-    def success(self, dts: np.ndarray) -> np.ndarray:
-        """P of every sweep (column of dts), stepped together in one pass."""
-        c0 = initial_coefficients(self.plan, dts.shape[1])
-        c, _ = propagate(self.plan, dts, c0)
-        return np.abs(c[self.plan.ground_index]) ** 2
-
-    def run(self, family: str, T) -> np.ndarray:
-        """P after sweeps of realized total times T (scalar or array) for a family."""
-        T = np.asarray(T, dtype=float)
-        return self.success(self.cell_times(family, T)).reshape(T.shape)
+        batches is a sequence of (family, T) pairs, T a scalar or an array
+        of total times.  Each sweep is one column of a single (cells,
+        columns) block: widths * T for "linear", unit_dts * (T / unit_time)
+        for "feedback"; an unknown family raises ValueError before anything
+        is propagated.  Returns one 1-D P array per batch, in order.
+        """
+        Ts = [np.asarray(T, dtype=float).ravel() for _, T in batches]
+        cuts = list(accumulate((T.size for T in Ts), initial=0))
+        dts = np.empty((self.plan.cells, cuts[-1]))
+        for (family, _), T, a, b in zip(batches, Ts, cuts, cuts[1:]):
+            if family == "linear":
+                np.multiply.outer(self.plan.widths, T, out=dts[:, a:b])
+            elif family == "feedback":
+                np.multiply.outer(self.unit_dts, T / self.unit_time, out=dts[:, a:b])
+            else:
+                raise ValueError(f"unknown controller family {family!r}")
+        c, _ = propagate(self.plan, dts, initial_coefficients(self.plan, cuts[-1]))
+        P = np.abs(c[self.plan.ground_index]) ** 2
+        return [P[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 def evolve(

@@ -3,14 +3,14 @@
 Per-instance work goes through an evolution.Instance holding the schedule
 plan, the curvature source and the unit-gain pace.  Every total time
 scanned on an instance -- a P(T) grid, a gain grid with both controllers
--- is one column of a single batched propagation through the plan's
-cached eigensystems.  A time-to-target scan decides its probes one at a
-time, but evaluates them in a few such passes: each pass holds every probe
-the scan may need next (ladder rungs, or a few levels of the bisection
-tree), and the scan replays its own decisions on those values.  The scan
-is a generator that yields the T values it needs and receives their P,
-so the scans of both controllers on one instance run in lockstep: an
-instance's two scans share three passes.
+-- is one column of a single Instance.run call, one batched propagation
+through the plan's cached eigensystems.  A time-to-target scan decides its
+probes one at a time, but evaluates them in a few such passes: each pass
+holds every probe the scan may need next (ladder rungs, or a few levels of
+the bisection tree), and the scan replays its own decisions on those
+values.  The scan is a generator that yields the T values it needs and
+receives their P, so the scans of both controllers on one instance run in
+lockstep: an instance's two scans share three passes.
 
 Both ensembles run through map_instances, which seeds each instance, skips
 degenerate ones, optionally fans out over a process pool and returns, in
@@ -198,13 +198,12 @@ def sweep_T(
     if not np.all((T_values > 0) & (T_values < np.inf)) or np.any(np.diff(T_values) <= 0):
         raise ValueError("T_values must be finite, positive and strictly ascending")
     inst = evo.Instance(pair, steps, curvature_floor)
-    families = CONTROLLER_FAMILIES
-    dts = inst.cell_block([(fam, T_values) for fam in families])
-    P = inst.success(dts).reshape(len(families), T_values.size)
-    return {fam: np.column_stack([T_values, p]) for fam, p in zip(families, P)}
+    P = inst.run([(fam, T_values) for fam in CONTROLLER_FAMILIES])
+    return {fam: np.column_stack([T_values, p]) for fam, p in zip(CONTROLLER_FAMILIES, P)}
 
 
 _SUDDEN_FLOOR = 1e-9  # lower scan bound, in units of T_ad
+_CAP_FACTOR = 1e6  # default upper scan bound, in units of T_ad
 _SCAN_START = 1e-3  # first probe, in units of T_ad
 _RTOL = 0.01  # relative width at which the bisection stops
 # Bisection levels evaluated per propagation pass: at most 2**4 - 1 = 15
@@ -218,8 +217,7 @@ def time_to_target(
     target_P: float = 0.9,
     *,
     steps: int = 2048,
-    cap_factor: float = 1e6,
-    context: evo.Instance | None = None,
+    cap_factor: float = _CAP_FACTOR,
 ) -> TargetResult:
     """Minimal total time whose sweep reaches P >= target_P.
 
@@ -246,20 +244,20 @@ def time_to_target(
         raise ValueError("target_P must lie in (0, 1)")
     if not 0 < cap_factor < math.inf:
         raise ValueError(f"cap_factor must be finite and positive, got {cap_factor}")
-    inst = context or evo.Instance(pair, steps)
+    inst = evo.Instance(pair, steps)
     result = _lockstep_scans(inst, (family,), target_P, cap_factor)[family]
     if isinstance(result, UnreachableTargetError):
         raise result
     return result
 
 
-def _lockstep_scans(inst: evo.Instance, families, target_P: float, cap_factor: float = 1e6):
+def _lockstep_scans(inst: evo.Instance, families, target_P: float, cap_factor: float):
     """Run one time-to-target scan per family on inst, sharing every propagation pass.
 
     Each round evaluates the batches of T that every live scan asks for in
-    one inst.success call on their cell times, written into one block, and
-    hands each scan its P values.  Returns family -> TargetResult, or the
-    UnreachableTargetError its scan raised, in the order of families.
+    one inst.run call and hands each scan its P values.  Returns family ->
+    TargetResult, or the UnreachableTargetError its scan raised, in the
+    order of families.
     """
     plan = inst.plan
     p_sudden = abs(plan.psi0[plan.ground_index]) ** 2
@@ -281,9 +279,7 @@ def _lockstep_scans(inst: evo.Instance, families, target_P: float, cap_factor: f
     while requests:
         live = list(requests.items())
         requests.clear()
-        P = inst.success(inst.cell_block(live))
-        offsets = np.cumsum([len(T) for _, T in live[:-1]])
-        for (fam, _), values in zip(live, np.split(P, offsets)):
+        for (fam, _), values in zip(live, inst.run(live)):
             resume(fam, values.tolist())
     return {fam: results[fam] for fam in families}
 
@@ -391,7 +387,7 @@ def _instance_times(pair, target_P, steps):
         raise _Excluded("no finite T_ad") from err
     return {
         fam: None if isinstance(res, UnreachableTargetError) else res.T
-        for fam, res in _lockstep_scans(inst, CONTROLLER_FAMILIES, target_P).items()
+        for fam, res in _lockstep_scans(inst, CONTROLLER_FAMILIES, target_P, _CAP_FACTOR).items()
     }
 
 
@@ -472,8 +468,7 @@ def _instance_delta_p(pair, k_values, steps):
     """dP per gain on one instance; excludes it as "zero P_lin" when a linear P is 0."""
     inst = evo.Instance(pair, steps)
     T = np.asarray(k_values) * inst.unit_time
-    dts = inst.cell_block([("feedback", T), ("linear", T)])
-    p_fb, p_lin = inst.success(dts).reshape(2, T.size)
+    p_fb, p_lin = inst.run([("feedback", T), ("linear", T)])
     if np.any(p_lin == 0.0):
         raise _Excluded("zero P_lin")
     return tuple(((p_fb - p_lin) / p_lin).tolist())

@@ -38,8 +38,6 @@ for different instances can be computed concurrently without shared state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import hamiltonians as ham
@@ -48,7 +46,6 @@ from ._scipy_port import solve_ivp
 from .errors import IntegrationFailureError, NearDegeneracyError, SimulationError
 
 __all__ = [
-    "SpectrumState",
     "LevelFlow",
     "init_spectrum",
     "solve_levels",
@@ -60,22 +57,6 @@ __all__ = [
 # of motion singular; the integrator refuses to continue rather than produce
 # garbage, and curvature_profile falls back to direct diagonalization.
 COLLISION_FLOOR = 1e-12
-
-
-@dataclass
-class SpectrumState:
-    """One Pechukas-Yukawa phase-space point.
-
-    E: level energies (ascending at lam = 1; the flow preserves order for
-       the nondegenerate ensemble).
-    v: level velocities <l|H_b|l>.
-    L: real coupling matrix l_lj, zero diagonal, L[l, j] == -L[j, l].
-    """
-
-    lam: float
-    E: np.ndarray
-    v: np.ndarray
-    L: np.ndarray
 
 
 def _check_separation(E: np.ndarray, lam: float, scale: float) -> None:
@@ -91,20 +72,20 @@ def _check_separation(E: np.ndarray, lam: float, scale: float) -> None:
         )
 
 
-def init_spectrum(pair: ham.HamiltonianPair) -> SpectrumState:
-    """Initial data at lam = 1 from exact diagonalization."""
+def init_spectrum(pair: ham.HamiltonianPair):
+    """(E, v, L), the phase-space point at lam = 1, from exact diagonalization.
+
+    E: level energies, ascending (the flow preserves their order for the
+    nondegenerate ensemble).  v: level velocities <l|H_b|l>.  L: the real
+    coupling matrix l_lj, zero diagonal, L[l, j] == -L[j, l].
+    """
     es = ham.spectrum_at(pair, 1.0)
     scale = float(es.energies[-1] - es.energies[0])
     _check_separation(es.energies, 1.0, scale)
     M = es.states.T @ pair.bias @ es.states
-    v = np.diag(M).copy()
     L = (es.energies[:, None] - es.energies[None, :]) * M
     np.fill_diagonal(L, 0.0)
-    return SpectrumState(lam=1.0, E=es.energies.copy(), v=v, L=L)
-
-
-def _pack(E, v, L):
-    return np.concatenate([E, v, L.ravel()])
+    return es.energies, np.diag(M).copy(), L
 
 
 class LevelFlow:
@@ -143,11 +124,11 @@ def solve_levels(
 ) -> LevelFlow:
     """Integrate the level equations from lam = 1 down to 0 (a start they overflow is refused)."""
     dim = pair.dim
-    start = init_spectrum(pair)
-    scale = float(np.max(start.E) - np.min(start.E)) or 1.0
+    E1, v1, L1 = init_spectrum(pair)  # the state at lam = 1
+    scale = float(np.max(E1) - np.min(E1)) or 1.0
     floor = COLLISION_FLOOR * scale
     big = float(np.finfo(float).max)  # the RHS cubes level differences, squares couplings
-    if not (scale < big ** (1 / 3) and np.abs(start.L).max() < (big / 2) ** 0.5):
+    if not (scale < big ** (1 / 3) and np.abs(L1).max() < (big / 2) ** 0.5):
         raise IntegrationFailureError(f"a start spread of {scale:.3g} overflows the level RHS")
 
     # the RHS's work arrays, private to this solve; every call overwrites them
@@ -184,7 +165,8 @@ def solve_levels(
         return out.reshape(-1)
 
     # the dense output keeps the rows LevelFlow reads: E, then row 0 of L
-    sol = solve_ivp(rhs, (1.0, 0.0), _pack(start.E, start.v, start.L), rtol=rtol, atol=atol,
+    y1 = np.concatenate([E1, v1, L1.ravel()])
+    sol = solve_ivp(rhs, (1.0, 0.0), y1, rtol=rtol, atol=atol,
                     rows=np.r_[0:dim, 2 * dim : 3 * dim])
     if sol.status != 0:
         raise IntegrationFailureError(f"level integration stopped: {sol.message}")

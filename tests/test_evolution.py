@@ -263,7 +263,7 @@ def test_plan_worker_failure_surfaces_from_the_first_read(monkeypatch, capfd):
     inst = evo.Instance(pair, steps=128)  # the plan's grid is ready; its frames are not
     for _ in range(2):  # every read re-raises
         with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
-            inst.success(inst.cell_times("linear", [1.0]))
+            inst.run([("linear", 1.0)])
     with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
         evo.evolve(pair, evo.PaceController.feedback(k=0.1), steps=128)
     assert hooked == []
@@ -395,6 +395,27 @@ def test_linear_run_realizes_exactly_its_time():
     pair = ham.pair_from_seed(2, 3)
     rec = evo.evolve(pair, evo.PaceController.linear(0.37), steps=128)
     assert rec.T == pytest.approx(0.37, rel=1e-12)
+
+
+def test_instance_run_returns_each_batch_in_order_as_batches_of_one_would():
+    inst = evo.Instance(ham.pair_from_seed(3, 4), 256)
+    batches = [("feedback", np.geomspace(0.1, 30.0, 5)), ("linear", 2.0), ("linear", [0.3, 7.0])]
+    got = inst.run(batches)
+    assert [P.shape for P in got] == [(5,), (1,), (2,)]
+    for (family, Ts), P in zip(batches, got):
+        for T, p in zip(np.atleast_1d(Ts), P):
+            [one] = inst.run([(family, T)])
+            np.testing.assert_allclose(p, one[0], rtol=0, atol=1e-12)
+
+
+def test_instance_run_refuses_an_unknown_family_before_propagating(monkeypatch):
+    def no_pass(*args):
+        raise AssertionError("nothing may be propagated")
+
+    inst = evo.Instance(ham.pair_from_seed(2, 4), 64)
+    monkeypatch.setattr(evo, "propagate", no_pass)
+    with pytest.raises(ValueError, match="unknown controller family 'quadratic'"):
+        inst.run([("linear", 1.0), ("quadratic", [1.0, 2.0])])
 
 
 def test_unit_norm_is_preserved():

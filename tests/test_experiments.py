@@ -76,13 +76,19 @@ def test_sweep_t_feedback_hits_each_time_exactly():
     assert rec.T == pytest.approx(0.73, rel=1e-9)
 
 
+def _one_run(ctx, family, T) -> float:
+    """P of one sweep, run as a batch of one."""
+    [P] = ctx.run([(family, T)])
+    return P.item()
+
+
 def test_sweep_t_batch_matches_single_runs():
     pair = ham.pair_from_seed(3, 4)
     grid = np.geomspace(0.05, 40.0, 9)
     curves = xp.sweep_T(pair, grid, steps=256)
     ctx = evo.Instance(pair, 256)
     for fam, arr in curves.items():
-        single = [float(ctx.run(fam, T)) for T in grid]
+        single = [_one_run(ctx, fam, T) for T in grid]
         np.testing.assert_allclose(arr[:, 1], single, atol=1e-12)
 
 
@@ -127,11 +133,11 @@ def test_time_to_target_sudden_reachable():
 
 
 def _rung_by_rung_time_to_target(ctx, family, target_P, cap_factor=1e6, rtol=0.01):
-    """The scan with one single-T ctx.run per probe, as the reference."""
+    """The scan with one single-T run per probe, as the reference."""
     T_ad, probes = ctx.T_ad, []
 
     def P(T):
-        probes.append((T, float(ctx.run(family, T))))
+        probes.append((T, _one_run(ctx, family, T)))
         return probes[-1][1]
 
     T = xp._SCAN_START * T_ad
@@ -186,7 +192,7 @@ def test_batched_ladder_matches_rung_by_rung_scan(
     pair = ham.pair_from_seed(n, seed)
     ctx = evo.Instance(pair, 512)
     for family in xp.CONTROLLER_FAMILIES:
-        got = xp.time_to_target(pair, family, target, context=ctx)
+        got = xp.time_to_target(pair, family, target, steps=512)
         want = _rung_by_rung_time_to_target(ctx, family, target)
         assert (got.probes[1][0] < got.probes[0][0]) == walks_down
         assert [t for t, _ in got.probes] == [t for t, _ in want.probes]
@@ -198,16 +204,16 @@ def test_batched_ladder_matches_rung_by_rung_scan(
         assert got.P_at_T == pytest.approx(want.P_at_T, abs=1e-12)
 
 
-def _count_success_columns(monkeypatch):
-    """The column count of every Instance.success call, appended as they happen."""
+def _count_run_columns(monkeypatch):
+    """The column count of every Instance.run call, appended as they happen."""
     passes = []
-    success = evo.Instance.success
+    run = evo.Instance.run
 
-    def counted_success(self, dts):
-        passes.append(dts.shape[1])
-        return success(self, dts)
+    def counted_run(self, batches):
+        passes.append(sum(np.size(T) for _, T in batches))
+        return run(self, batches)
 
-    monkeypatch.setattr(evo.Instance, "success", counted_success)
+    monkeypatch.setattr(evo.Instance, "run", counted_run)
     return passes
 
 
@@ -217,11 +223,11 @@ def test_cap_inside_a_ladder_pass_is_unreachable_like_rung_by_rung_scan(monkeypa
     for family in xp.CONTROLLER_FAMILIES:
         with pytest.raises(UnreachableTargetError):
             _rung_by_rung_time_to_target(ctx, family, 0.999, cap_factor=3.0)
-    passes = _count_success_columns(monkeypatch)
+    passes = _count_run_columns(monkeypatch)
     for family in xp.CONTROLLER_FAMILIES:
         passes.clear()
-        with pytest.raises(UnreachableTargetError):
-            xp.time_to_target(ctx.pair, family, 0.999, cap_factor=3.0, context=ctx)
+        res = xp._lockstep_scans(ctx, (family,), 0.999, 3.0)[family]
+        assert isinstance(res, UnreachableTargetError)
         assert passes == [12]  # no rung beyond the cap is evaluated
 
 
@@ -229,10 +235,10 @@ def test_scan_evaluates_its_probes_in_three_passes(monkeypatch):
     # one ladder pass (the crossing is within 15 rungs), then the 7 levels
     # of bisection from ratio 2 to rtol 0.01 in passes of 4 and 3 levels
     ctx = evo.Instance(ham.pair_from_seed(2, 1), 512)
-    passes = _count_success_columns(monkeypatch)
+    passes = _count_run_columns(monkeypatch)
     for family in xp.CONTROLLER_FAMILIES:
         passes.clear()
-        res = xp.time_to_target(ctx.pair, family, 0.9, context=ctx)
+        res = xp._lockstep_scans(ctx, (family,), 0.9, xp._CAP_FACTOR)[family]
         assert passes == [16, 15, 7]
         assert len(res.probes) < sum(passes)
 
@@ -249,10 +255,10 @@ def test_scan_evaluates_its_probes_in_three_passes(monkeypatch):
 )
 def test_walk_down_is_speculated_from_the_sudden_limit(monkeypatch, seed, target, want_passes):
     ctx = evo.Instance(ham.pair_from_seed(2, seed), 512)
-    passes = _count_success_columns(monkeypatch)
+    passes = _count_run_columns(monkeypatch)
     for family in xp.CONTROLLER_FAMILIES:
         passes.clear()
-        got = xp.time_to_target(ctx.pair, family, target, context=ctx)
+        got = xp._lockstep_scans(ctx, (family,), target, xp._CAP_FACTOR)[family]
         assert passes == want_passes
         want = _rung_by_rung_time_to_target(ctx, family, target)
         assert [t for t, _ in got.probes] == [t for t, _ in want.probes]
@@ -278,7 +284,7 @@ def _assert_same_scan(got, want):
 @example(n=2, seed=1, target=0.999)
 def test_lockstep_scans_match_per_family_scans(n, seed, target):
     ctx = evo.Instance(ham.pair_from_seed(n, seed), 256)
-    lockstep = xp._lockstep_scans(ctx, xp.CONTROLLER_FAMILIES, target)
+    lockstep = xp._lockstep_scans(ctx, xp.CONTROLLER_FAMILIES, target, xp._CAP_FACTOR)
     assert list(lockstep) == list(xp.CONTROLLER_FAMILIES)
     for family, got in lockstep.items():
         try:
@@ -287,18 +293,17 @@ def test_lockstep_scans_match_per_family_scans(n, seed, target):
             assert isinstance(got, UnreachableTargetError)
             continue
         _assert_same_scan(got, want)
-        _assert_same_scan(got, xp.time_to_target(ctx.pair, family, target, context=ctx))
+        _assert_same_scan(got, xp.time_to_target(ctx.pair, family, target, steps=256))
 
 
 def test_instance_scans_share_three_passes(monkeypatch):
     # each family alone takes passes of 16, 15 and 7 columns
     pair = ham.pair_from_seed(2, 1)
-    passes = _count_success_columns(monkeypatch)
+    passes = _count_run_columns(monkeypatch)
     got = xp._instance_times(pair, 0.9, 512)
     assert passes == [32, 30, 14]
-    ctx = evo.Instance(pair, 512)
     for family in xp.CONTROLLER_FAMILIES:
-        assert got[family] == xp.time_to_target(pair, family, 0.9, context=ctx).T
+        assert got[family] == xp.time_to_target(pair, family, 0.9, steps=512).T
 
 
 def test_an_n5_instance_holds_one_chunk_of_decompositions_a_thread(join_plan_threads):
@@ -320,15 +325,15 @@ def test_an_n5_instance_holds_one_chunk_of_decompositions_a_thread(join_plan_thr
 def test_lockstep_scans_stop_at_the_cap(monkeypatch):
     # 3 T_ad stops each ladder at its 12th rung, inside the first pass
     ctx = evo.Instance(ham.pair_from_seed(2, 5), 512)
-    passes = _count_success_columns(monkeypatch)
+    passes = _count_run_columns(monkeypatch)
     evaluated = []
-    cell_times = ctx.cell_times
+    run = ctx.run
 
-    def recorded_cell_times(family, T, out=None):
-        evaluated.extend(T)
-        return cell_times(family, T, out)
+    def recorded_run(batches):
+        evaluated.extend(T for _, Ts in batches for T in Ts)
+        return run(batches)
 
-    monkeypatch.setattr(ctx, "cell_times", recorded_cell_times)
+    monkeypatch.setattr(ctx, "run", recorded_run)
     results = xp._lockstep_scans(ctx, xp.CONTROLLER_FAMILIES, 0.999, cap_factor=3.0)
     assert all(isinstance(r, UnreachableTargetError) for r in results.values())
     assert passes == [24]
@@ -435,11 +440,13 @@ def test_ensembles_count_exclusions_by_reason(monkeypatch, degenerate_seed):
     # one instance whose linear P is 0 at the last gain, and one whose
     # feedback scan cannot reach the target
     zero_lin, stuck = xp.instance_seed(9, 2, 2), xp.instance_seed(9, 3, 0)
-    success, scans = evo.Instance.success, xp._lockstep_scans
+    run, scans = evo.Instance.run, xp._lockstep_scans
 
-    def zero_last_p(inst, dts):
-        P = success(inst, dts)
-        return np.append(P[:-1], 0.0) if inst.pair.seed == zero_lin else P
+    def zero_last_p(inst, batches):
+        P = run(inst, batches)
+        if inst.pair.seed == zero_lin:
+            P[-1] = np.append(P[-1][:-1], 0.0)
+        return P
 
     def unreachable_feedback(inst, families, *args):
         results = scans(inst, families, *args)
@@ -447,7 +454,7 @@ def test_ensembles_count_exclusions_by_reason(monkeypatch, degenerate_seed):
             results["feedback"] = UnreachableTargetError("forced for test")
         return results
 
-    monkeypatch.setattr(evo.Instance, "success", zero_last_p)
+    monkeypatch.setattr(evo.Instance, "run", zero_last_p)
     monkeypatch.setattr(xp, "_lockstep_scans", unreachable_feedback)
     res = xp.delta_p_sweep([0.1, 0.3], n=2, samples=4, master_seed=9, steps=128)
     assert (res.count, res.excluded) == (2, 2)
@@ -540,8 +547,8 @@ def test_delta_p_equal_time_comparison_is_fair():
     ctx = evo.Instance(pair, 512)
     k_slow = 200.0 * ctx.T_ad / ctx.unit_time
     T = k_slow * ctx.unit_time
-    p_fb = ctx.run("feedback", T)
-    p_lin = ctx.run("linear", T)
+    p_fb = _one_run(ctx, "feedback", T)
+    p_lin = _one_run(ctx, "linear", T)
     assert p_fb > 0.99 and p_lin > 0.99
 
 
@@ -554,7 +561,7 @@ def test_delta_p_rows_match_single_runs():
     want = []
     for k in ks:
         T = k * ctx.unit_time
-        p_fb, p_lin = float(ctx.run("feedback", T)), float(ctx.run("linear", T))
+        p_fb, p_lin = _one_run(ctx, "feedback", T), _one_run(ctx, "linear", T)
         want.append((p_fb - p_lin) / p_lin)
     np.testing.assert_allclose(rows, want, rtol=0, atol=1e-12)
 
@@ -606,7 +613,8 @@ def _sign_sensitive_outputs(pair) -> dict:
     """Everything the figures read from one instance, as name -> bytes or str."""
     steps = 256
     out = {}
-    scans = xp._lockstep_scans(evo.Instance(pair, steps), xp.CONTROLLER_FAMILIES, 0.9)
+    scans = xp._lockstep_scans(evo.Instance(pair, steps), xp.CONTROLLER_FAMILIES, 0.9,
+                               xp._CAP_FACTOR)
     for fam, res in scans.items():
         if isinstance(res, UnreachableTargetError):
             out[f"scan {fam}"] = str(res)

@@ -45,7 +45,7 @@ def test_single_qubit_energies_and_curvature_closed_form():
     np.testing.assert_allclose(c2_pair, c2_full, atol=1e-12)
 
     # ground-level velocity at the start of the sweep: dE0/dlam at lam = 1
-    v0 = spectral.init_spectrum(pair).v[0]
+    v0 = spectral.init_spectrum(pair)[1][0]
     assert v0 == pytest.approx(-(Z**2) / np.sqrt(eps**2 + Z**2), rel=1e-10)
 
 
@@ -62,19 +62,18 @@ def test_single_qubit_curvature_from_spectrum_closed_form():
 
 def test_init_spectrum_structure():
     pair = ham.pair_from_seed(3, 6)
-    s = spectral.init_spectrum(pair)
-    assert s.lam == 1.0
+    E, v, L = spectral.init_spectrum(pair)
     es = ham.spectrum_at(pair, 1.0)
-    np.testing.assert_allclose(s.E, es.energies, atol=1e-12)
+    np.testing.assert_allclose(E, es.energies, atol=1e-12)
     # velocities are the diagonal of the bias in the eigenbasis
     M = es.states.T @ pair.bias @ es.states
-    np.testing.assert_allclose(s.v, np.diag(M), atol=1e-12)
+    np.testing.assert_allclose(v, np.diag(M), atol=1e-12)
     # couplings are gap-weighted off-diagonals, real, antisymmetric, zero diagonal
-    assert s.L.dtype == np.float64
-    np.testing.assert_allclose(s.L, -s.L.T, atol=1e-12)
-    assert np.all(np.diag(s.L) == 0)
+    assert L.dtype == np.float64
+    np.testing.assert_allclose(L, -L.T, atol=1e-12)
+    assert np.all(np.diag(L) == 0)
     # velocities sum to the (zero) trace of the bias term
-    assert abs(s.v.sum()) < 1e-9 * np.abs(pair.bias).sum()
+    assert abs(v.sum()) < 1e-9 * np.abs(pair.bias).sum()
 
 
 @pytest.mark.parametrize("seed", [0, 5, 12])
