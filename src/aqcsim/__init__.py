@@ -42,13 +42,11 @@ from .spectral import (
 from .evolution import (
     BackactionWindow,
     Instance,
-    PaceController,
     RunRecord,
     SchedulePlan,
     adiabatic_time,
     backaction_window_ok,
     build_schedule,
-    evolve,
     min_gap,
 )
 from .experiments import (

@@ -468,16 +468,11 @@ def _instance(cfg: RunConfig) -> ham.HamiltonianPair:
 
 def _cmd_run(cfg: RunConfig):
     pair = _instance(cfg)
-    if cfg["controller"] == "linear":
-        controller = evo.PaceController.linear(cfg["t_total"])
-    else:
-        profile = replay_profile(cfg["replay"]) if cfg["replay"] is not None else None
-        controller = evo.PaceController.feedback(
-            cfg["k"], curvature_floor=cfg["curvature_floor"], profile=profile
-        )
-    record = evo.evolve(
-        pair, controller, steps=cfg["steps"], sample_stride=cfg["sample_stride"]
-    )
+    family = cfg["controller"]
+    replay = replay_profile(cfg["replay"]) if cfg["replay"] is not None else None
+    inst = evo.Instance(pair, cfg["steps"], cfg["curvature_floor"], profile=replay)
+    record = inst.evolve(family, cfg[_CONTROLLER_OPTIONS[family][0]],
+                         sample_stride=cfg["sample_stride"])
     tables = {}
     if record.samples is not None:
         tables["trajectory.csv"] = (evo.SAMPLE_COLUMNS, record.samples)

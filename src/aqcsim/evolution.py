@@ -1,12 +1,12 @@
 """Wavefunction propagation through the annealing sweep.
 
 The sweep integrates d|psi>/dlam = -i (dt/dlam) H(lam) |psi> from lam = 1
-to 0.  The pace dt/dlam is set by a controller: constant T_total for linear
-interpolation, or k * max(|c2|, floor) for curvature feedback, where c2 is
-the ground-state curvature supplied live by spectral.curvature_profile
-(level dynamics, or diagonalization near a level collision) or by a
-replayed profile table.  Total time T accumulates as the integral of the
-pace over lam.
+to 0.  Both controller families follow one law, dt/dlam = gain * pace(lam):
+linear interpolation has pace 1 and gain T_total, curvature feedback has
+pace max(|c2|, floor) and gain k, where c2 is the ground-state curvature
+supplied live by spectral.curvature_profile (level dynamics, or
+diagonalization near a level collision) or by a replayed profile table.
+Total time T accumulates as the integral of dt/dlam over lam.
 
 Stepping is unitary by construction: each lam cell applies the exact
 exponential of the midpoint Hamiltonian, exp(-i H(lam_mid) dt), through its
@@ -28,10 +28,11 @@ practical size step right over them.  The nodes of every cell are laid out
 in one vectorized pass, with np.linspace's arithmetic op for op.
 
 An Instance holds one problem instance's plan, curvature source, pace
-floor and unit-gain pace.  Its one sweep call, Instance.run(batches),
-steps (family, T) batches as the columns of one propagate pass; the
-ensembles in the experiments module run every sweep through it, and
-evolve builds its single sweep from an Instance's plan and pace.
+floor and unit-gain pace; Instance.unit_sweep is the one place that maps
+a family to its cell times at gain 1.  Instance.run(batches) steps
+(family, T) batches as the columns of one propagate pass, and the
+ensembles in the experiments module run every sweep through it;
+Instance.evolve(family, gain) runs one sweep and records its trajectory.
 
 Every stacked eigendecomposition here (the plan's midpoints, the T_ad and
 min-gap scan, a trajectory's rows) goes through ham.spectrum_chunks,
@@ -57,7 +58,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, zip_longest
 
@@ -69,7 +70,6 @@ from ._scipy_port import minimize_scalar_bounded
 from .errors import SimulationError
 
 __all__ = [
-    "PaceController",
     "RunRecord",
     "BackactionWindow",
     "SchedulePlan",
@@ -77,7 +77,6 @@ __all__ = [
     "build_schedule",
     "initial_coefficients",
     "propagate",
-    "evolve",
     "min_gap",
     "adiabatic_time",
     "backaction_window_ok",
@@ -102,53 +101,12 @@ _THREAD_MIN_DIM = 8
 
 
 @dataclass(frozen=True)
-class PaceController:
-    """Schedule policy: how fast lam moves at each point of the sweep.
+class RunRecord:
+    """Outcome of one sweep: success probability, realized time, diagnostics.
 
-    kind "linear": dt/dlam = T_total, constant.
-    kind "feedback": dt/dlam = k * max(|c2|, curvature_floor).  The signal
-    c2 comes from the live level dynamics, or from the (lam, c2) profile
-    when one is given (replay).  curvature_floor may be left None: evolve
-    then resolves it, through Instance.floor, to DEFAULT_FLOOR_FRACTION of
-    the |c2| maximum and returns the resolved controller in its RunRecord.
+    Instance.evolve(family, gain) makes it: a sweep at dt/dlam = gain * pace(lam).
     """
 
-    kind: str
-    T_total: float | None = None
-    k: float | None = None
-    curvature_floor: float | None = None
-    profile: tuple | None = None  # (lam descending, c2) arrays for replay
-
-    def __post_init__(self):
-        if self.kind == "linear":
-            if self.T_total is None or not 0 < self.T_total < math.inf:
-                raise ValueError("linear controller needs finite T_total > 0")
-            if self.k is not None:
-                raise ValueError("k is not a linear-controller parameter")
-        elif self.kind == "feedback":
-            if self.k is None or not 0 < self.k < math.inf:
-                raise ValueError("feedback controller needs finite gain k > 0")
-            if self.T_total is not None:
-                raise ValueError("T_total is not a feedback-controller parameter")
-            if self.curvature_floor is not None and not 0 < self.curvature_floor < math.inf:
-                raise ValueError("curvature_floor must be finite and positive")
-        else:
-            raise ValueError(f"unknown controller kind {self.kind!r}")
-
-    @classmethod
-    def linear(cls, T_total: float) -> "PaceController":
-        return cls(kind="linear", T_total=T_total)
-
-    @classmethod
-    def feedback(cls, k, curvature_floor=None, profile=None):
-        return cls(kind="feedback", k=k, curvature_floor=curvature_floor, profile=profile)
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    """Outcome of one sweep: success probability, realized time, diagnostics."""
-
-    controller: PaceController
     P: float
     T: float
     norm_drift: float
@@ -410,10 +368,11 @@ class Instance:
     spectral.curvature_profile on the plan's nodes and midpoints -- the
     level flow, or its diagonalization fallback near a level collision --
     computed on first use, so linear sweeps never need it), the resolved
-    pace floor and the unit-gain cell times unit_dts.  A feedback sweep of
-    gain k takes cells k * unit_dts and time k * unit_time; a linear sweep
-    of total time T takes widths * T.  run(batches) is the one way to
-    sweep: any mix of families and times, stepped together in one pass.
+    pace floor and the unit-gain cell times unit_dts.  Every sweep follows
+    dt/dlam = gain * pace(lam); unit_sweep gives a family's cells at gain 1
+    (widths for "linear", unit_dts for "feedback") and their total time.
+    run(batches) steps any mix of families and realized times together in
+    one pass; evolve(family, gain) runs one sweep with its diagnostics.
     """
 
     def __init__(
@@ -469,80 +428,74 @@ class Instance:
     def T_ad(self) -> float:
         return adiabatic_time(self.pair)
 
+    def unit_sweep(self, family: str) -> tuple[np.ndarray, float]:
+        """(cell times, total time) of the family's sweep at gain 1; ValueError if unknown."""
+        if family == "linear":
+            return self.plan.widths, 1.0
+        if family == "feedback":
+            return self.unit_dts, self.unit_time
+        raise ValueError(f"unknown controller family {family!r}")
+
     def run(self, batches) -> list[np.ndarray]:
         """P after each (family, T) batch of sweeps of realized total times T, in one pass.
 
         batches is a sequence of (family, T) pairs, T a scalar or an array
         of total times.  Each sweep is one column of a single (cells,
-        columns) block: widths * T for "linear", unit_dts * (T / unit_time)
-        for "feedback"; an unknown family raises ValueError before anything
-        is propagated.  Returns one 1-D P array per batch, in order.
+        columns) block, the family's unit_sweep cells times T over its unit
+        time; an unknown family raises ValueError before anything is
+        propagated.  Returns one 1-D P array per batch, in order.
         """
         Ts = [np.asarray(T, dtype=float).ravel() for _, T in batches]
         cuts = list(accumulate((T.size for T in Ts), initial=0))
         dts = np.empty((self.plan.cells, cuts[-1]))
         for (family, _), T, a, b in zip(batches, Ts, cuts, cuts[1:]):
-            if family == "linear":
-                np.multiply.outer(self.plan.widths, T, out=dts[:, a:b])
-            elif family == "feedback":
-                np.multiply.outer(self.unit_dts, T / self.unit_time, out=dts[:, a:b])
-            else:
-                raise ValueError(f"unknown controller family {family!r}")
+            cells, time = self.unit_sweep(family)
+            np.multiply.outer(cells, T / time, out=dts[:, a:b])
         c, _ = propagate(self.plan, dts, initial_coefficients(self.plan, cuts[-1]))
         P = np.abs(c[self.plan.ground_index]) ** 2
         return [P[a:b] for a, b in zip(cuts, cuts[1:])]
 
+    def evolve(self, family: str, gain: float, *, sample_stride: int = 0) -> RunRecord:
+        """Run one sweep from lam = 1 to 0 at dt/dlam = gain * pace(lam) and score it.
 
-def evolve(
-    pair: ham.HamiltonianPair,
-    controller: PaceController,
-    *,
-    steps: int = 2048,
-    sample_stride: int = 0,
-) -> RunRecord:
-    """Run one sweep from lam = 1 to 0 and score it.
+        gain is T_total for "linear" and k for "feedback".  sample_stride > 0
+        records a trajectory row every that-many grid nodes (plus the
+        endpoints): lam, t, instantaneous ground-state population, gap, and
+        |c2| recomputed from the spectrum at the node.  A gain that is not
+        finite and positive, a negative stride or an unknown family is
+        refused before anything is propagated.
+        """
+        if not 0 < gain < math.inf:
+            raise ValueError(f"gain must be finite and positive, got {gain}")
+        if sample_stride < 0:
+            raise ValueError(f"sample_stride must be >= 0, got {sample_stride}")
+        plan = self.plan
+        dts = gain * self.unit_sweep(family)[0]
 
-    sample_stride > 0 records a trajectory row every that-many grid nodes
-    (plus the endpoints): lam, t, instantaneous ground-state population,
-    gap, and |c2| recomputed from the spectrum at the node.
-    """
-    if sample_stride < 0:
-        raise ValueError(f"sample_stride must be >= 0, got {sample_stride}")
-    inst = Instance(pair, steps, controller.curvature_floor, profile=controller.profile)
-    plan = inst.plan
-    route = None
-    if controller.kind == "linear":
-        dts = plan.widths * controller.T_total
-    else:
-        dts = controller.k * inst.unit_dts
-        controller = replace(controller, curvature_floor=inst.floor)
-        route = inst.curvature_route
+        # the trajectory's rows, or with none one stretch over every cell; between cells the
+        # coefficients live in the next cell's eigenbasis, decomposed a chunk at a time, and
+        # after the last cell in the computational one
+        marks = np.array([*range(0, plan.cells, sample_stride or plan.cells), plan.cells])
+        chunks = ham.spectrum_chunks(self.pair, plan.mids[marks[1:-1]])
+        bases = chain.from_iterable(es.states for _, es in chunks)
+        c, drift, psis = initial_coefficients(plan), np.zeros(1), [plan.psi0]
+        for (a, b), V in zip_longest(zip(marks[:-1], marks[1:]), bases):
+            c, d = propagate(plan, dts[:, None], c, a, b)
+            drift = np.maximum(drift, d)
+            psis.append(c[:, 0] if V is None else V @ c[:, 0])
+        samples = None
+        if sample_stride > 0:
+            t_cum = np.concatenate([[0.0], np.cumsum(dts)])
+            samples = _sample_rows(self.pair, plan.lams[marks], t_cum[marks], psis)
 
-    # the trajectory's rows, or with none one stretch over every cell; between cells the
-    # coefficients live in the next cell's eigenbasis, decomposed a chunk at a time, and
-    # after the last cell in the computational one
-    marks = np.array([*range(0, plan.cells, sample_stride or plan.cells), plan.cells])
-    chunks = ham.spectrum_chunks(pair, plan.mids[marks[1:-1]])
-    bases = chain.from_iterable(es.states for _, es in chunks)
-    c, drift, psis = initial_coefficients(plan), np.zeros(1), [plan.psi0]
-    for (a, b), V in zip_longest(zip(marks[:-1], marks[1:]), bases):
-        c, d = propagate(plan, dts[:, None], c, a, b)
-        drift = np.maximum(drift, d)
-        psis.append(c[:, 0] if V is None else V @ c[:, 0])
-    samples = None
-    if sample_stride > 0:
-        t_cum = np.concatenate([[0.0], np.cumsum(dts)])
-        samples = _sample_rows(pair, plan.lams[marks], t_cum[marks], psis)
-
-    return RunRecord(
-        controller=controller,
-        P=float(abs(c[plan.ground_index, 0]) ** 2),
-        T=float(dts.sum()),
-        norm_drift=float(drift[0]),
-        psi=c[:, 0],
-        samples=samples,
-        curvature_route=route,
-    )
+        return RunRecord(
+            P=float(abs(c[plan.ground_index, 0]) ** 2),
+            T=float(dts.sum()),
+            norm_drift=float(drift[0]),
+            psi=c[:, 0],
+            samples=samples,
+            curvature_route=self.curvature_route if family == "feedback" else None,
+        )
 
 
 def _sample_rows(pair, lams, times, psis) -> np.ndarray:

@@ -94,15 +94,16 @@ def test_criterion_3_unitarity_and_limits(acceptance):
     worst_sudden_gap = 0.0
     for idx in range(20):
         pair = gate_pair(2, idx)
-        plan = evo.build_schedule(pair, steps=1024)
+        inst = evo.Instance(pair, 1024)
+        plan = inst.plan
         t_ad = evo.adiabatic_time(pair)
 
-        slow = evo.evolve(pair, evo.PaceController.linear(100.0 * t_ad), steps=1024)
+        slow = inst.evolve("linear", 100.0 * t_ad)
         worst_drift = max(worst_drift, slow.norm_drift)
         worst_slow_P = min(worst_slow_P, slow.P)
 
         frozen = abs(plan.psi0[plan.ground_index]) ** 2
-        fast = evo.evolve(pair, evo.PaceController.linear(1e-4 * t_ad), steps=1024)
+        fast = inst.evolve("linear", 1e-4 * t_ad)
         worst_drift = max(worst_drift, fast.norm_drift)
         worst_sudden_gap = max(worst_sudden_gap, abs(fast.P - frozen))
 
@@ -119,13 +120,13 @@ def test_criterion_4_realized_time_consistency(acceptance):
     for idx in range(20):
         pair = gate_pair(2, idx)
         inst = evo.Instance(pair, 2048)
-        controller = evo.PaceController.feedback(1.0 / inst.unit_time, inst.floor)
-        rec = evo.evolve(pair, controller, steps=2048)
+        k = 1.0 / inst.unit_time
+        rec = inst.evolve("feedback", k)
         flow = spectral.solve_levels(pair)
 
         def pace_at(lam):
             c2_full, _ = flow.curvatures(np.array([lam]))
-            return controller.k * max(abs(c2_full[0]), controller.curvature_floor)
+            return k * max(abs(c2_full[0]), inst.floor)
 
         _, lam_star = evo.min_gap(pair)
         want, _ = quad(pace_at, 0.0, 1.0, limit=400, points=[lam_star])

@@ -24,17 +24,18 @@ def one_qubit_pair(eps=3.0, Z=5.0):
 # ---------------------------------------------------------------- controllers
 
 
-def test_controller_validation():
-    with pytest.raises(ValueError):
-        evo.PaceController.linear(0.0)
-    with pytest.raises(ValueError):
-        evo.PaceController.feedback(k=-1.0)
-    with pytest.raises(ValueError):
-        evo.PaceController(kind="linear", T_total=1.0, k=0.3)
-    with pytest.raises(ValueError):
-        evo.PaceController(kind="feedback", k=1.0, T_total=1.0)
-    with pytest.raises(ValueError):
-        evo.PaceController(kind="warp", T_total=1.0)
+def test_controller_validation(monkeypatch):
+    def no_pass(*args):
+        raise AssertionError("nothing may be propagated")
+
+    inst = evo.Instance(ham.pair_from_seed(2, 3), 64)
+    monkeypatch.setattr(evo, "propagate", no_pass)
+    for family in ("linear", "feedback"):
+        for gain in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="gain"):
+                inst.evolve(family, gain)
+    with pytest.raises(ValueError, match="unknown controller family 'warp'"):
+        inst.evolve("warp", 1.0)
 
 
 # ------------------------------------------------------------------ schedules
@@ -226,7 +227,7 @@ def test_chunked_scans_fallback_and_trajectory_equal_one_whole_stack_bitwise(
     pair, symmetric = ham.pair_from_seed(n, 4), _symmetric_pair(n)
 
     def outputs():
-        rec = evo.evolve(pair, evo.PaceController.linear(2.0), steps=256, sample_stride=1)
+        rec = evo.Instance(pair, 256).evolve("linear", 2.0, sample_stride=1)
         assert rec.samples.shape[0] == 257
         # ascending, so that the last point, alone in a chunk of fixed-size chunks, is
         # not lam = 0, where H(lam) is diagonal and every product exact
@@ -265,7 +266,7 @@ def test_plan_worker_failure_surfaces_from_the_first_read(monkeypatch, capfd):
         with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
             inst.run([("linear", 1.0)])
     with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
-        evo.evolve(pair, evo.PaceController.feedback(k=0.1), steps=128)
+        evo.Instance(pair, 128).evolve("feedback", 0.1)
     assert hooked == []
     assert capfd.readouterr() == ("", "")
 
@@ -370,30 +371,30 @@ def test_norm_drift_reports_non_finite_steps_as_nan():
     with np.errstate(invalid="ignore"):
         _, drift = evo.propagate(plan, dts, evo.initial_coefficients(plan, 2))
         assert drift[0] < 1e-12 and np.isnan(drift[1])  # columns stay independent
-        # the constructor refuses a non-finite T_total; one set past it
-        # still sends non-finite steps through evolve's drift bookkeeping
-        controller = evo.PaceController.linear(1.0)
-        object.__setattr__(controller, "T_total", np.inf)
+        # evolve refuses a non-finite gain; cell widths set past it
+        # still send non-finite steps through evolve's drift bookkeeping
+        inst = evo.Instance(pair, 64)
+        inst.plan.widths[:] = np.inf
         for stride in (0, 16):
-            rec = evo.evolve(pair, controller, steps=64, sample_stride=stride)
+            rec = inst.evolve("linear", 1.0, sample_stride=stride)
             assert np.isnan(rec.norm_drift)
 
 
 @pytest.mark.parametrize(
-    "n, controller",
+    "n, family",
     [
-        pytest.param(2, evo.PaceController.feedback(1e308), id="feedback-n2"),
-        pytest.param(5, evo.PaceController.linear(1e308), id="linear-n5"),
+        pytest.param(2, "feedback", id="feedback-n2"),
+        pytest.param(5, "linear", id="linear-n5"),
     ],
 )
-def test_sweeps_whose_phases_overflow_are_refused(n, controller):
+def test_sweeps_whose_phases_overflow_are_refused(n, family):
     with pytest.raises(ValueError, match="total time"):
-        evo.evolve(ham.pair_from_seed(n, 3), controller, steps=64)
+        evo.Instance(ham.pair_from_seed(n, 3), 64).evolve(family, 1e308)
 
 
 def test_linear_run_realizes_exactly_its_time():
     pair = ham.pair_from_seed(2, 3)
-    rec = evo.evolve(pair, evo.PaceController.linear(0.37), steps=128)
+    rec = evo.Instance(pair, 128).evolve("linear", 0.37)
     assert rec.T == pytest.approx(0.37, rel=1e-12)
 
 
@@ -418,10 +419,30 @@ def test_instance_run_refuses_an_unknown_family_before_propagating(monkeypatch):
         inst.run([("linear", 1.0), ("quadratic", [1.0, 2.0])])
 
 
+def test_evolve_and_run_share_one_pace_rule_and_one_plan(monkeypatch):
+    plans, build = [], evo.build_schedule
+
+    def counted(*args):
+        plans.append(build(*args))
+        return plans[-1]
+
+    monkeypatch.setattr(evo, "build_schedule", counted)
+    inst = evo.Instance(ham.pair_from_seed(3, 4), 256)
+    T, k = 2.0, 0.3
+    # the same state bit for bit; evolve's scalar abs and run's array abs may differ
+    # in the last bit of P, so run's P is taken again from evolve's final state
+    psi = inst.evolve("linear", T).psi
+    [P_lin] = inst.run([("linear", [T])])
+    assert (np.abs(psi[[inst.plan.ground_index]]) ** 2).tobytes() == P_lin.tobytes()
+    [P_fb] = inst.run([("feedback", k * inst.unit_time)])
+    np.testing.assert_allclose(inst.evolve("feedback", k).P, P_fb[0], rtol=0, atol=1e-12)
+    assert len(plans) == 1
+
+
 def test_unit_norm_is_preserved():
     pair = ham.pair_from_seed(3, 2)
     for T in (1e-3, 1.0, 50.0):
-        rec = evo.evolve(pair, evo.PaceController.linear(T), steps=512)
+        rec = evo.Instance(pair, 512).evolve("linear", T)
         assert rec.norm_drift <= 1e-9
         assert np.linalg.norm(rec.psi) == pytest.approx(1.0, abs=1e-9)
 
@@ -430,7 +451,7 @@ def test_unit_norm_is_preserved():
 def test_slow_sweep_is_adiabatic(seed):
     pair = ham.pair_from_seed(2, seed)
     T = 100.0 * evo.adiabatic_time(pair)
-    rec = evo.evolve(pair, evo.PaceController.linear(T), steps=1024)
+    rec = evo.Instance(pair, 1024).evolve("linear", T)
     assert rec.P >= 0.99
 
 
@@ -439,7 +460,7 @@ def test_fast_sweep_is_sudden():
     plan = evo.build_schedule(pair, steps=512)
     p_frozen = abs(plan.psi0[plan.ground_index]) ** 2
     T = 1e-4 * evo.adiabatic_time(pair)
-    rec = evo.evolve(pair, evo.PaceController.linear(T), steps=512)
+    rec = evo.Instance(pair, 512).evolve("linear", T)
     assert rec.P == pytest.approx(p_frozen, abs=0.02)
 
 
@@ -460,9 +481,9 @@ def test_energy_shift_does_not_change_outcome(n, seed, shift):
         Z=pair.Z,
         seed=pair.seed,
     )
-    for controller in (evo.PaceController.linear(2.0), evo.PaceController.feedback(0.1)):
-        a = evo.evolve(pair, controller, steps=512)
-        b = evo.evolve(shifted, controller, steps=512)
+    for family, gain in (("linear", 2.0), ("feedback", 0.1)):
+        a = evo.Instance(pair, 512).evolve(family, gain)
+        b = evo.Instance(shifted, 512).evolve(family, gain)
         assert b.P == pytest.approx(a.P, abs=1e-9)
     assert evo.adiabatic_time(shifted) == pytest.approx(evo.adiabatic_time(pair), rel=1e-9)
     assert evo.min_gap(shifted)[0] == pytest.approx(evo.min_gap(pair)[0], rel=1e-9)
@@ -475,7 +496,7 @@ def test_step_refinement_converges_at_second_order():
     T = 2.0
 
     def p_at(steps):
-        return evo.evolve(pair, evo.PaceController.linear(T), steps=steps).P
+        return evo.Instance(pair, steps).evolve("linear", T).P
 
     ref = p_at(16384)
     counts = np.array([256, 512, 1024, 2048, 4096])
@@ -487,14 +508,14 @@ def test_step_refinement_converges_at_second_order():
 def test_feedback_time_matches_quadrature():
     pair = ham.pair_from_seed(2, 7)
     inst = evo.Instance(pair, 2048)
-    controller = evo.PaceController.feedback(1.7 / inst.unit_time, inst.floor)
-    rec = evo.evolve(pair, controller, steps=2048)
+    k = 1.7 / inst.unit_time
+    rec = inst.evolve("feedback", k)
     assert rec.T == pytest.approx(1.7, rel=1e-9)
     flow = spectral.solve_levels(pair)
 
     def integrand(lam):
         c2_full, _ = flow.curvatures(np.array([lam]))
-        return controller.k * max(abs(c2_full[0]), controller.curvature_floor)
+        return k * max(abs(c2_full[0]), inst.floor)
 
     want, _ = quad(integrand, 0.0, 1.0, limit=200)
     assert rec.T == pytest.approx(want, rel=1e-6)
@@ -505,32 +526,28 @@ def test_explicit_floor_is_kept_and_paces_the_sweep():
     pair = ham.pair_from_seed(2, 7)
     c2_full, _ = spectral.solve_levels(pair).curvatures(np.linspace(1.0, 0.0, 2001))
     floor = 10.0 * float(np.abs(c2_full).max())
-    rec = evo.evolve(pair, evo.PaceController.feedback(k=0.5, curvature_floor=floor),
-                     steps=256)
-    assert rec.controller.curvature_floor == floor
-    assert rec.T == pytest.approx(0.5 * floor, rel=1e-12)
     inst = evo.Instance(pair, 256, floor)
+    rec = inst.evolve("feedback", 0.5)
+    assert inst.floor == floor
+    assert rec.T == pytest.approx(0.5 * floor, rel=1e-12)
     assert 3.0 / inst.unit_time == pytest.approx(3.0 / floor, rel=1e-12)
 
 
 def test_replay_profile_reproduces_live_run():
     pair = ham.pair_from_seed(2, 9)
     flow = spectral.solve_levels(pair)
-    live = evo.evolve(pair, evo.PaceController.feedback(k=0.08), steps=1024)
+    live = evo.Instance(pair, 1024).evolve("feedback", 0.08)
 
     lams = np.linspace(1.0, 0.0, 1024)
     c2_full, _ = flow.curvatures(lams)
-    replay = evo.PaceController.feedback(k=0.08, profile=(lams, c2_full))
-    rec = evo.evolve(pair, replay, steps=1024)
+    rec = evo.Instance(pair, 1024, profile=(lams, c2_full)).evolve("feedback", 0.08)
     assert rec.P == pytest.approx(live.P, abs=1e-4)
     assert rec.T == pytest.approx(live.T, rel=1e-4)
 
 
 def test_feedback_slows_down_where_curvature_peaks():
     pair = ham.pair_from_seed(2, 1)
-    rec = evo.evolve(
-        pair, evo.PaceController.feedback(k=0.1), steps=1024, sample_stride=32
-    )
+    rec = evo.Instance(pair, 1024).evolve("feedback", 0.1, sample_stride=32)
     lam = rec.samples[:, 0]
     t = rec.samples[:, 1]
     c2 = rec.samples[:, 4]
@@ -544,9 +561,8 @@ def test_feedback_slows_down_where_curvature_peaks():
 
 def test_trajectory_sampling_contracts():
     pair = ham.pair_from_seed(2, 2)
-    rec = evo.evolve(
-        pair, evo.PaceController.linear(1.0), steps=256, sample_stride=64
-    )
+    inst = evo.Instance(pair, 256)
+    rec = inst.evolve("linear", 1.0, sample_stride=64)
     s = rec.samples
     assert s.shape[1] == len(evo.SAMPLE_COLUMNS)
     assert s[0, 0] == 1.0 and s[-1, 0] == 0.0
@@ -556,7 +572,7 @@ def test_trajectory_sampling_contracts():
     assert s[0, 2] == pytest.approx(1.0, abs=1e-12)  # starts in the ground state
     assert np.all(s[:, 3] > 0)  # gaps
     # a stride past the last cell: the two end rows, and no basis between cells to decompose
-    ends = evo.evolve(pair, evo.PaceController.linear(1.0), steps=256, sample_stride=10**6)
+    ends = inst.evolve("linear", 1.0, sample_stride=10**6)
     assert np.array_equal(ends.samples, s[[0, -1]])
 
 
@@ -565,11 +581,11 @@ def test_trajectory_rows_match_expm_chain():
     # one in the whole sweep, 72-cell segments of a whole chunk and a partial one in the
     # trajectory, through propagate's reused chunk buffers
     pair = ham.pair_from_seed(3, 11)
-    controller = evo.PaceController.linear(2.0)
     for steps, stride in ((256, 16), (200, 72)):
-        plan = evo.build_schedule(pair, steps=steps)
+        inst = evo.Instance(pair, steps)
+        plan = inst.plan
         assert plan.cells == steps
-        rec = evo.evolve(pair, controller, steps=steps, sample_stride=stride)
+        rec = inst.evolve("linear", 2.0, sample_stride=stride)
         dts = plan.widths * 2.0
         marks = [*range(0, plan.cells, stride), plan.cells]
         assert rec.samples.shape[0] == len(marks)
@@ -581,7 +597,7 @@ def test_trajectory_rows_match_expm_chain():
             assert row[3] == pytest.approx(es.gap(), rel=1e-12)
             c2_full, _ = spectral.curvature_from_spectrum(es, pair.bias)
             assert row[4] == pytest.approx(abs(c2_full), rel=1e-12)
-        whole = evo.evolve(pair, controller, steps=steps)
+        whole = inst.evolve("linear", 2.0)
         assert rec.samples[-1, 2] == pytest.approx(whole.P, abs=1e-12)
         assert rec.P == whole.P and rec.norm_drift == whole.norm_drift
 
@@ -589,7 +605,7 @@ def test_trajectory_rows_match_expm_chain():
 def test_negative_sample_stride_is_refused():
     pair = ham.pair_from_seed(2, 3)
     with pytest.raises(ValueError, match="sample_stride"):
-        evo.evolve(pair, evo.PaceController.linear(1.0), steps=64, sample_stride=-3)
+        evo.Instance(pair, 64).evolve("linear", 1.0, sample_stride=-3)
 
 
 # ----------------------------------------------------------------- timescales
@@ -647,7 +663,7 @@ def test_sweep_slower_than_adiabatic_time_succeeds_everywhere():
     for seed in range(5):
         pair = ham.pair_from_seed(2, seed)
         T = 30.0 * evo.adiabatic_time(pair)
-        rec = evo.evolve(pair, evo.PaceController.linear(T), steps=1024)
+        rec = evo.Instance(pair, 1024).evolve("linear", T)
         assert rec.P > 0.9
 
 

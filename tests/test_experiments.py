@@ -68,11 +68,7 @@ def test_sweep_t_feedback_hits_each_time_exactly():
     ctx = evo.Instance(pair, 512)
     k = 0.73 / ctx.unit_time
     assert k * ctx.unit_time == pytest.approx(0.73, rel=1e-12)
-    rec = evo.evolve(
-        pair,
-        evo.PaceController.feedback(k=k, curvature_floor=ctx.floor),
-        steps=512,
-    )
+    rec = ctx.evolve("feedback", k)
     assert rec.T == pytest.approx(0.73, rel=1e-9)
 
 
@@ -569,13 +565,13 @@ def test_delta_p_rows_match_single_runs():
 @pytest.mark.parametrize(
     "call",
     [
-        pytest.param(lambda pair: evo.PaceController.linear(np.nan), id="linear-nan"),
-        pytest.param(lambda pair: evo.PaceController.linear(np.inf), id="linear-inf"),
-        pytest.param(lambda pair: evo.PaceController.feedback(np.nan), id="feedback-nan"),
-        pytest.param(
-            lambda pair: evo.PaceController.feedback(0.1, curvature_floor=np.nan),
-            id="floor-nan",
-        ),
+        pytest.param(lambda pair: evo.Instance(pair, 64).evolve("linear", np.nan),
+                     id="linear-nan"),
+        pytest.param(lambda pair: evo.Instance(pair, 64).evolve("linear", np.inf),
+                     id="linear-inf"),
+        pytest.param(lambda pair: evo.Instance(pair, 64).evolve("feedback", np.nan),
+                     id="feedback-nan"),
+        pytest.param(lambda pair: evo.Instance(pair, 64, np.nan), id="floor-nan"),
         pytest.param(lambda pair: ham.make_pair(2, np.zeros(3), Z=np.nan), id="bias-Z-nan"),
         pytest.param(lambda pair: evo.BackactionWindow(np.nan, 2.0, 1.0), id="window-nan"),
         pytest.param(lambda pair: xp.sweep_T(pair, [1.0, np.nan], steps=64), id="sweep-T-nan"),
@@ -623,7 +619,7 @@ def _sign_sensitive_outputs(pair) -> dict:
     T_ad = evo.adiabatic_time(pair)
     curves = xp.sweep_T(pair, T_ad * np.array([0.5, 1.0, 2.0]), steps=steps)
     out.update({f"sweep_T {fam}": curve.tobytes() for fam, curve in curves.items()})
-    rec = evo.evolve(pair, evo.PaceController.feedback(0.1), steps=steps, sample_stride=32)
+    rec = evo.Instance(pair, steps).evolve("feedback", 0.1, sample_stride=32)
     out["evolve"] = np.array([rec.P, rec.T, T_ad]).tobytes()
     out["trajectory"] = rec.samples.tobytes()
     c2_full, c2_pair, route = spectral.curvature_profile(pair, np.linspace(1.0, 0.0, 129))
