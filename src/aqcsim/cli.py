@@ -250,9 +250,8 @@ def _footprint(command: str, v: dict) -> list:
                + curve * 48)
     # a column: 9 B a cell; per chunk cell 40 B a level and 24 B for the norms; 48 B a level
     column = 9 * cells + min(cells, evo._PHASE_CHUNK) * (40 * dim + 24) + 48 * dim
-    # run's one sweep; a scaling pass holds two scans' requests, a doubling or a halving ladder
-    halving = len(xp._ladder(xp._SCAN_START, 0.5, lambda T: T > xp._SUDDEN_FLOOR))
-    columns = {"run": 1, "scaling": 2 * max(2**xp._LOOKAHEAD, halving)}.get(command, 0)
+    # run's one sweep, or scaling's widest lockstep pass
+    columns = {"run": 1, "scaling": xp._WIDEST_PASS}.get(command, 0)
     terms = [(f"n = {n}", fixed + plan + columns * column,
               "the pair, the plan, one chunk of decompositions a thread, and the fixed columns")]
     if command == "run" and v["sample_stride"] > 0:

@@ -436,6 +436,10 @@ class Instance:
             return self.unit_dts, self.unit_time
         raise ValueError(f"unknown controller family {family!r}")
 
+    def ground_population(self, c: np.ndarray) -> np.ndarray:
+        """P of computational-basis amplitudes c, (dim,) or (dim, columns): the one P rule."""
+        return np.abs(c[self.plan.ground_index]) ** 2
+
     def run(self, batches) -> list[np.ndarray]:
         """P after each (family, T) batch of sweeps of realized total times T, in one pass.
 
@@ -452,7 +456,7 @@ class Instance:
             cells, time = self.unit_sweep(family)
             np.multiply.outer(cells, T / time, out=dts[:, a:b])
         c, _ = propagate(self.plan, dts, initial_coefficients(self.plan, cuts[-1]))
-        P = np.abs(c[self.plan.ground_index]) ** 2
+        P = self.ground_population(c)
         return [P[a:b] for a, b in zip(cuts, cuts[1:])]
 
     def evolve(self, family: str, gain: float, *, sample_stride: int = 0) -> RunRecord:
@@ -489,7 +493,7 @@ class Instance:
             samples = _sample_rows(self.pair, plan.lams[marks], t_cum[marks], psis)
 
         return RunRecord(
-            P=float(abs(c[plan.ground_index, 0]) ** 2),
+            P=float(self.ground_population(c)[0]),
             T=float(dts.sum()),
             norm_drift=float(drift[0]),
             psi=c[:, 0],

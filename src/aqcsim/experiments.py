@@ -156,7 +156,10 @@ def map_instances(task, n_values, samples: int, master_seed: int, workers: int =
     workers > 1 runs the instances in a process pool, so task must pickle
     (a functools.partial of a top-level function does); records come back
     in instance order either way, so the output does not depend on workers.
+    samples and workers are checked before any key is built.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     cpus = os.cpu_count() or 1
     if not 0 <= workers <= cpus:
         raise ValueError(f"workers must lie in [0, {cpus}] (the CPU count), got {workers}")
@@ -180,6 +183,16 @@ def _run_instance(task, key: tuple) -> InstanceRecord:
         return InstanceRecord(*key, excluded=reason.args[0])
 
 
+def _ascending_grid(name: str, values) -> np.ndarray:
+    """values as a float array; ValueError unless non-empty, finite, positive and strictly ascending."""
+    values = np.asarray(values, dtype=float)
+    if values.size == 0:
+        raise ValueError(f"{name} must not be empty")
+    if not np.all((values > 0) & (values < np.inf)) or np.any(np.diff(values) <= 0):
+        raise ValueError(f"{name} must be finite, positive and strictly ascending")
+    return values
+
+
 def sweep_T(
     pair: ham.HamiltonianPair,
     T_values,
@@ -192,18 +205,14 @@ def sweep_T(
     T_values must be non-empty, positive and ascending.  Feedback runs hit
     each target T exactly by setting k = T over the unit-gain pace integral.
     """
-    T_values = np.asarray(T_values, dtype=float)
-    if T_values.size == 0:
-        raise ValueError("T_values must not be empty")
-    if not np.all((T_values > 0) & (T_values < np.inf)) or np.any(np.diff(T_values) <= 0):
-        raise ValueError("T_values must be finite, positive and strictly ascending")
+    T_values = _ascending_grid("T_values", T_values)
     inst = evo.Instance(pair, steps, curvature_floor)
     P = inst.run([(fam, T_values) for fam in CONTROLLER_FAMILIES])
     return {fam: np.column_stack([T_values, p]) for fam, p in zip(CONTROLLER_FAMILIES, P)}
 
 
 _SUDDEN_FLOOR = 1e-9  # lower scan bound, in units of T_ad
-_CAP_FACTOR = 1e6  # default upper scan bound, in units of T_ad
+_CAP_FACTOR = 1e6  # upper scan bound, in units of T_ad
 _SCAN_START = 1e-3  # first probe, in units of T_ad
 _RTOL = 0.01  # relative width at which the bisection stops
 # Bisection levels evaluated per propagation pass: at most 2**4 - 1 = 15
@@ -217,7 +226,6 @@ def time_to_target(
     target_P: float = 0.9,
     *,
     steps: int = 2048,
-    cap_factor: float = _CAP_FACTOR,
 ) -> TargetResult:
     """Minimal total time whose sweep reaches P >= target_P.
 
@@ -226,7 +234,7 @@ def time_to_target(
     bisects geometrically to _RTOL relative.  P(T) oscillates near the
     adiabatic time, so the bracket is the first crossing of the scan; any
     non-monotone probe sequence is flagged in the result, not hidden.
-    Raises UnreachableTargetError beyond cap_factor * T_ad.
+    Raises UnreachableTargetError beyond _CAP_FACTOR * T_ad.
 
     The scan is sequential, but its probes are evaluated speculatively: a
     probe that is not yet known is evaluated in one batched propagation
@@ -242,28 +250,26 @@ def time_to_target(
     """
     if not 0.0 < target_P < 1.0:
         raise ValueError("target_P must lie in (0, 1)")
-    if not 0 < cap_factor < math.inf:
-        raise ValueError(f"cap_factor must be finite and positive, got {cap_factor}")
     inst = evo.Instance(pair, steps)
-    result = _lockstep_scans(inst, (family,), target_P, cap_factor)[family]
-    if isinstance(result, UnreachableTargetError):
-        raise result
+    result = _lockstep_scans(inst, (family,), target_P)[family]
+    if result is None:
+        raise UnreachableTargetError(
+            f"{family} sweep did not reach P >= {target_P} below "
+            f"T = {_CAP_FACTOR:g} * T_ad = {_CAP_FACTOR * inst.T_ad:.3g}"
+        )
     return result
 
 
-def _lockstep_scans(inst: evo.Instance, families, target_P: float, cap_factor: float):
+def _lockstep_scans(inst: evo.Instance, families, target_P: float):
     """Run one time-to-target scan per family on inst, sharing every propagation pass.
 
     Each round evaluates the batches of T that every live scan asks for in
     one inst.run call and hands each scan its P values.  Returns family ->
-    TargetResult, or the UnreachableTargetError its scan raised, in the
-    order of families.
+    TargetResult, or None where _CAP_FACTOR stopped the scan, in the order
+    of families.
     """
-    plan = inst.plan
-    p_sudden = abs(plan.psi0[plan.ground_index]) ** 2
-    scans = {
-        fam: _scan(fam, inst.T_ad, p_sudden, target_P, cap_factor) for fam in families
-    }
+    p_sudden = float(inst.ground_population(inst.plan.psi0))
+    scans = {fam: _scan(inst.T_ad, p_sudden, target_P) for fam in families}
     results, requests = {}, {}
 
     def resume(family, values):
@@ -271,8 +277,6 @@ def _lockstep_scans(inst: evo.Instance, families, target_P: float, cap_factor: f
             requests[family] = scans[family].send(values)
         except StopIteration as done:
             results[family] = done.value
-        except UnreachableTargetError as err:
-            results[family] = err
 
     for fam in families:
         resume(fam, None)
@@ -284,13 +288,13 @@ def _lockstep_scans(inst: evo.Instance, families, target_P: float, cap_factor: f
     return {fam: results[fam] for fam in families}
 
 
-def _scan(family: str, T_ad: float, p_sudden: float, target_P: float, cap_factor: float):
+def _scan(T_ad: float, p_sudden: float, target_P: float):
     """The time-to-target scan as a generator of propagation requests.
 
     Yields the list of T it needs evaluated next (the probe it is at and
     the probes it may visit after it), receives their P values in order,
-    and returns the TargetResult; raises UnreachableTargetError beyond
-    cap_factor * T_ad.  p_sudden, the P of an instantaneous sweep, picks
+    and returns the TargetResult, or None when the next probe would pass
+    _CAP_FACTOR * T_ad.  p_sudden, the P of an instantaneous sweep, picks
     the first speculation: it only predicts which way the scan walks, and
     never enters a decision.
     """
@@ -305,7 +309,7 @@ def _scan(family: str, T_ad: float, p_sudden: float, target_P: float, cap_factor
         return known[T]
 
     def below_cap(T: float) -> bool:
-        return 2.0 * T <= cap_factor * T_ad
+        return 2.0 * T <= _CAP_FACTOR * T_ad
 
     def above_floor(T: float) -> bool:
         return T > _SUDDEN_FLOOR * T_ad
@@ -329,10 +333,7 @@ def _scan(family: str, T_ad: float, p_sudden: float, target_P: float, cap_factor
     else:
         while p < target_P:
             if not below_cap(T):
-                raise UnreachableTargetError(
-                    f"{family} sweep did not reach P >= {target_P} below "
-                    f"T = {cap_factor:g} * T_ad = {cap_factor * T_ad:.3g}"
-                )
+                return None
             T *= 2.0
             p = yield from P(T, doubling)
         lo, hi = T / 2.0, T
@@ -356,6 +357,13 @@ def _ladder(T: float, factor: float, more, count: float = math.inf) -> list:
     return rungs
 
 
+# The most columns one lockstep pass holds: per scan its start probe and the halving
+# ladder down to the sudden floor (21), more than a doubling (16) or bisection (15) pass
+_WIDEST_PASS = len(CONTROLLER_FAMILIES) * max(
+    2**_LOOKAHEAD, len(_ladder(_SCAN_START, 0.5, lambda T: T > _SUDDEN_FLOOR))
+)
+
+
 def _bisection_tree(lo: float, hi: float, depth: int) -> list:
     """Every midpoint a geometric bisection of (lo, hi) to _RTOL can probe in depth levels."""
     if depth == 0 or hi / lo <= 1.0 + _RTOL:
@@ -370,9 +378,7 @@ def _bisection_tree(lo: float, hi: float, depth: int) -> list:
 
 def _finish(T, p, probes) -> TargetResult:
     ascending = sorted(probes)
-    non_monotone = any(
-        b[1] < a[1] for a, b in zip(ascending, ascending[1:])
-    )
+    non_monotone = any(b[1] < a[1] for a, b in zip(ascending, ascending[1:]))
     return TargetResult(
         T=float(T), P_at_T=float(p), probes=tuple(probes), non_monotone=non_monotone
     )
@@ -385,10 +391,8 @@ def _instance_times(pair, target_P, steps):
         inst.T_ad
     except SimulationError as err:
         raise _Excluded("no finite T_ad") from err
-    return {
-        fam: None if isinstance(res, UnreachableTargetError) else res.T
-        for fam, res in _lockstep_scans(inst, CONTROLLER_FAMILIES, target_P, _CAP_FACTOR).items()
-    }
+    scans = _lockstep_scans(inst, CONTROLLER_FAMILIES, target_P)
+    return {fam: None if res is None else res.T for fam, res in scans.items()}
 
 
 def scaling_study(
@@ -410,8 +414,6 @@ def scaling_study(
     The arguments are checked before any instance is built.
     """
     n_values = tuple(int(n) for n in n_values)
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
     if not 0.0 < target_P < 1.0:
         raise ValueError(f"target_P must lie in (0, 1), got {target_P}")
     if any(n < 2 for n in n_values) or any(b <= a for a, b in zip(n_values, n_values[1:])):
@@ -491,13 +493,7 @@ def delta_p_sweep(
     Instances with degenerate ground states or numerically zero P_lin are
     excluded and counted.  k_values must be non-empty and samples >= 1.
     """
-    k_values = np.asarray(k_values, dtype=float)
-    if k_values.size == 0:
-        raise ValueError("k_values must not be empty")
-    if not np.all((k_values > 0) & (k_values < np.inf)) or np.any(np.diff(k_values) <= 0):
-        raise ValueError("k_values must be finite, positive and strictly ascending")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    k_values = _ascending_grid("k_values", k_values)
     task = partial(_instance_delta_p, k_values=k_values, steps=steps)
     records = map_instances(task, (n,), samples, master_seed, workers)
 

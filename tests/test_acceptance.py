@@ -3,9 +3,12 @@
 Each test computes its criterion from scratch, prints a
 ``criterion N [PASS|FAIL]`` line (replayed in the terminal summary by
 conftest), and asserts.  Criterion 6 documents a measured failure: see the
-note on test_criterion_6.  Ensemble criteria run at 1024 schedule cells --
-the observables are step-converged well below the tolerances at that
-resolution and the full gate stays under ~5 minutes.
+note on test_criterion_6.  Ensemble criteria run at 1024 schedule cells,
+where the full gate stays under ~5 minutes.  At that resolution P is
+step-converged well below the tolerances on the median instance (|P_1024 -
+P_4096| of 2e-7 to 1e-6 at each n = 2..5, at each instance's own
+time-to-target T), but not on every one: the worst of 6 instances and
+both controllers per n reached 5.2e-4 at n = 2 and 1.9e-3 at n = 5.
 """
 
 
@@ -182,6 +185,13 @@ def test_criterion_6_scaling_exponent_bands(acceptance):
     other two conditions.  The run below is kept faithful (arithmetic
     means, no trimming) and its measured exponents are reported; the test
     is an expected failure rather than a gamed pass.
+
+    Finding: the paired ratio survives the tails.  On this run's own
+    records feedback is faster on 400 of 400 instances, the median
+    T_lin/T_fb is 2.25, 2.13, 3.29 and 4.71 at n = 2..5, and a log-log
+    fit of those medians gives the exponent 0.81 (bootstrap 95 % CI
+    [0.60, 1.05]): a polynomial speed-up in a form the data support.  The
+    bands are left as they are.
     """
     summary = xp.scaling_study(
         (2, 3, 4, 5), samples=100, master_seed=7, target_P=0.9, steps=1024

@@ -1,6 +1,7 @@
 """Ensemble machinery: seeding, target scans, scaling fits, gain sweeps."""
 
 import os
+import re
 import threading
 import tracemalloc
 from collections import Counter
@@ -219,11 +220,12 @@ def test_cap_inside_a_ladder_pass_is_unreachable_like_rung_by_rung_scan(monkeypa
     for family in xp.CONTROLLER_FAMILIES:
         with pytest.raises(UnreachableTargetError):
             _rung_by_rung_time_to_target(ctx, family, 0.999, cap_factor=3.0)
+    monkeypatch.setattr(xp, "_CAP_FACTOR", 3.0)
     passes = _count_run_columns(monkeypatch)
     for family in xp.CONTROLLER_FAMILIES:
         passes.clear()
-        res = xp._lockstep_scans(ctx, (family,), 0.999, 3.0)[family]
-        assert isinstance(res, UnreachableTargetError)
+        res = xp._lockstep_scans(ctx, (family,), 0.999)[family]
+        assert res is None
         assert passes == [12]  # no rung beyond the cap is evaluated
 
 
@@ -234,7 +236,7 @@ def test_scan_evaluates_its_probes_in_three_passes(monkeypatch):
     passes = _count_run_columns(monkeypatch)
     for family in xp.CONTROLLER_FAMILIES:
         passes.clear()
-        res = xp._lockstep_scans(ctx, (family,), 0.9, xp._CAP_FACTOR)[family]
+        res = xp._lockstep_scans(ctx, (family,), 0.9)[family]
         assert passes == [16, 15, 7]
         assert len(res.probes) < sum(passes)
 
@@ -254,11 +256,19 @@ def test_walk_down_is_speculated_from_the_sudden_limit(monkeypatch, seed, target
     passes = _count_run_columns(monkeypatch)
     for family in xp.CONTROLLER_FAMILIES:
         passes.clear()
-        got = xp._lockstep_scans(ctx, (family,), target, xp._CAP_FACTOR)[family]
+        got = xp._lockstep_scans(ctx, (family,), target)[family]
         assert passes == want_passes
         want = _rung_by_rung_time_to_target(ctx, family, target)
         assert [t for t, _ in got.probes] == [t for t, _ in want.probes]
         assert got.T == want.T
+
+
+def test_the_widest_lockstep_pass_holds_both_halving_ladders(monkeypatch):
+    # the sudden limit meets the target: each scan's first pass is its start and halving ladder
+    ctx = evo.Instance(ham.pair_from_seed(2, 5), 512)
+    passes = _count_run_columns(monkeypatch)
+    xp._lockstep_scans(ctx, xp.CONTROLLER_FAMILIES, 0.25)
+    assert passes == [xp._WIDEST_PASS] == [42]
 
 
 def _assert_same_scan(got, want):
@@ -280,13 +290,13 @@ def _assert_same_scan(got, want):
 @example(n=2, seed=1, target=0.999)
 def test_lockstep_scans_match_per_family_scans(n, seed, target):
     ctx = evo.Instance(ham.pair_from_seed(n, seed), 256)
-    lockstep = xp._lockstep_scans(ctx, xp.CONTROLLER_FAMILIES, target, xp._CAP_FACTOR)
+    lockstep = xp._lockstep_scans(ctx, xp.CONTROLLER_FAMILIES, target)
     assert list(lockstep) == list(xp.CONTROLLER_FAMILIES)
     for family, got in lockstep.items():
         try:
             want = _rung_by_rung_time_to_target(ctx, family, target)
         except UnreachableTargetError:
-            assert isinstance(got, UnreachableTargetError)
+            assert got is None
             continue
         _assert_same_scan(got, want)
         _assert_same_scan(got, xp.time_to_target(ctx.pair, family, target, steps=256))
@@ -320,6 +330,7 @@ def test_an_n5_instance_holds_one_chunk_of_decompositions_a_thread(join_plan_thr
 
 def test_lockstep_scans_stop_at_the_cap(monkeypatch):
     # 3 T_ad stops each ladder at its 12th rung, inside the first pass
+    monkeypatch.setattr(xp, "_CAP_FACTOR", 3.0)
     ctx = evo.Instance(ham.pair_from_seed(2, 5), 512)
     passes = _count_run_columns(monkeypatch)
     evaluated = []
@@ -330,16 +341,19 @@ def test_lockstep_scans_stop_at_the_cap(monkeypatch):
         return run(batches)
 
     monkeypatch.setattr(ctx, "run", recorded_run)
-    results = xp._lockstep_scans(ctx, xp.CONTROLLER_FAMILIES, 0.999, cap_factor=3.0)
-    assert all(isinstance(r, UnreachableTargetError) for r in results.values())
+    results = xp._lockstep_scans(ctx, xp.CONTROLLER_FAMILIES, 0.999)
+    assert all(r is None for r in results.values())
     assert passes == [24]
     assert max(evaluated) <= 3.0 * ctx.T_ad  # no rung beyond the cap is evaluated
 
 
-def test_time_to_target_unreachable_under_cap():
+def test_time_to_target_unreachable_under_cap(monkeypatch):
+    monkeypatch.setattr(xp, "_CAP_FACTOR", 1e-2)
     pair = ham.pair_from_seed(2, 5)
-    with pytest.raises(UnreachableTargetError):
-        xp.time_to_target(pair, "linear", 0.999, steps=256, cap_factor=1e-2)
+    T_ad = evo.adiabatic_time(pair)
+    message = f"linear sweep did not reach P >= 0.999 below T = 0.01 * T_ad = {0.01 * T_ad:.3g}"
+    with pytest.raises(UnreachableTargetError, match=f"^{re.escape(message)}$"):
+        xp.time_to_target(pair, "linear", 0.999, steps=256)
 
 
 def test_time_to_target_refuses_an_adiabatic_time_that_is_not_finite():
@@ -447,7 +461,7 @@ def test_ensembles_count_exclusions_by_reason(monkeypatch, degenerate_seed):
     def unreachable_feedback(inst, families, *args):
         results = scans(inst, families, *args)
         if inst.pair.seed == stuck:
-            results["feedback"] = UnreachableTargetError("forced for test")
+            results["feedback"] = None
         return results
 
     monkeypatch.setattr(evo.Instance, "run", zero_last_p)
@@ -591,13 +605,6 @@ def test_delta_p_rows_match_single_runs():
             lambda pair: xp.sweep_T(pair, [1.0, 2.0], steps=64, curvature_floor=-1.0),
             id="sweep-T-floor-negative",
         ),
-        *(
-            pytest.param(
-                lambda pair, cap=cap: xp.time_to_target(pair, "linear", steps=64, cap_factor=cap),
-                id=f"cap-factor-{cap}",
-            )
-            for cap in (np.nan, -1.0, 0.0, np.inf)
-        ),
     ],
 )
 def test_non_finite_inputs_are_refused(call):
@@ -609,11 +616,10 @@ def _sign_sensitive_outputs(pair) -> dict:
     """Everything the figures read from one instance, as name -> bytes or str."""
     steps = 256
     out = {}
-    scans = xp._lockstep_scans(evo.Instance(pair, steps), xp.CONTROLLER_FAMILIES, 0.9,
-                               xp._CAP_FACTOR)
+    scans = xp._lockstep_scans(evo.Instance(pair, steps), xp.CONTROLLER_FAMILIES, 0.9)
     for fam, res in scans.items():
-        if isinstance(res, UnreachableTargetError):
-            out[f"scan {fam}"] = str(res)
+        if res is None:
+            out[f"scan {fam}"] = "unreachable"
         else:
             out[f"scan {fam}"] = np.array([res.T, *np.ravel(res.probes)]).tobytes()
     T_ad = evo.adiabatic_time(pair)
