@@ -100,7 +100,7 @@ _OPTIONS = {
     "curvature_floor": (float, None, "pace floor on |c2| (default: 1e-6 of the profile max)"),
     "replay": (str, None, "(lambda, c2) profile CSV that feedback replays instead of "
                           "the live level dynamics"),
-    "steps": (int, 2048, "number of schedule cells"),
+    "steps": (int, evo.DEFAULT_STEPS, "number of schedule cells"),
     "sample_stride": (int, 0, "trajectory rows every N nodes (0 = no dump)"),
     "resolution": (int, 1024, "number of lambda samples"),
     "t_min": (float, 0.5, "smallest sweep time in the grid"),

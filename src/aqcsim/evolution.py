@@ -88,6 +88,7 @@ SAMPLE_COLUMNS = ("lambda", "t", "P_instantaneous", "gap", "abs_curvature")
 # the controller alone would run unboundedly fast where the curvature
 # vanishes (the lam -> 1 plateau), which no stepper can follow.
 DEFAULT_FLOOR_FRACTION = 1e-6
+DEFAULT_STEPS = 2048  # schedule cells of every plan whose caller names none
 
 _ROT_MAX = 0.08  # max ground-state rotation per grid cell, radians
 _BASE_CELLS = 64  # uniform cells seeding the adaptive bisection
@@ -209,7 +210,7 @@ def _ground_rotation_cells(pair: ham.HamiltonianPair):
     return cells
 
 
-def build_schedule(pair: ham.HamiltonianPair, steps: int = 2048) -> SchedulePlan:
+def build_schedule(pair: ham.HamiltonianPair, steps: int = DEFAULT_STEPS) -> SchedulePlan:
     """Lay out the lam grid and cache the midpoint eigensystems.
 
     The grid, psi0 and ground_index are computed here, on the caller's
@@ -218,7 +219,9 @@ def build_schedule(pair: ham.HamiltonianPair, steps: int = 2048) -> SchedulePlan
     split into 10^5 cells).  The midpoint eigendecomposition runs inline for
     dim < 8 (n = 2) and otherwise on a worker thread that overlaps whatever
     the caller does next (the T_ad scan, the level ODE) until the first
-    read of mid_energies, frame_maps or c0 waits for it.
+    read of mid_energies, frame_maps or c0 waits for it.  Every plan from n = 3
+    starts its own worker when it is built: nine n = 5 plans built before any
+    was read took 9.4 s on 2 cores, against 1.2 s when each was read at once.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -233,11 +236,8 @@ def build_schedule(pair: ham.HamiltonianPair, steps: int = 2048) -> SchedulePlan
     else:
         weights = widths.copy()
     alloc = np.maximum(1, np.round(steps * weights / weights.sum()).astype(int))
-    while alloc.sum() > steps:
-        candidates = np.where(alloc > 1)[0]
-        if candidates.size == 0:
-            break
-        alloc[candidates[np.argmax(alloc[candidates])]] -= 1
+    while alloc.sum() > steps:  # steps >= len(cells), so the largest cell holds more than 1
+        alloc[np.argmax(alloc)] -= 1
     while alloc.sum() < steps:
         alloc[np.argmax(weights / alloc)] += 1
 
@@ -378,18 +378,16 @@ class Instance:
     def __init__(
         self,
         pair: ham.HamiltonianPair,
-        steps: int = 2048,
+        steps: int = DEFAULT_STEPS,
         curvature_floor: float | None = None,
         *,
         profile: tuple | None = None,
     ):
-        if curvature_floor is not None and not 0 < curvature_floor < math.inf:
-            raise ValueError(f"curvature_floor must be finite and positive, got {curvature_floor}")
+        if curvature_floor is not None:  # else resolved on first use
+            self.floor = ham.checked_positive("curvature_floor", curvature_floor)
         self.pair = pair
         self.plan = build_schedule(pair, steps)
         self.profile = profile
-        if curvature_floor is not None:
-            self.floor = curvature_floor  # else resolved on first use
 
     @cached_property
     def _curvature(self):
@@ -446,10 +444,10 @@ class Instance:
         batches is a sequence of (family, T) pairs, T a scalar or an array
         of total times.  Each sweep is one column of a single (cells,
         columns) block, the family's unit_sweep cells times T over its unit
-        time; an unknown family raises ValueError before anything is
-        propagated.  Returns one 1-D P array per batch, in order.
+        time.  A T that is not finite and positive, or an unknown family, is
+        refused before anything is propagated; returns one 1-D P array per batch.
         """
-        Ts = [np.asarray(T, dtype=float).ravel() for _, T in batches]
+        Ts = [ham.checked_positive("T", np.asarray(T, dtype=float)).ravel() for _, T in batches]
         cuts = list(accumulate((T.size for T in Ts), initial=0))
         dts = np.empty((self.plan.cells, cuts[-1]))
         for (family, _), T, a, b in zip(batches, Ts, cuts, cuts[1:]):
@@ -469,8 +467,7 @@ class Instance:
         finite and positive, a negative stride or an unknown family is
         refused before anything is propagated.
         """
-        if not 0 < gain < math.inf:
-            raise ValueError(f"gain must be finite and positive, got {gain}")
+        ham.checked_positive("gain", gain)
         if sample_stride < 0:
             raise ValueError(f"sample_stride must be >= 0, got {sample_stride}")
         plan = self.plan

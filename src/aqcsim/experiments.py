@@ -188,8 +188,9 @@ def _ascending_grid(name: str, values) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ValueError(f"{name} must not be empty")
-    if not np.all((values > 0) & (values < np.inf)) or np.any(np.diff(values) <= 0):
-        raise ValueError(f"{name} must be finite, positive and strictly ascending")
+    ham.checked_positive(name, values)
+    if np.any(np.diff(values) <= 0):
+        raise ValueError(f"{name} must be strictly ascending, got {values}")
     return values
 
 
@@ -197,7 +198,7 @@ def sweep_T(
     pair: ham.HamiltonianPair,
     T_values,
     *,
-    steps: int = 2048,
+    steps: int = evo.DEFAULT_STEPS,
     curvature_floor: float | None = None,
 ):
     """P(T) curves for both controllers on one instance.
@@ -225,7 +226,7 @@ def time_to_target(
     family: str,
     target_P: float = 0.9,
     *,
-    steps: int = 2048,
+    steps: int = evo.DEFAULT_STEPS,
 ) -> TargetResult:
     """Minimal total time whose sweep reaches P >= target_P.
 
@@ -249,7 +250,7 @@ def time_to_target(
     lockstep, so that an instance's two scans share three passes.
     """
     if not 0.0 < target_P < 1.0:
-        raise ValueError("target_P must lie in (0, 1)")
+        raise ValueError(f"target_P must lie in (0, 1), got {target_P}")
     inst = evo.Instance(pair, steps)
     result = _lockstep_scans(inst, (family,), target_P)[family]
     if result is None:
@@ -270,21 +271,16 @@ def _lockstep_scans(inst: evo.Instance, families, target_P: float):
     """
     p_sudden = float(inst.ground_population(inst.plan.psi0))
     scans = {fam: _scan(inst.T_ad, p_sudden, target_P) for fam in families}
-    results, requests = {}, {}
-
-    def resume(family, values):
-        try:
-            requests[family] = scans[family].send(values)
-        except StopIteration as done:
-            results[family] = done.value
-
-    for fam in families:
-        resume(fam, None)
+    # a scan's first send always yields its start probe: it knows no P yet
+    results, requests = {}, {fam: next(scan) for fam, scan in scans.items()}
     while requests:
         live = list(requests.items())
         requests.clear()
         for (fam, _), values in zip(live, inst.run(live)):
-            resume(fam, values.tolist())
+            try:
+                requests[fam] = scans[fam].send(values.tolist())
+            except StopIteration as done:
+                results[fam] = done.value
     return {fam: results[fam] for fam in families}
 
 
@@ -401,7 +397,7 @@ def scaling_study(
     master_seed: int = 7,
     target_P: float = 0.9,
     *,
-    steps: int = 2048,
+    steps: int = evo.DEFAULT_STEPS,
     workers: int = 0,
 ) -> EnsembleSummary:
     """Mean time-to-target versus qubit count, with power-law fits.
@@ -482,7 +478,7 @@ def delta_p_sweep(
     samples: int = 100,
     master_seed: int = 7,
     *,
-    steps: int = 2048,
+    steps: int = evo.DEFAULT_STEPS,
     workers: int = 0,
 ) -> DeltaPResult:
     """Mean relative improvement of feedback over linear, per gain value.

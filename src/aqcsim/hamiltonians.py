@@ -38,6 +38,7 @@ __all__ = [
     "make_pair",
     "pair_from_seed",
     "checked_lams",
+    "checked_positive",
     "total_hamiltonian",
     "spectrum_at",
     "chunk_size",
@@ -165,10 +166,7 @@ def make_pair(n: int, epsilon, seed: int = 0, Z: float | None = None) -> Hamilto
     epsilon = np.asarray(epsilon, dtype=float)
     if epsilon.shape != (2**n - 1,):
         raise ValueError(f"epsilon needs 2**n - 1 = {2**n - 1} entries, got {epsilon.shape}")
-    if Z is None:
-        Z = default_bias_strength(n)
-    elif not 0 < Z < np.inf:
-        raise ValueError(f"need finite Z > 0, got {Z}")
+    Z = default_bias_strength(n) if Z is None else checked_positive("Z", Z)
     return HamiltonianPair(
         problem_diag=build_problem(n, epsilon), bias=build_bias(n, Z), n=n, Z=Z, seed=seed
     )
@@ -185,6 +183,14 @@ def checked_lams(lam) -> np.ndarray:
     if not np.all((lam >= 0.0) & (lam <= 1.0)):
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")
     return lam
+
+
+def checked_positive(name: str, value):
+    """value; a ValueError naming it unless every entry is finite and positive (NaN is not)."""
+    entries = np.asarray(value)
+    if not np.all((entries > 0) & (entries < np.inf)):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+    return value
 
 
 def total_hamiltonian(pair: HamiltonianPair, lam) -> np.ndarray:

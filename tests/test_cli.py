@@ -1,5 +1,6 @@
 """Config resolution, table emission, replay parsing, exit codes."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from aqcsim import cli
+from aqcsim import evolution as evo
 from aqcsim import experiments as xp
 from aqcsim import hamiltonians as ham
 from aqcsim import spectral
@@ -29,6 +31,21 @@ def test_flags_beat_config_beats_default(tmp_path):
     assert rc["master_seed"] == 99 and rc.provenance["master_seed"] == "config"
     assert rc["n"] == 3 and rc.provenance["n"] == "config"
     assert rc["steps"] == 2048 and rc.provenance["steps"] == "default"
+
+
+def test_every_steps_default_is_default_steps():
+    public = [getattr(mod, name) for mod in (ham, spectral, evo, xp) for name in mod.__all__]
+    defaults = {
+        f.__name__: inspect.signature(f).parameters["steps"].default
+        for f in public
+        if callable(f) and "steps" in inspect.signature(f).parameters
+    }
+    names = ["build_schedule", "Instance", "sweep_T", "time_to_target", "scaling_study",
+             "delta_p_sweep"]
+    assert defaults == dict.fromkeys(names, evo.DEFAULT_STEPS)
+    for argv in (["run", "--t-total", "1"], ["sweep-t"], ["scaling"], ["deltap"]):
+        rc = cli.parse_config([*argv, "--out", "o"])
+        assert rc["steps"] == evo.DEFAULT_STEPS and rc.provenance["steps"] == "default"
 
 
 def test_config_file_types_match_flag_types(tmp_path):

@@ -38,6 +38,21 @@ def test_controller_validation(monkeypatch):
         inst.evolve("warp", 1.0)
 
 
+def test_run_refuses_a_total_time_that_is_not_finite_and_positive(monkeypatch):
+    def no_pass(*args):
+        raise AssertionError("nothing may be propagated")
+
+    inst = evo.Instance(ham.pair_from_seed(2, 3), 64)
+    monkeypatch.setattr(evo, "propagate", no_pass)
+    for family in ("linear", "feedback"):
+        for T in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="^T must be finite and positive, got"):
+                inst.run([(family, T)])
+            # one bad entry of an array, in a later batch than a good one
+            with pytest.raises(ValueError, match="^T must be finite and positive, got"):
+                inst.run([(family, 1.0), (family, [2.0, T])])
+
+
 # ------------------------------------------------------------------ schedules
 
 

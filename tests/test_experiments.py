@@ -598,6 +598,12 @@ def test_delta_p_rows_match_single_runs():
             id="target-nan",
         ),
         pytest.param(
+            lambda pair: xp.scaling_study((2, 3, 4), samples=1, target_P=np.nan, steps=64),
+            id="scaling-target-nan",
+        ),
+        pytest.param(lambda pair: evo.Instance(pair, 64).run([("linear", np.nan)]), id="run-nan"),
+        pytest.param(lambda pair: evo.Instance(pair, 64).run([("feedback", np.inf)]), id="run-inf"),
+        pytest.param(
             lambda pair: xp.sweep_T(pair, [1.0, 2.0], steps=64, curvature_floor=np.nan),
             id="sweep-T-floor-nan",
         ),
@@ -610,6 +616,30 @@ def test_delta_p_rows_match_single_runs():
 def test_non_finite_inputs_are_refused(call):
     with pytest.raises(ValueError):
         call(ham.pair_from_seed(2, 1))
+
+
+@pytest.mark.parametrize("target_P", [0.0, 1.0, np.nan])
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(
+            lambda P: xp.time_to_target(ham.pair_from_seed(2, 1), "linear", P, steps=64),
+            id="time-to-target",
+        ),
+        pytest.param(
+            lambda P: xp.scaling_study((2, 3, 4), samples=1, target_P=P, steps=64),
+            id="scaling-study",
+        ),
+    ],
+)
+def test_both_target_P_refusals_share_one_message(monkeypatch, call, target_P):
+    def nothing_built(*args, **kwargs):
+        raise AssertionError("built before target_P was checked")
+
+    monkeypatch.setattr(evo, "Instance", nothing_built)
+    monkeypatch.setattr(xp, "instance_seed", nothing_built)
+    with pytest.raises(ValueError, match=rf"^target_P must lie in \(0, 1\), got {target_P}$"):
+        call(target_P)
 
 
 def _sign_sensitive_outputs(pair) -> dict:
