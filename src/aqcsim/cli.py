@@ -22,10 +22,12 @@ Sizes are checked against one memory model, _footprint: the command's peak
 bytes as terms named by the flag that sizes them, counted from the constants
 the allocating code uses; the first term that takes their running sum past
 physical memory is refused.  What is alive together is summed: the plan's
-frame maps and energies, one chunk of stacked decompositions
-(hamiltonians.chunk_size) on the plan's worker thread and one on the caller,
-then per propagated column its cell times and its share of propagate's one
-reused chunk.  Not counted:
+frame maps and energies (two plans in a serial ensemble of two or more
+instances, which builds the next instance while it runs the current one),
+one chunk of stacked decompositions (hamiltonians.chunk_size) on the
+worker thread and one on the caller, then per propagated column its cell
+times and its share of propagate's one reused chunk, whose cells
+evolution._phase_cells bounds by bytes.  Not counted:
 cells the bisection adds beyond steps (up to 80 in all on seeds 1-29 at
 n = 2..5), and the level solve's dense output (about 2 MiB at n = 5).
 """
@@ -185,33 +187,41 @@ def _ascending(xs) -> bool:
     return all(a < b for a, b in zip(xs, xs[1:]))
 
 
-# (key, accepts, requirement) for every value a command's library call would
-# refuse, checked in order; a key the command does not take, or leaves unset
-# (None), is skipped.  Rules that tie two options together are in _validate.
+def _rule(accepts, requirement):
+    """A check(flag, value) that raises ValueError(f"{flag} {requirement}, got {value}")."""
+
+    def check(flag: str, value) -> None:
+        if not accepts(value):
+            raise ValueError(f"{flag} {requirement}, got {value}")
+
+    return check
+
+
+# (key, check(flag, value)) for every value a command's library call would refuse, checked
+# in order; a key the command does not take, or leaves unset (None), is skipped.  A scale
+# or a gain grid is checked by the library's own rule, ham.checked_positive or
+# xp._ascending_grid.  Rules that tie two options together are in _validate.
 _RULES = (
-    *((key, lambda x: all(math.isfinite(e) for e in np.atleast_1d(x)), "must be finite")
-      for key, (convert, _, _) in _OPTIONS.items() if convert in (float, _float_list)),
-    ("n", lambda x: x >= 1, "must be >= 1"),
-    ("seed", lambda x: x >= 0, "must be >= 0"),
-    ("master_seed", lambda x: x >= 0, "must be >= 0"),
-    ("steps", lambda x: x >= 1, "must be >= 1"),
-    ("samples", lambda x: x >= 1, "must be >= 1"),
-    ("sample_stride", lambda x: x >= 0, "must be >= 0"),
-    ("resolution", lambda x: x >= 2, "must be >= 2"),
-    ("t_points", lambda x: x >= 1, "must be >= 1"),
-    ("t_min", lambda x: x > 0, "must be > 0"),
-    ("t_total", lambda x: x > 0, "must be > 0"),
-    ("k", lambda x: x > 0, "must be > 0"),
-    ("curvature_floor", lambda x: x > 0, "must be > 0"),
-    ("target_p", lambda x: 0 < x < 1, "must lie in (0, 1)"),
-    ("workers", lambda x: 0 <= x <= (os.cpu_count() or 1),
-     f"must lie in [0, {os.cpu_count() or 1}] (the CPU count)"),
-    ("k_grid", lambda ks: len(ks) > 0, "must not be empty"),
-    ("k_grid", lambda ks: ks[0] > 0 and _ascending(ks), "must be positive and strictly ascending"),
-    ("n_values", lambda ns: ns[0] >= 2 and _ascending(ns), "must be ascending and each >= 2"),
-    ("n_values", lambda ns: len(ns) >= 3, "needs >= 3 distinct sizes for the fit"),
-    ("t_units", lambda u: u in ("tad", "abs"), "must be 'tad' or 'abs'"),
-    ("controller", lambda c: c in xp.CONTROLLER_FAMILIES, "must be 'linear' or 'feedback'"),
+    ("epsilon", _rule(lambda x: all(map(math.isfinite, x)), "must be finite")),
+    ("n", _rule(lambda x: x >= 1, "must be >= 1")),
+    ("seed", _rule(lambda x: x >= 0, "must be >= 0")),
+    ("master_seed", _rule(lambda x: x >= 0, "must be >= 0")),
+    ("steps", _rule(lambda x: x >= 1, "must be >= 1")),
+    ("samples", _rule(lambda x: x >= 1, "must be >= 1")),
+    ("sample_stride", _rule(lambda x: x >= 0, "must be >= 0")),
+    ("resolution", _rule(lambda x: x >= 2, "must be >= 2")),
+    ("t_points", _rule(lambda x: x >= 1, "must be >= 1")),
+    *((key, ham.checked_positive)
+      for key in ("t_min", "t_max", "t_total", "k", "curvature_floor")),
+    ("target_p", _rule(lambda x: 0 < x < 1, "must lie in (0, 1)")),
+    ("workers", _rule(lambda x: 0 <= x <= (os.cpu_count() or 1),
+                      f"must lie in [0, {os.cpu_count() or 1}] (the CPU count)")),
+    ("k_grid", xp._ascending_grid),
+    ("n_values", _rule(lambda ns: ns[0] >= 2 and _ascending(ns),
+                       "must be ascending and each >= 2")),
+    ("n_values", _rule(lambda ns: len(ns) >= 3, "needs >= 3 distinct sizes for the fit")),
+    ("t_units", _rule(lambda u: u in ("tad", "abs"), "must be 'tad' or 'abs'")),
+    ("controller", _rule(lambda c: c in xp.CONTROLLER_FAMILIES, "must be 'linear' or 'feedback'")),
 )
 
 # run's parameters per controller: the first is required, the other's are refused
@@ -241,19 +251,29 @@ def _footprint(command: str, v: dict) -> list:
     scan = command == "scaling" or v.get("t_units") == "tad"
     curve = 2 * cells + 1 if live else 0  # |c2| at the plan's nodes and midpoints
     beside = max(curve, evo._SCAN_POINTS * scan)
-    # the plan keeps frame maps, energies and lam vectors per cell; while its midpoints are
-    # decomposed (on the worker from n = 3) the caller may hold a chunk of the T_ad scan, or
-    # of a live feedback sweep's curvature on either route, whose points hold 48 B of grid,
-    # c2 and |c2| each; before, the bisection stacks its 65 base nodes
+    # a serial ensemble builds the next instance's plan while it runs the current one
+    serial = command in ("scaling", "deltap") and v["workers"] == 0
+    plans = 2 if serial and v["samples"] * len(n_values) > 1 else 1
+    # each plan keeps frame maps, energies and lam vectors per cell; while midpoints are
+    # decomposed (on a worker from n = 3, which takes the T_ad scan too in a serial scaling
+    # run) the caller may hold a chunk of the T_ad scan, or of a live feedback sweep's
+    # curvature on either route, whose points hold 48 B of grid, c2 and |c2| each; before,
+    # the bisection stacks its 65 base nodes
+    worker = stack(max(cells, evo._SCAN_POINTS * (serial and scan)))
     plan = max((evo._BASE_CELLS + 1) * point,
-               cells * (8 * dim * (dim + 1) + 40) + stack(cells) + stack(beside)
+               plans * cells * (8 * dim * (dim + 1) + 40) + worker + stack(beside)
                + curve * 48)
-    # a column: 9 B a cell; per chunk cell 40 B a level and 24 B for the norms; 48 B a level
-    column = 9 * cells + min(cells, evo._PHASE_CHUNK) * (40 * dim + 24) + 48 * dim
+
+    def propagated(columns: int) -> int:
+        """A pass of `columns` sweeps: per column 9 B a cell and 48 B a level, and per chunk
+        cell (evo._phase_cells) 40 B a level and 24 B for the norms."""
+        chunk = min(cells, evo._phase_cells(dim, columns))
+        return columns * (9 * cells + chunk * (40 * dim + 24) + 48 * dim)
+
     # run's one sweep, or scaling's widest lockstep pass
     columns = {"run": 1, "scaling": xp._WIDEST_PASS}.get(command, 0)
-    terms = [(f"n = {n}", fixed + plan + columns * column,
-              "the pair, the plan, one chunk of decompositions a thread, and the fixed columns")]
+    terms = [(f"n = {n}", fixed + plan + propagated(columns),
+              "the pair, the plan(s), a chunk of decompositions a thread, and the fixed columns")]
     if command == "run" and v["sample_stride"] > 0:
         rows = -(-cells // v["sample_stride"]) + 1
         # a row: its state (16 B a level and the array's header), the table row and its text
@@ -263,7 +283,7 @@ def _footprint(command: str, v: dict) -> list:
         # 2 propagated columns per value, and its table cells: 2 rows of 3, or a row of 4
         flag, count, table = (("--t-points", v["t_points"], 6) if command == "sweep-t"
                               else ("--k-grid", len(v["k_grid"]), 4))
-        terms.append((flag, count * (2 * column + table * csv),
+        terms.append((flag, propagated(2 * count) + count * table * csv,
                       f"2 propagated columns and the table row(s) per {flag} value"))
     if "samples" in v:
         # an instance's key (140 B), record (80 B), family -> T dict or dP tuple (32 B a gain)
@@ -280,9 +300,9 @@ def _validate(command: str, v: dict) -> None:
     before any work, so that a ValueError raised inside a command is a
     failure of the run (exit 3), not of its arguments.
     """
-    for key, accepts, requirement in _RULES:
-        if v.get(key) is not None and not accepts(v[key]):
-            raise ValueError(f"{_flag(key)} {requirement}, got {v[key]}")
+    for key, check in _RULES:
+        if v.get(key) is not None:
+            check(_flag(key), v[key])
     if command == "sweep-t" and v["t_max"] <= v["t_min"]:
         raise ValueError(f"--t-max must exceed --t-min, got {v['t_max']} <= {v['t_min']}")
     if command == "run":

@@ -17,7 +17,10 @@ a step is a phase per level followed by the fixed real overlap
 O_s = V_{s+1}^T V_s into the next cell's basis.  The overlaps do not depend
 on time, so a block of sweeps with different total times (one column each)
 shares every step and every matmul; propagate makes its per-cell views of
-its chunk buffers once per call.
+its chunk buffers once per call.  It computes the phases and the norms a
+chunk of cells at a time: _PHASE_CHUNK cells, fewer where their buffers
+would pass _PHASE_BYTES (32 cells of a 32-column pass at n = 5).  Each
+cell's step is the same whatever the chunk, so the state is bitwise too.
 
 The lam grid is not uniform.  Cells are distributed by blending a uniform
 measure with the rotation rate of the instantaneous ground state, found by
@@ -42,16 +45,22 @@ midpoint energies and frame maps, not the eigenvectors.
 
 From n = 3 up, build_schedule lays out the grid on the caller's thread
 and hands the midpoint eigendecomposition (the frame maps, the midpoint
-energies and c0) to a one-worker ThreadPoolExecutor of its own, shut
-down at once so that its thread exits when the work returns.  The plan
-holds the Future, and the first read of one of those fields waits for
-it, normally in the first propagate.  LAPACK releases the GIL, while the
-level ODE and the propagation are Python-bound stepping, so the caller's
-T_ad scan and level ODE run on one core while the eigendecomposition
-runs on the other.  At n = 2 (dim 4) starting the thread costs more than
-it overlaps, and the plan is built inline, its Future already set.  Each
-matrix is still decomposed by one LAPACK call on one thread, so the plan
-is bitwise the same either way.
+energies and c0) to a worker thread.  The plan holds the Future, and the
+first read of one of those fields waits for it, normally in the first
+propagate.  LAPACK releases the GIL, while the level ODE and the
+propagation are Python-bound stepping, so the caller's T_ad scan and
+level ODE run on one core while the eigendecomposition runs on the other.
+The worker is the executor the caller passes, or else a one-worker
+ThreadPoolExecutor of the plan's own, shut down at once so that its thread
+exits when the work returns.  The serial ensembles pass one executor for a
+whole run (experiments.map_instances): an Instance built with scan=True
+queues T_ad's ground scan there ahead of its frames (the caller needs T_ad
+after its level ODE, the frames only at the first pass), and the ensemble
+builds the next instance while the caller finishes the current one.  At
+n = 2 (dim 4) a thread handover costs more than it overlaps, and the plan
+is built inline, its Future already set.  Each matrix is still decomposed
+by one LAPACK call on one thread, so every output is bitwise the same on
+either thread.
 """
 
 from __future__ import annotations
@@ -94,7 +103,10 @@ _ROT_MAX = 0.08  # max ground-state rotation per grid cell, radians
 _BASE_CELLS = 64  # uniform cells seeding the adaptive bisection
 _MIN_CELL = 1e-7  # bisection width guard
 _ROT_WEIGHT = 0.5  # blend between uniform and rotation-proportional measure
-_PHASE_CHUNK = 64  # cells whose phases and norms are computed in one call
+_PHASE_CHUNK = 64  # most cells whose phases and norms are computed in one call
+# Most bytes of one chunk's states, phases and angles (40 B a level and column a cell):
+# 32 cells of a 32-column pass at n = 5, and _PHASE_CHUNK cells of every narrower pass
+_PHASE_BYTES = 5 << 18
 _SCAN_POINTS = 512  # uniform lam grid of the T_ad and min-gap scans
 # Smallest matrix dimension whose plan eigendecomposition runs on a worker
 # thread (n >= 3); at dim 4 the thread costs more than it overlaps.
@@ -210,7 +222,9 @@ def _ground_rotation_cells(pair: ham.HamiltonianPair):
     return cells
 
 
-def build_schedule(pair: ham.HamiltonianPair, steps: int = DEFAULT_STEPS) -> SchedulePlan:
+def build_schedule(
+    pair: ham.HamiltonianPair, steps: int = DEFAULT_STEPS, executor=None
+) -> SchedulePlan:
     """Lay out the lam grid and cache the midpoint eigensystems.
 
     The grid, psi0 and ground_index are computed here, on the caller's
@@ -219,9 +233,12 @@ def build_schedule(pair: ham.HamiltonianPair, steps: int = DEFAULT_STEPS) -> Sch
     split into 10^5 cells).  The midpoint eigendecomposition runs inline for
     dim < 8 (n = 2) and otherwise on a worker thread that overlaps whatever
     the caller does next (the T_ad scan, the level ODE) until the first
-    read of mid_energies, frame_maps or c0 waits for it.  Every plan from n = 3
-    starts its own worker when it is built: nine n = 5 plans built before any
-    was read took 9.4 s on 2 cores, against 1.2 s when each was read at once.
+    read of mid_energies, frame_maps or c0 waits for it.  The worker is
+    `executor`'s (a concurrent.futures executor), or with None a one-shot
+    thread of the plan's own.  Such one-shot workers do not wait for each
+    other: nine n = 5 plans built before any was read took 9.4 s on 2
+    cores, against 1.2 s when each was read at once; plans that share one
+    single-worker executor are decomposed one after another instead.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -250,15 +267,17 @@ def build_schedule(pair: ham.HamiltonianPair, steps: int = DEFAULT_STEPS) -> Sch
     # its chunks (glibc gives each thread a malloc arena; plan arrays allocated in
     # the worker's raised perfbench's ttt_scaling peak RSS by 6 MiB in some runs)
     outputs = np.empty((mids.size, pair.dim)), np.empty((mids.size, pair.dim, pair.dim))
-    if pair.dim >= _THREAD_MIN_DIM:
+    if pair.dim < _THREAD_MIN_DIM:
+        frames = Future()
+        frames.set_result(_midpoint_frames(pair, mids, psi0, *outputs))
+    elif executor is not None:
+        frames = executor.submit(_midpoint_frames, pair, mids, psi0, *outputs)
+    else:
         # a pool per plan, never a module-level one: its thread exits when the
         # work returns, so no idle plan thread is alive when map_instances forks
         pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="aqcsim-plan")
         frames = pool.submit(_midpoint_frames, pair, mids, psi0, *outputs)
         pool.shutdown(wait=False)
-    else:
-        frames = Future()
-        frames.set_result(_midpoint_frames(pair, mids, psi0, *outputs))
     return SchedulePlan(
         pair=pair,
         lams=lams,
@@ -303,6 +322,11 @@ def initial_coefficients(plan: SchedulePlan, columns: int = 1) -> np.ndarray:
     return np.repeat(plan.c0[:, None], columns, axis=1)
 
 
+def _phase_cells(dim: int, columns: int) -> int:
+    """Cells per chunk of propagate: _PHASE_CHUNK, fewer where their buffers pass _PHASE_BYTES."""
+    return max(1, min(_PHASE_CHUNK, _PHASE_BYTES // (40 * dim * max(columns, 1))))
+
+
 def propagate(plan: SchedulePlan, dts, coeffs, start: int = 0, stop: int | None = None):
     """Step eigenframe coefficients of a block of sweeps through cells [start, stop).
 
@@ -334,14 +358,15 @@ def propagate(plan: SchedulePlan, dts, coeffs, start: int = 0, stop: int | None 
     scaled_flat = scaled.view(float)
     # one chunk's buffers, reused by every chunk: c after each step, its phases, their
     # angles, and the squared norms of the (re, im) halves and the norms' drift
-    states, phases = np.empty((2, min(_PHASE_CHUNK, stop - start), *c.shape), complex)
+    chunk = _phase_cells(*c.shape)
+    states, phases = np.empty((2, min(chunk, stop - start), *c.shape), complex)
     rows = list(phases), list(states), list(states.view(float))  # per-cell views, every chunk
     angles = np.empty(states.shape)
     halves = np.empty((len(states), 2 * c.shape[1]))
     norms = np.empty((len(states), c.shape[1]))
     multiply, matmul = np.multiply, np.matmul
-    for a in range(start, stop, _PHASE_CHUNK):
-        b = min(a + _PHASE_CHUNK, stop)
+    for a in range(start, stop, chunk):
+        b = min(a + chunk, stop)
         theta, flat = angles[: b - a], states[: b - a].view(float)
         # exp(-i w dt) as cos + i sin of (-w) dt, cheaper than a complex exp
         multiply(np.negative(plan.mid_energies[a:b, :, None]), dts[a:b, None, :], theta)
@@ -373,6 +398,10 @@ class Instance:
     (widths for "linear", unit_dts for "feedback") and their total time.
     run(batches) steps any mix of families and realized times together in
     one pass; evolve(family, gain) runs one sweep with its diagnostics.
+
+    executor takes the instance's eigen work (see build_schedule), and with
+    it scan=True queues T_ad's ground scan there too, ahead of the plan's
+    frames; otherwise T_ad scans on the caller when first read.
     """
 
     def __init__(
@@ -382,11 +411,15 @@ class Instance:
         curvature_floor: float | None = None,
         *,
         profile: tuple | None = None,
+        executor=None,
+        scan: bool = False,
     ):
         if curvature_floor is not None:  # else resolved on first use
             self.floor = ham.checked_positive("curvature_floor", curvature_floor)
         self.pair = pair
-        self.plan = build_schedule(pair, steps)
+        queued = scan and executor is not None
+        self._scan = executor.submit(_ground_scan, pair) if queued else None
+        self.plan = build_schedule(pair, steps, executor)
         self.profile = profile
 
     @cached_property
@@ -424,7 +457,7 @@ class Instance:
 
     @cached_property
     def T_ad(self) -> float:
-        return adiabatic_time(self.pair)
+        return adiabatic_time(self.pair, None if self._scan is None else self._scan.result())
 
     def unit_sweep(self, family: str) -> tuple[np.ndarray, float]:
         """(cell times, total time) of the family's sweep at gain 1; ValueError if unknown."""
@@ -553,16 +586,18 @@ def min_gap(pair: ham.HamiltonianPair):
     return _refine_min_gap(pair, lams, gaps)
 
 
-def adiabatic_time(pair: ham.HamiltonianPair) -> float:
+def adiabatic_time(pair: ham.HamiltonianPair, scan: tuple | None = None) -> float:
     """max over excited levels and lam of |<j|H_b|0>|, over the squared minimum gap.
 
     The timescale beyond which a sweep is effectively adiabatic; linear runs
     at T >> this value reach P ~ 1.  One scan of the lam grid serves both
-    the coupling peak and the minimum gap.  Raises SimulationError when the
-    quotient is not a finite positive number (a gap whose square overflows
-    or underflows).
+    the coupling peak and the minimum gap; scan, when given, is that scan's
+    _ground_scan(pair), taken ahead (on an eigen worker), and only the two
+    Brent refinements run here.  Raises SimulationError when the quotient
+    is not a finite positive number (a gap whose square overflows or
+    underflows).
     """
-    lams, values, gaps = _ground_scan(pair)
+    lams, values, gaps = _ground_scan(pair) if scan is None else scan
 
     def coupling(lam: float) -> float:
         m = ham.spectrum_at(pair, lam).ground_couplings(pair.bias)

@@ -16,6 +16,19 @@ Both ensembles run through map_instances, which seeds each instance, skips
 degenerate ones, optionally fans out over a process pool and returns, in
 order, one InstanceRecord (n, index, seed, value or exclusion) per instance.
 
+A serial ensemble (workers 0) is a pipeline one instance deep.  Its task
+runs in two stages: start builds the evolution.Instance and queues its
+eigen work (T_ad's ground scan for scaling_study, then the plan's midpoint
+frames from n = 3) on one single-worker executor that lives for the
+map_instances call; finish runs the level ODE, T_ad's refinements and the
+propagation passes on the caller.  Instance i + 1 is started before
+instance i is finished, so that the second core decomposes the next
+instance while the caller steps the current one.  The order of every
+decomposition's inputs and of every pass is unchanged, so the records are
+bitwise those of one task per instance.  The process pool runs one whole
+task per instance (each plan on a one-shot worker thread of its own): with
+as many processes as cores, no idle core is left to overlap into.
+
 Instance seeding: instance_seed(master_seed, n, index) feeds the tuple
 (master_seed, n, index) through numpy's SeedSequence and keeps the first
 64-bit word.  The rule is platform independent and gives every instance an
@@ -28,9 +41,11 @@ from __future__ import annotations
 import math
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -107,6 +122,23 @@ class _Excluded(Exception):
 
 
 @dataclass(frozen=True)
+class _InstanceTask:
+    """A map_instances task on one evolution.Instance, in two stages.
+
+    start builds the instance, its eigen work handed to executor (T_ad's
+    ground scan first when scan is set, then the plan's frames); finish
+    maps the instance to the task's value.
+    """
+
+    finish: Callable
+    steps: int
+    scan: bool = False
+
+    def start(self, pair, executor) -> evo.Instance:
+        return evo.Instance(pair, self.steps, executor=executor, scan=self.scan)
+
+
+@dataclass(frozen=True)
 class EnsembleSummary:
     cells: tuple
     fits: dict
@@ -157,6 +189,14 @@ def map_instances(task, n_values, samples: int, master_seed: int, workers: int =
     (a functools.partial of a top-level function does); records come back
     in instance order either way, so the output does not depend on workers.
     samples and workers are checked before any key is built.
+
+    Serially, an _InstanceTask is pipelined (see the module docstring):
+    instance i + 1 is built and its eigen work queued on one worker thread
+    before instance i is finished, and the worker is joined before the
+    call returns.  An error raised while building an instance is recorded
+    against it (or raised) when its turn comes, after every earlier record.
+    The pool keeps one task per instance: with `workers` processes on as
+    many cores, no core is idle for a second thread to use.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -164,19 +204,44 @@ def map_instances(task, n_values, samples: int, master_seed: int, workers: int =
     if not 0 <= workers <= cpus:
         raise ValueError(f"workers must lie in [0, {cpus}] (the CPU count), got {workers}")
     keys = [(n, i, instance_seed(master_seed, n, i)) for n in n_values for i in range(samples)]
-    run = partial(_run_instance, task)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run, keys, chunksize=4))
-    return list(map(run, keys))
+            return list(pool.map(partial(_run_instance, task), keys, chunksize=4))
+    records, current = [], None
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="aqcsim-eigen") as eigen:
+        for key in [*keys, None]:
+            # instance i + 1 is built, its eigen work queued, before instance i is finished;
+            # only those two are alive at once
+            ahead = None if key is None else _start_instance(task, eigen, key)
+            if current is not None:
+                records.append(_finish_instance(task, *current))
+            current = ahead
+    return records
 
 
 def _run_instance(task, key: tuple) -> InstanceRecord:
+    """The record of one instance, started and finished in turn (no executor)."""
+    return _finish_instance(task, *_start_instance(task, None, key))
+
+
+def _start_instance(task, executor, key: tuple):
+    """(key, what finishing the instance takes, or the exception that building it raised)."""
     n, _, seed = key
     try:
         pair = make_instance(n, seed)
         ham.problem_ground_index(pair)  # degeneracy guard
-        return InstanceRecord(*key, value=task(pair))
+        return key, task.start(pair, executor) if isinstance(task, _InstanceTask) else pair
+    except Exception as err:  # raised again when the instance is finished, in key order
+        return key, err
+
+
+def _finish_instance(task, key: tuple, started) -> InstanceRecord:
+    """The instance's record: the task's value, its exclusion, or the error raised again."""
+    finish = task.finish if isinstance(task, _InstanceTask) else task
+    try:
+        if isinstance(started, Exception):
+            raise started
+        return InstanceRecord(*key, value=finish(started))
     except DegenerateGroundError:
         return InstanceRecord(*key, excluded="degenerate")
     except _Excluded as reason:
@@ -380,9 +445,12 @@ def _finish(T, p, probes) -> TargetResult:
     )
 
 
-def _instance_times(pair, target_P, steps):
+def _instance_times(inst: evo.Instance, target_P):
     """Time to target per family on one instance; None for a family that cannot reach it."""
-    inst = evo.Instance(pair, steps)
+    # the level ODE first, while T_ad's ground scan may still run on the eigen worker; an
+    # error here is raised again by the scans' first pass, so T_ad's exclusion comes first
+    with suppress(Exception):
+        inst.unit_dts
     try:  # every scan is scaled by T_ad: an instance without a finite one is excluded
         inst.T_ad
     except SimulationError as err:
@@ -419,7 +487,7 @@ def scaling_study(
             f"power-law fit needs >= 3 distinct sizes, got {sorted(set(n_values))}"
         )
 
-    task = partial(_instance_times, target_P=target_P, steps=steps)
+    task = _InstanceTask(partial(_instance_times, target_P=target_P), steps, scan=True)
     records = map_instances(task, n_values, samples, master_seed, workers)
 
     cells = []
@@ -462,9 +530,8 @@ def fit_power_law(n_values, mean_times) -> PowerLawFit:
     )
 
 
-def _instance_delta_p(pair, k_values, steps):
+def _instance_delta_p(inst: evo.Instance, k_values):
     """dP per gain on one instance; excludes it as "zero P_lin" when a linear P is 0."""
-    inst = evo.Instance(pair, steps)
     T = np.asarray(k_values) * inst.unit_time
     p_fb, p_lin = inst.run([("feedback", T), ("linear", T)])
     if np.any(p_lin == 0.0):
@@ -490,7 +557,7 @@ def delta_p_sweep(
     excluded and counted.  k_values must be non-empty and samples >= 1.
     """
     k_values = _ascending_grid("k_values", k_values)
-    task = partial(_instance_delta_p, k_values=k_values, steps=steps)
+    task = _InstanceTask(partial(_instance_delta_p, k_values=k_values), steps)
     records = map_instances(task, (n,), samples, master_seed, workers)
 
     kept = np.array([r.value for r in records if not r.excluded])

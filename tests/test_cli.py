@@ -151,16 +151,17 @@ _K_GRID_1000 = ",".join(repr(0.001 * (i + 1)) for i in range(1000))
 
 @pytest.mark.parametrize(
     "memory, argv, flag",
-    [(2 << 30, ["sweep-t", "--n", "2", "--t-points", "200000", "--steps", "64"], "--t-points"),
-     (8 << 20, ["deltap", "--n", "2", "--samples", "1", "--steps", "64",
+    [(460 << 20, ["sweep-t", "--n", "2", "--t-points", "200000", "--steps", "64"], "--t-points"),
+     (3 << 20, ["deltap", "--n", "2", "--samples", "1", "--steps", "64",
                 "--k-grid", _K_GRID_1000], "--k-grid")],
     ids=["sweep-t", "deltap"],
 )
 def test_the_propagation_phase_chunk_counts_against_memory(
     tmp_path, capsys, monkeypatch, nothing_is_sized_by_the_count, memory, argv, flag
 ):
-    # the cell times alone (16 * steps bytes per T or k) fit in `memory`;
-    # propagate's phase-chunk block, 40 * 64 * dim bytes per column, does not
+    # everything else the command holds fits in `memory` (423 MB and 2.3 MB); with
+    # propagate's chunk buffers, 40 * dim + 24 bytes per column and chunk cell (1 cell of
+    # 400000 columns, 4 cells of 2000: evolution._phase_cells), it does not
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": memory // 4096}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     out = tmp_path / "o"
@@ -220,9 +221,11 @@ _SYMMETRIC = {n: ",".join("1" if j & (j - 1) == 0 else "0" for j in range(1, 2**
      ["profile", "--n", "3", "--epsilon", _SYMMETRIC[3], "--resolution", "20000"],
      ["sweep-t", "--n", "2", "--t-points", "400", "--steps", "256"],
      ["deltap", "--n", "3", "--samples", "1", "--k-grid", "0.01:1:400", "--steps", "256"],
-     ["scaling", "--n-values", "2,3,4", "--samples", "1", "--steps", "2048"]],
+     ["scaling", "--n-values", "2,3,4", "--samples", "1", "--steps", "2048"],
+     # a serial run holds the next instance's plan beside the current one's: two at n = 5
+     ["scaling", "--n-values", "2,3,5", "--samples", "2", "--steps", "1024"]],
     ids=["run-fallback", "run-trajectory", "profile-fallback", "sweep-t", "deltap",
-         "scaling-fallback"],
+         "scaling-fallback", "scaling-serial-n5"],
 )
 def test_the_traced_peak_of_each_command_meets_its_footprint(
     tmp_path, monkeypatch, join_plan_threads, argv
@@ -333,15 +336,15 @@ def test_empty_ensemble_or_grid_exits_2_and_writes_nothing(tmp_path, capsys, arg
      (["scaling", "--master-seed", "-1"], "--master-seed must be >= 0"),
      (["scaling", "--target-p", "0"], "--target-p must lie in (0, 1)"),
      (["scaling", "--target-p", "1"], "--target-p must lie in (0, 1)"),
-     (["run", "--controller", "feedback", "--k", "0"], "--k must be > 0"),
-     (["run", "--t-total", "-1"], "--t-total must be > 0"),
+     (["run", "--controller", "feedback", "--k", "0"], "--k must be finite and positive"),
+     (["run", "--t-total", "-1"], "--t-total must be finite and positive"),
      (["run", "--controller", "feedback", "--k", "1", "--curvature-floor", "0"],
-      "--curvature-floor must be > 0"),
+      "--curvature-floor must be finite and positive"),
      (["sweep-t", "--t-points", "0"], "--t-points must be >= 1"),
-     (["sweep-t", "--t-min", "0"], "--t-min must be > 0"),
+     (["sweep-t", "--t-min", "0"], "--t-min must be finite and positive"),
      (["sweep-t", "--t-min", "2", "--t-max", "2"], "--t-max must exceed --t-min"),
-     (["deltap", "--k-grid", "0.3,0.1"], "--k-grid must be positive and strictly ascending"),
-     (["deltap", "--k-grid=-0.1,0.2"], "--k-grid must be positive and strictly ascending"),
+     (["deltap", "--k-grid", "0.3,0.1"], "--k-grid must be strictly ascending"),
+     (["deltap", "--k-grid=-0.1,0.2"], "--k-grid must be finite and positive"),
      (["scaling", "--n-values", "3,2,4"], "--n-values must be ascending and each >= 2"),
      (["scaling", "--n-values", "1,2,3"], "--n-values must be ascending and each >= 2"),
      (["scaling", "--n-values", "2,3"], "--n-values needs >= 3 distinct sizes"),

@@ -2,6 +2,7 @@
 
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -363,6 +364,32 @@ def test_propagate_carries_nothing_between_calls():
         for x, y in zip(got, want):
             assert x.tobytes() == y.tobytes()
         c = got[0]
+
+
+@pytest.mark.parametrize("n, columns, cells", [(5, 32, 32), (5, 14, 64), (2, 26, 64), (5, 1, 64)])
+def test_propagate_chunks_are_bounded_by_bytes_and_change_no_bit(
+    monkeypatch, n, columns, cells
+):
+    # the widest lockstep pass at n = 5 takes half the cells a chunk, halving its buffers;
+    # narrower passes, and every pass at n = 2, keep 64 cells
+    assert evo._phase_cells(2**n, columns) == cells
+    plan = evo.build_schedule(ham.pair_from_seed(n, 2), steps=256)
+    dts = np.multiply.outer(plan.widths, np.geomspace(0.1, 100.0, columns))
+    start = evo.initial_coefficients(plan, columns)
+
+    def traced():
+        tracemalloc.start()
+        try:
+            return evo.propagate(plan, dts, start), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    (c, drift), peak = traced()
+    monkeypatch.setattr(evo, "_PHASE_BYTES", 1 << 62)
+    (c_whole, drift_whole), peak_whole = traced()
+    assert c.tobytes() == c_whole.tobytes() and drift.tobytes() == drift_whole.tobytes()
+    buffers = 40 * 2**n * columns  # states, phases and angles of one cell
+    assert peak < peak_whole - (64 - cells) * buffers + buffers
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

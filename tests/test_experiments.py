@@ -306,7 +306,7 @@ def test_instance_scans_share_three_passes(monkeypatch):
     # each family alone takes passes of 16, 15 and 7 columns
     pair = ham.pair_from_seed(2, 1)
     passes = _count_run_columns(monkeypatch)
-    got = xp._instance_times(pair, 0.9, 512)
+    got = xp._instance_times(evo.Instance(pair, 512), 0.9)
     assert passes == [32, 30, 14]
     for family in xp.CONTROLLER_FAMILIES:
         assert got[family] == xp.time_to_target(pair, family, 0.9, steps=512).T
@@ -317,11 +317,11 @@ def test_an_n5_instance_holds_one_chunk_of_decompositions_a_thread(join_plan_thr
     # plan's 8 MiB of frame maps, one 1 MiB chunk of H(lam) and eigenvectors on the plan's
     # thread and one on the caller's, the level solve's dense output and the passes' columns
     # (the whole midpoint and scan stacks side by side would take 24.4 MiB)
-    xp._instance_times(ham.pair_from_seed(5, 2), 0.9, 1024)  # imports and caches, untraced
+    xp._instance_times(evo.Instance(ham.pair_from_seed(5, 2), 1024), 0.9)  # untraced warm-up
     join_plan_threads()
     tracemalloc.start()
     try:
-        xp._instance_times(ham.pair_from_seed(5, 1), 0.9, 1024)
+        xp._instance_times(evo.Instance(ham.pair_from_seed(5, 1), 1024), 0.9)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -445,6 +445,152 @@ def test_map_instances_rejects_worker_counts_before_any_work(workers):
         xp.map_instances(task, (2,), 1, 7, workers)
 
 
+# an n = 2 problem whose minimum gap squared overflows: it has no finite adiabatic time
+_NO_T_AD = ham.make_pair(
+    2, [1.8976573441440942e270, -3.131609715724274e-214, -1.5476340718728332e269])
+
+
+def _recorded_map_instances(monkeypatch) -> list:
+    """(task, records) of every map_instances call, appended as each returns."""
+    calls, real = [], xp.map_instances
+
+    def recording(task, *args):
+        records = real(task, *args)
+        calls.append((task, records))
+        return records
+
+    monkeypatch.setattr(xp, "map_instances", recording)
+    return calls
+
+
+def test_serial_records_equal_one_task_per_instance_bitwise(monkeypatch, degenerate_seed):
+    # every exclusion reason: two degenerate instances, one without a finite T_ad, and,
+    # with the scans capped at 3 T_ad, families that cannot reach the target
+    degenerate_seed(xp.instance_seed(9, 3, 1), xp.instance_seed(9, 4, 0))
+    calls = _recorded_map_instances(monkeypatch)
+    with monkeypatch.context() as m:
+        no_t_ad, made = xp.instance_seed(9, 2, 1), xp.make_instance
+        m.setattr(xp, "make_instance",
+                  lambda n, seed: _NO_T_AD if seed == no_t_ad else made(n, seed))
+        m.setattr(xp, "_CAP_FACTOR", 3.0)
+        summary = xp.scaling_study((2, 3, 4, 5), samples=2, master_seed=9, steps=128)
+        assert set(summary.exclusions) == {"degenerate", "no finite T_ad", "unreachable"}
+        assert [r.value for r in summary.records].count(None) == 3
+        ((task, records),) = calls
+        alone = [xp._run_instance(task, (r.n, r.index, r.seed)) for r in records]
+    for n in (2, 3, 4, 5):
+        res = xp.delta_p_sweep([0.03, 0.3], n=n, samples=2, master_seed=9, steps=128)
+        assert res.excluded == int(n in (3, 4))
+        task, records = calls[-1]
+        alone += [xp._run_instance(task, (r.n, r.index, r.seed)) for r in records]
+    # repr writes every float round-trip exact: equal text is equal bits
+    assert [repr(r) for _, records in calls for r in records] == [repr(r) for r in alone]
+
+
+def test_the_t_ad_exclusion_wins_over_a_curvature_failure(monkeypatch):
+    # the level ODE runs before T_ad is read, and its error is held for the scans
+    failed, curvature = [], spectral.curvature_profile
+
+    def fails_on(bad):
+        def curvature_profile(pair, lams):
+            if pair is bad:
+                failed.append(pair)
+                raise SimulationError("the level_dynamics route gave a non-finite curvature c2")
+            return curvature(pair, lams)
+
+        return curvature_profile
+
+    first, made = xp.instance_seed(9, 2, 0), xp.make_instance
+    monkeypatch.setattr(xp, "make_instance",
+                        lambda n, seed: _NO_T_AD if seed == first else made(n, seed))
+    monkeypatch.setattr(spectral, "curvature_profile", fails_on(_NO_T_AD))
+    summary = xp.scaling_study((2, 3, 4), samples=2, master_seed=9, steps=64)
+    assert failed == [_NO_T_AD]  # tried, and dropped once T_ad excluded the instance
+    assert summary.records[0].excluded == "no finite T_ad"
+    # with a finite T_ad, the curvature's error is raised and ends the study
+    bad = made(3, xp.instance_seed(9, 3, 1))
+    monkeypatch.setattr(xp, "make_instance",
+                        lambda n, seed: bad if seed == bad.seed else made(n, seed))
+    monkeypatch.setattr(spectral, "curvature_profile", fails_on(bad))
+    with pytest.raises(SimulationError, match="non-finite curvature"):
+        xp.scaling_study((2, 3, 4), samples=2, master_seed=9, steps=64)
+
+
+def test_an_error_building_the_next_instance_is_recorded_against_it(monkeypatch):
+    seeds = [xp.instance_seed(5, 3, i) for i in range(3)]
+    finished, built = [], evo.Instance
+
+    def finish(inst):
+        finished.append(inst.pair.seed)
+        return inst.T_ad
+
+    def building(error):
+        def instance(pair, *args, **kwargs):
+            if pair.seed == seeds[1]:
+                raise error
+            return built(pair, *args, **kwargs)
+
+        return instance
+
+    task = xp._InstanceTask(finish, 64, scan=True)
+    want = xp.map_instances(task, (3,), 3, 5)
+    monkeypatch.setattr(evo, "Instance", building(xp._Excluded("refused while built")))
+    got = xp.map_instances(task, (3,), 3, 5)
+    assert [r.excluded for r in got] == [None, "refused while built", None]
+    assert (got[0], got[2]) == (want[0], want[2])
+    # an error that excludes nothing still waits for every earlier instance's record
+    monkeypatch.setattr(evo, "Instance", building(RuntimeError("no plan")))
+    finished.clear()
+    with pytest.raises(RuntimeError, match="no plan"):
+        xp.map_instances(task, (3,), 3, 5)
+    assert finished == seeds[:1]
+
+
+def test_a_serial_ensemble_builds_one_instance_ahead_on_one_eigen_thread(
+    monkeypatch, join_plan_threads
+):
+    join_plan_threads()  # any that earlier tests left
+    before = set(threading.enumerate())
+    events, frames, scan = [], evo._midpoint_frames, evo._ground_scan
+
+    def on_thread(name, work):
+        def recorded(pair, *args):
+            events.append((name, pair.seed, threading.current_thread()))
+            return work(pair, *args)
+
+        return recorded
+
+    class Instance(evo.Instance):
+        def __init__(self, pair, *args, **kwargs):
+            events.append(("start", pair.seed))
+            super().__init__(pair, *args, **kwargs)
+
+    def finish(inst):
+        events.append(("finish", inst.pair.seed))
+        return inst.T_ad
+
+    monkeypatch.setattr(evo, "_midpoint_frames", on_thread("frames", frames))
+    monkeypatch.setattr(evo, "_ground_scan", on_thread("scan", scan))
+    monkeypatch.setattr(evo, "Instance", Instance)
+    records = xp.map_instances(xp._InstanceTask(finish, 64, scan=True), (3,), 3, 5)
+    a, b, c = (r.seed for r in records)
+    assert [e for e in events if len(e) == 2] == [
+        ("start", a), ("start", b), ("finish", a), ("start", c), ("finish", b), ("finish", c)]
+    # each instance queues its T_ad scan, then its frames, all on one worker thread
+    queued = [e for e in events if len(e) == 3]
+    assert [e[:2] for e in queued] == [(w, s) for s in (a, b, c) for w in ("scan", "frames")]
+    (worker,) = {e[2] for e in queued}
+    assert worker.name.startswith("aqcsim-eigen")
+    # joined before map_instances returned, and no other thread was left either
+    assert not worker.is_alive()
+    assert [t.name for t in threading.enumerate() if t not in before] == []
+    assert [r.value for r in records] == [evo.adiabatic_time(xp.make_instance(3, s))
+                                          for s in (a, b, c)]
+    monkeypatch.undo()
+    xp.delta_p_sweep([0.1], n=3, samples=2, steps=64)
+    assert [t.name for t in threading.enumerate() if t not in before] == []
+
+
 def test_ensembles_count_exclusions_by_reason(monkeypatch, degenerate_seed):
     degenerate_seed(xp.instance_seed(9, 2, 1))
     # one instance whose linear P is 0 at the last gain, and one whose
@@ -566,7 +712,7 @@ def test_delta_p_rows_match_single_runs():
     ks = tuple(np.geomspace(3e-3, 3.0, 13))
     master_seed, steps = 9, 256
     pair = xp.make_instance(2, xp.instance_seed(master_seed, 2, 0))
-    rows = xp._instance_delta_p(pair, ks, steps)
+    rows = xp._instance_delta_p(evo.Instance(pair, steps), ks)
     ctx = evo.Instance(pair, steps)
     want = []
     for k in ks:
