@@ -254,15 +254,20 @@ def _footprint(command: str, v: dict) -> list:
     # a serial ensemble builds the next instance's plan while it runs the current one
     serial = command in ("scaling", "deltap") and v["workers"] == 0
     plans = 2 if serial and v["samples"] * len(n_values) > 1 else 1
-    # each plan keeps frame maps, energies and lam vectors per cell; while midpoints are
+    # each plan keeps frame maps, energies and lam vectors per cell, and until its first read
+    # a copy of each midpoint chunk's first and last eigenvectors; while midpoints are
     # decomposed (on a worker from n = 3, which takes the T_ad scan too in a serial scaling
     # run) the caller may hold a chunk of the T_ad scan, or of a live feedback sweep's
-    # curvature on either route, whose points hold 48 B of grid, c2 and |c2| each; before,
-    # the bisection stacks its 65 base nodes
+    # curvature on either route, whose points hold 48 B of grid, c2 and |c2| each, or, at the
+    # plan's first read, a quarter chunk of the midpoints beside the worker's chunk (with one
+    # chunk, only one of them holds it); before, the bisection stacks its 65 base nodes
     worker = stack(max(cells, evo._SCAN_POINTS * (serial and scan)))
+    chunks = -(-cells // ham.chunk_size(dim))
+    edges = 2 * chunks * 8 * dim * dim
+    reader = (chunks > 1) * max(3, ham.chunk_size(dim) // evo._READER_SHARE)
     plan = max((evo._BASE_CELLS + 1) * point,
-               plans * cells * (8 * dim * (dim + 1) + 40) + worker + stack(beside)
-               + curve * 48)
+               plans * (cells * (8 * dim * (dim + 1) + 40) + edges) + worker
+               + stack(max(beside, reader)) + curve * 48)
 
     def propagated(columns: int) -> int:
         """A pass of `columns` sweeps: per column 9 B a cell and 48 B a level, and per chunk

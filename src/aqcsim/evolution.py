@@ -45,28 +45,33 @@ midpoint energies and frame maps, not the eigenvectors.
 
 From n = 3 up, build_schedule lays out the grid on the caller's thread
 and hands the midpoint eigendecomposition (the frame maps, the midpoint
-energies and c0) to a worker thread.  The plan holds the Future, and the
-first read of one of those fields waits for it, normally in the first
-propagate.  LAPACK releases the GIL, while the level ODE and the
-propagation are Python-bound stepping, so the caller's T_ad scan and
-level ODE run on one core while the eigendecomposition runs on the other.
-The worker is the executor the caller passes, or else a one-worker
-ThreadPoolExecutor of the plan's own, shut down at once so that its thread
-exits when the work returns.  The serial ensembles pass one executor for a
-whole run (experiments.map_instances): an Instance built with scan=True
-queues T_ad's ground scan there ahead of its frames (the caller needs T_ad
-after its level ODE, the frames only at the first pass), and the ensemble
-builds the next instance while the caller finishes the current one.  At
-n = 2 (dim 4) a thread handover costs more than it overlaps, and the plan
-is built inline, its Future already set.  Each matrix is still decomposed
-by one LAPACK call on one thread, so every output is bitwise the same on
+energies and c0) to a worker thread, as a queue of chunks that the worker
+takes from the front.  The first read of one of those fields, normally in
+the first propagate, does not only wait: it decomposes the chunks not yet
+taken from the back, waits for the chunk in flight and joins the chunks.
+LAPACK releases the GIL, while the level ODE and the propagation are
+Python-bound stepping, so the caller's T_ad scan and level ODE run on one
+core while the eigendecomposition runs on the other; a caller that needs
+the frames first takes its share of them.  The worker is the executor the
+caller passes, or else a one-worker ThreadPoolExecutor of the plan's own,
+shut down at once so that its thread exits when the work returns.  The
+serial ensembles pass one executor for a whole run
+(experiments.map_instances): an Instance built with scan=True queues T_ad's
+ground scan there ahead of its frames (the caller needs T_ad after its
+level ODE, the frames only at the first pass), and the ensemble builds the
+next instance while the caller finishes the current one.  At n = 2 (dim 4)
+a thread handover costs more than it overlaps, and the builder takes every
+chunk inline.  Each matrix is still decomposed by one LAPACK call, and
+each map computed by one matmul, so every output is bitwise the same on
 either thread.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import Future, ThreadPoolExecutor
+import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, zip_longest
@@ -111,6 +116,10 @@ _SCAN_POINTS = 512  # uniform lam grid of the T_ad and min-gap scans
 # Smallest matrix dimension whose plan eigendecomposition runs on a worker
 # thread (n >= 3); at dim 4 the thread costs more than it overlaps.
 _THREAD_MIN_DIM = 8
+# A plan's reader decomposes the chunks it takes in pieces of 1 / _READER_SHARE chunk
+# (16 matrices at n = 5), on top of the plan and a pass's buffers: with whole chunks, the
+# traced peak of an n = 5, 1024-step linear `run` rose from 9.98 to 10.60 MiB
+_READER_SHARE = 4
 
 
 @dataclass(frozen=True)
@@ -157,9 +166,11 @@ class SchedulePlan:
 
     lams, mids, widths, psi0 and ground_index are ready when the plan is.
     mid_energies, frame_maps and c0 come from the midpoint
-    eigendecomposition, which from n = 3 up runs on a worker thread (see
-    the module docstring): every read waits for that thread's Future and
-    re-raises any exception it raised.
+    eigendecomposition, a queue of chunks that from n = 3 up a worker
+    thread takes from the front (see the module docstring).  The first
+    read of one of them decomposes the chunks not yet taken from the back,
+    waits for the chunk in flight and joins the chunks; every read raises
+    again an exception that either thread raised.
     """
 
     pair: ham.HamiltonianPair
@@ -168,7 +179,7 @@ class SchedulePlan:
     widths: np.ndarray  # positive cell widths in lam
     psi0: np.ndarray  # ground state of H(1), with the sign eigh gives it
     ground_index: int
-    _frames: Future = field(repr=False, compare=False)
+    _frames: _MidpointFrames = field(repr=False, compare=False)
 
     @property
     def cells(self) -> int:
@@ -188,6 +199,94 @@ class SchedulePlan:
     def c0(self) -> np.ndarray:
         """psi0 in the eigenbasis of cell 0."""
         return self._frames.result()[2]
+
+
+class _MidpointFrames:
+    """A plan's midpoint eigendecomposition: a queue of chunks that two threads share.
+
+    The chunks are ham.chunk_slices of the midpoints.  work(), the plan's
+    worker (or at n = 2 its builder), takes them from the front.  result(),
+    the plan's reader, takes those left from the back, each in pieces of a
+    quarter chunk, so that the caller's thread holds only a quarter chunk of
+    decompositions; it then waits for the chunk in flight and fills the map
+    across each edge between chunks, and frame_maps[-1], from copies of the
+    chunks' first and last eigenvectors.  Each matrix is decomposed by its
+    own LAPACK call and each map computed by the same matmul on either
+    thread, so every output is bitwise that of one thread.  An exception on
+    either thread stops the taking, and every read raises it again.
+    """
+
+    def __init__(self, pair: ham.HamiltonianPair, mids: np.ndarray, psi0: np.ndarray):
+        self.pair, self.mids, self.psi0 = pair, mids, psi0
+        # allocated here and filled by both threads, which then allocate and free only their
+        # chunks (glibc gives each thread a malloc arena; plan arrays allocated in the worker's
+        # raised perfbench's ttt_scaling peak RSS by 6 MiB in some runs)
+        self.energies = np.empty((mids.size, pair.dim))
+        self.frame_maps = np.empty((mids.size, pair.dim, pair.dim))
+        self._chunks = list(ham.chunk_slices(mids.size, pair.dim))
+        self._queue = deque(self._chunks)
+        self._edges = {}  # chunk start -> copies of its first and its last eigenvectors
+        self._state = threading.Condition()
+        self._in_flight = 0
+        self._error = None
+        self._joined = False
+
+    def _take(self, front: bool) -> slice | None:
+        """The next chunk from one end; None when none is left or a chunk has failed."""
+        with self._state:
+            if self._error is not None or not self._queue:
+                return None
+            self._in_flight += 1
+            return self._queue.popleft() if front else self._queue.pop()
+
+    def _decompose(self, chunk: slice, share: int) -> None:
+        """Fill the chunk's energies and inner maps, in pieces of 1 / share chunk, in order."""
+        try:
+            last = None
+            for part in ham.chunk_slices(chunk.stop - chunk.start, self.pair.dim, share):
+                piece = slice(chunk.start + part.start, chunk.start + part.stop)
+                mid = ham.spectrum_at(self.pair, self.mids[piece])
+                a, b, V = piece.start, piece.stop, mid.states
+                self.energies[piece] = mid.energies
+                if a == 0:
+                    self._c0 = V[0].T @ self.psi0
+                if last is None:
+                    first = V[:1].copy()  # a view would keep the whole stack alive
+                else:
+                    np.matmul(V[:1].transpose(0, 2, 1), last, out=self.frame_maps[a - 1 : a])
+                np.matmul(V[1:].transpose(0, 2, 1), V[:-1], out=self.frame_maps[a : b - 1])
+                last = V[-1:]
+            self._edges[chunk.start] = first, last.copy()
+        except Exception as err:  # raised again by every read
+            with self._state:
+                self._error = self._error or err
+        finally:
+            with self._state:
+                self._in_flight -= 1
+                self._state.notify_all()
+
+    def work(self) -> None:
+        """Decompose whole chunks from the front until none is left."""
+        while (chunk := self._take(front=True)) is not None:
+            self._decompose(chunk, 1)
+
+    def result(self):
+        """(mid_energies, frame_maps, c0), once every chunk is in and joined to the next."""
+        if not self._joined:
+            while (chunk := self._take(front=False)) is not None:
+                self._decompose(chunk, _READER_SHARE)
+            with self._state:
+                self._state.wait_for(lambda: self._in_flight == 0)
+            if self._error is None:
+                edges = [self._edges.pop(chunk.start) for chunk in self._chunks]
+                for chunk, (first, _), (_, last) in zip(self._chunks[1:], edges[1:], edges):
+                    a = chunk.start
+                    np.matmul(first.transpose(0, 2, 1), last, out=self.frame_maps[a - 1 : a])
+                self.frame_maps[-1] = edges[-1][1][0]
+                self._joined = True
+        if self._error is not None:
+            raise self._error
+        return self.energies, self.frame_maps, self._c0
 
 
 def _ground_rotation_cells(pair: ham.HamiltonianPair):
@@ -233,12 +332,13 @@ def build_schedule(
     split into 10^5 cells).  The midpoint eigendecomposition runs inline for
     dim < 8 (n = 2) and otherwise on a worker thread that overlaps whatever
     the caller does next (the T_ad scan, the level ODE) until the first
-    read of mid_energies, frame_maps or c0 waits for it.  The worker is
-    `executor`'s (a concurrent.futures executor), or with None a one-shot
-    thread of the plan's own.  Such one-shot workers do not wait for each
-    other: nine n = 5 plans built before any was read took 9.4 s on 2
-    cores, against 1.2 s when each was read at once; plans that share one
-    single-worker executor are decomposed one after another instead.
+    read of mid_energies, frame_maps or c0, which decomposes the chunks the
+    worker has not taken yet and waits only for the one in flight.  The
+    worker is `executor`'s (a concurrent.futures executor), or with None a
+    one-shot thread of the plan's own.  Such one-shot workers do not wait
+    for each other: nine n = 5 plans built before any was read took 9.4 s
+    on 2 cores, against 1.2 s when each was read at once; plans that share
+    one single-worker executor are decomposed one after another instead.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -263,20 +363,16 @@ def build_schedule(
     cell_widths = lams[:-1] - lams[1:]
 
     psi0 = ham.spectrum_at(pair, 1.0).states[:, 0].astype(complex)
-    # allocated here and filled by the worker, which then allocates and frees only
-    # its chunks (glibc gives each thread a malloc arena; plan arrays allocated in
-    # the worker's raised perfbench's ttt_scaling peak RSS by 6 MiB in some runs)
-    outputs = np.empty((mids.size, pair.dim)), np.empty((mids.size, pair.dim, pair.dim))
+    frames = _MidpointFrames(pair, mids, psi0)
     if pair.dim < _THREAD_MIN_DIM:
-        frames = Future()
-        frames.set_result(_midpoint_frames(pair, mids, psi0, *outputs))
+        frames.work()
     elif executor is not None:
-        frames = executor.submit(_midpoint_frames, pair, mids, psi0, *outputs)
+        executor.submit(frames.work)
     else:
         # a pool per plan, never a module-level one: its thread exits when the
         # work returns, so no idle plan thread is alive when map_instances forks
         pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="aqcsim-plan")
-        frames = pool.submit(_midpoint_frames, pair, mids, psi0, *outputs)
+        pool.submit(frames.work)
         pool.shutdown(wait=False)
     return SchedulePlan(
         pair=pair,
@@ -296,25 +392,6 @@ def _nodes(tops, bottoms, alloc) -> np.ndarray:
     lams = np.r_[1.0, i * np.repeat((bottoms - tops) / alloc, alloc) + np.repeat(tops, alloc)]
     lams[ends], lams[-1] = bottoms, 0.0
     return lams
-
-
-def _midpoint_frames(pair: ham.HamiltonianPair, mids, psi0, energies, frame_maps):
-    """Fill (mid_energies, frame_maps) from the midpoints' eigendecomposition, chunk by chunk.
-
-    Returns them with c0.  Only the outputs outlive a chunk: the map across
-    a chunk boundary is built from the previous chunk's last eigenvectors.
-    """
-    for part, mid in ham.spectrum_chunks(pair, mids):
-        a, b, V = part.start, part.stop, mid.states
-        energies[part] = mid.energies
-        if a == 0:
-            c0 = V[0].T @ psi0
-        else:
-            np.matmul(V[:1].transpose(0, 2, 1), last, out=frame_maps[a - 1 : a])
-        np.matmul(V[1:].transpose(0, 2, 1), V[:-1], out=frame_maps[a : b - 1])
-        last = V[-1:]
-    frame_maps[-1] = last[0]
-    return energies, frame_maps, c0
 
 
 def initial_coefficients(plan: SchedulePlan, columns: int = 1) -> np.ndarray:

@@ -6,11 +6,12 @@ scanned on an instance -- a P(T) grid, a gain grid with both controllers
 -- is one column of a single Instance.run call, one batched propagation
 through the plan's cached eigensystems.  A time-to-target scan decides its
 probes one at a time, but evaluates them in a few such passes: each pass
-holds every probe the scan may need next (ladder rungs, or a few levels of
-the bisection tree), and the scan replays its own decisions on those
-values.  The scan is a generator that yields the T values it needs and
-receives their P, so the scans of both controllers on one instance run in
-lockstep: an instance's two scans share three passes.
+holds the probes the scan expects to need next (ladder rungs, or the path
+the bisection takes if P is linear in log T across its bracket), and the
+scan replays its own decisions on those values.  The scan is a generator
+that yields the T values it needs and receives their P, so the scans of
+both controllers on one instance run in lockstep: an instance's two scans
+share three or four passes.
 
 Both ensembles run through map_instances, which seeds each instance, skips
 degenerate ones, optionally fans out over a process pool and returns, in
@@ -281,9 +282,7 @@ _SUDDEN_FLOOR = 1e-9  # lower scan bound, in units of T_ad
 _CAP_FACTOR = 1e6  # upper scan bound, in units of T_ad
 _SCAN_START = 1e-3  # first probe, in units of T_ad
 _RTOL = 0.01  # relative width at which the bisection stops
-# Bisection levels evaluated per propagation pass: at most 2**4 - 1 = 15
-# midpoints.  A ladder pass holds the missed rung and the 15 rungs after it.
-_LOOKAHEAD = 4
+_LADDER_RUNGS = 16  # rungs of a doubling pass: the missed rung and the 15 after it
 
 
 def time_to_target(
@@ -304,15 +303,19 @@ def time_to_target(
 
     The scan is sequential, but its probes are evaluated speculatively: a
     probe that is not yet known is evaluated in one batched propagation
-    together with every probe the scan may need next -- the next 15 rungs
-    of the doubling ladder (the whole halving ladder down to the sudden
-    floor, when even the sudden limit meets the target), or the next
-    _LOOKAHEAD levels of the bisection tree under the current bracket.
-    Each speculative T is computed by the same arithmetic as the sequential
-    scan, so the decisions, the T and the probes (only those the scan
-    visits, in its order) are those of a probe-by-probe scan.  A typical
-    scan takes three passes; scaling_study runs both controllers' scans in
-    lockstep, so that an instance's two scans share three passes.
+    together with the probes the scan expects to need next -- the next 15
+    rungs of the doubling ladder (the whole halving ladder down to the
+    sudden floor, when even the sudden limit meets the target), or the
+    bisection's predicted path: the at most 7 midpoints it visits if P is
+    linear in log T between the bracket's two probes.  After a miss the
+    next pass predicts again from the narrower bracket.  Each speculative T
+    is computed by the same arithmetic as the sequential scan, so the
+    decisions, the T and the probes (only those the scan visits, in its
+    order) are those of a probe-by-probe scan; a probe's P may move in its
+    last bits with the column layout of its pass (at n = 4 and 5).  A
+    typical scan takes three or four passes of 16 and then about 7 columns;
+    scaling_study runs both controllers' scans in lockstep, so that an
+    instance's two scans share them.
     """
     if not 0.0 < target_P < 1.0:
         raise ValueError(f"target_P must lie in (0, 1), got {target_P}")
@@ -376,7 +379,7 @@ def _scan(T_ad: float, p_sudden: float, target_P: float):
         return T > _SUDDEN_FLOOR * T_ad
 
     def doubling():  # the current T and up to 15 rungs above it
-        return _ladder(T, 2.0, below_cap, 2**_LOOKAHEAD)
+        return _ladder(T, 2.0, below_cap, _LADDER_RUNGS)
 
     def halving():  # the current T and every rung below it to the sudden floor
         return _ladder(T, 0.5, above_floor)
@@ -399,14 +402,14 @@ def _scan(T_ad: float, p_sudden: float, target_P: float):
             p = yield from P(T, doubling)
         lo, hi = T / 2.0, T
 
-    p_hi = p
+    p_lo, p_hi = known[lo], known[hi]
     while hi / lo > 1.0 + _RTOL:
         mid = math.sqrt(lo * hi)
-        p_mid = yield from P(mid, lambda: _bisection_tree(lo, hi, _LOOKAHEAD))
+        p_mid = yield from P(mid, lambda: _predicted_path(lo, hi, p_lo, p_hi, target_P))
         if p_mid >= target_P:
             hi, p_hi = mid, p_mid
         else:
-            lo = mid
+            lo, p_lo = mid, p_mid
     return _finish(hi, p_hi, probes)
 
 
@@ -419,22 +422,31 @@ def _ladder(T: float, factor: float, more, count: float = math.inf) -> list:
 
 
 # The most columns one lockstep pass holds: per scan its start probe and the halving
-# ladder down to the sudden floor (21), more than a doubling (16) or bisection (15) pass
+# ladder down to the sudden floor (21), more than a doubling (16) or bisection (7) pass
 _WIDEST_PASS = len(CONTROLLER_FAMILIES) * max(
-    2**_LOOKAHEAD, len(_ladder(_SCAN_START, 0.5, lambda T: T > _SUDDEN_FLOOR))
+    _LADDER_RUNGS, len(_ladder(_SCAN_START, 0.5, lambda T: T > _SUDDEN_FLOOR))
 )
 
 
-def _bisection_tree(lo: float, hi: float, depth: int) -> list:
-    """Every midpoint a geometric bisection of (lo, hi) to _RTOL can probe in depth levels."""
-    if depth == 0 or hi / lo <= 1.0 + _RTOL:
-        return []
-    mid = math.sqrt(lo * hi)
-    return [
-        mid,
-        *_bisection_tree(lo, mid, depth - 1),
-        *_bisection_tree(mid, hi, depth - 1),
-    ]
+def _predicted_path(lo: float, hi: float, p_lo: float, p_hi: float, target_P: float) -> list:
+    """The midpoints a geometric bisection of (lo, hi) to _RTOL visits if P is linear in log T.
+
+    The line through (lo, p_lo) and (hi, p_hi) crosses target_P at
+    lo * (hi / lo)**f, f clamped to [0, 1]; the path takes the upper half
+    of each bracket whose midpoint reaches that guess.  At most 7 midpoints
+    from a bracket of ratio 2, each by the scan's own arithmetic.
+    """
+    f = min(1.0, max(0.0, (target_P - p_lo) / (p_hi - p_lo)))
+    guess = lo * (hi / lo) ** f
+    path = []
+    while hi / lo > 1.0 + _RTOL:
+        mid = math.sqrt(lo * hi)
+        path.append(mid)
+        if mid >= guess:
+            hi = mid
+        else:
+            lo = mid
+    return path
 
 
 def _finish(T, p, probes) -> TargetResult:

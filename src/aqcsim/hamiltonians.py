@@ -231,14 +231,14 @@ def chunk_size(dim: int) -> int:
     return max(3, _STACK_BYTES // (16 * dim * dim))
 
 
-def chunk_slices(size: int, dim: int):
-    """Consecutive slices of range(size), at most chunk_size(dim) long, few and even.
+def chunk_slices(size: int, dim: int, share: int = 1):
+    """Consecutive slices of range(size), few and even, at most chunk_size(dim) // share long.
 
-    No slice of a larger range holds a single point: numpy multiplies a
-    one-row matrix by gemv, not gemm, and EigenSystem.ground_couplings
-    would change in the last bit.
+    No slice of a larger range holds a single point, whatever the share (the
+    bound never falls below 3): numpy multiplies a one-row matrix by gemv,
+    not gemm, and EigenSystem.ground_couplings would change in the last bit.
     """
-    count = -(-size // chunk_size(dim))
+    count = -(-size // max(3, chunk_size(dim) // share))
     for i in range(count):
         yield slice(size * i // count, size * (i + 1) // count)
 

@@ -1,8 +1,10 @@
 """Propagator, pace laws, timescales, and limit behavior."""
 
 import math
+import sys
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -188,7 +190,9 @@ def test_plan_frames_equal_a_serial_reference_bitwise(n):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_plan_midpoints_are_decomposed_off_the_caller_thread_from_n_3(monkeypatch, n):
+def test_plan_midpoints_are_decomposed_off_the_caller_thread_from_n_3(
+    monkeypatch, join_plan_threads, n
+):
     calls = []
     real = ham.spectrum_at
 
@@ -199,7 +203,8 @@ def test_plan_midpoints_are_decomposed_off_the_caller_thread_from_n_3(monkeypatc
     monkeypatch.setattr(ham, "spectrum_at", recording)
     # 300 cells: one chunk at n = 2 and 3, two of 150 at n = 4, five of 60 at n = 5
     plan = evo.build_schedule(ham.pair_from_seed(n, 3), steps=300)
-    plan.frame_maps  # joins the worker, if any
+    join_plan_threads()  # the worker, if any, takes every chunk before the plan is read
+    plan.frame_maps
     assert plan.cells == 300
     # psi0's single lam comes last on the caller; every call after it is a midpoint chunk
     (psi0_call,) = [i for i, (_, lam) in enumerate(calls) if lam.ndim == 0]
@@ -220,13 +225,163 @@ def test_chunked_midpoint_frames_equal_one_whole_stack_bitwise(n, count):
     mids = np.linspace(1.0, 0.0, count + 2)[1:-1]
     psi0 = ham.spectrum_at(pair, 1.0).states[:, 0].astype(complex)
     assert ham.chunk_size(pair.dim) < count
-    outputs = np.empty((count, pair.dim)), np.empty((count, pair.dim, pair.dim))
-    energies, frame_maps, c0 = evo._midpoint_frames(pair, mids, psi0, *outputs)
+    frames = evo._MidpointFrames(pair, mids, psi0)
+    frames.work()
+    energies, frame_maps, c0 = frames.result()
     whole = ham.spectrum_at(pair, mids)
     V = whole.states
     assert np.array_equal(energies, whole.energies)
     assert np.array_equal(frame_maps, np.concatenate([V[1:].transpose(0, 2, 1) @ V[:-1], V[-1:]]))
     assert np.array_equal(c0, V[0].T @ psi0)
+
+
+def _one_thread_frames(plan):
+    """The plan's midpoint energies, frame maps and c0 from one whole stack on this thread."""
+    mid = ham.spectrum_at(plan.pair, plan.mids)
+    V = mid.states
+    frame_maps = np.concatenate([V[1:].transpose(0, 2, 1) @ V[:-1], V[-1:]])
+    return mid.energies, frame_maps, V[0].T @ plan.psi0
+
+
+def _plan_frames(plan):
+    return plan.mid_energies, plan.frame_maps, plan.c0
+
+
+# multi-chunk plans: three chunks of 700 at n = 3, three of 200 at n = 4, four of 50 at n = 5
+_MULTI_CHUNK_STEPS = {3: 2100, 4: 600, 5: 200}
+
+
+@pytest.fixture
+def waiting_worker():
+    """(executor, gate): a one-thread executor whose thread waits until gate is set."""
+    gate = threading.Event()
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="aqcsim-plan-test") as pool:
+        pool.submit(gate.wait, 10)
+        yield pool, gate
+        gate.set()
+
+
+def _recorded_midpoint_calls(monkeypatch, on_call=lambda: None) -> list:
+    """(thread ident, matrices) of every ham.spectrum_at call from now on, in order."""
+    calls, real = [], ham.spectrum_at
+
+    def recording(pair, lam):
+        calls.append((threading.get_ident(), np.size(lam)))
+        on_call()
+        return real(pair, lam)
+
+    monkeypatch.setattr(ham, "spectrum_at", recording)
+    return calls
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_a_read_while_the_worker_waits_decomposes_every_chunk_on_the_caller(
+    monkeypatch, waiting_worker, n
+):
+    pool, gate = waiting_worker
+    plan = evo.build_schedule(ham.pair_from_seed(n, 2), _MULTI_CHUNK_STEPS[n], pool)
+    calls = _recorded_midpoint_calls(monkeypatch)
+    got = _plan_frames(plan)
+    monkeypatch.undo()
+    chunks = list(ham.chunk_slices(plan.cells, plan.pair.dim))
+    assert len(chunks) > 2
+    # every chunk from the back, each in pieces of at most a quarter chunk (16 matrices at n = 5)
+    quarter = max(3, ham.chunk_size(plan.pair.dim) // 4)
+    want = [p.stop - p.start for c in chunks[::-1]
+            for p in ham.chunk_slices(c.stop - c.start, plan.pair.dim, evo._READER_SHARE)]
+    assert [size for _, size in calls] == want
+    assert max(want) <= quarter < chunks[0].stop
+    assert {ident for ident, _ in calls} == {threading.get_ident()}
+    for array, expected in zip(got, _one_thread_frames(plan)):
+        assert array.tobytes() == expected.tobytes()
+    gate.set()
+    pool.submit(lambda: None).result(timeout=10)  # the worker found no chunk left
+    assert _plan_frames(plan)[1] is got[1]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_a_worker_released_part_way_shares_the_chunks_with_the_reader(
+    monkeypatch, waiting_worker, n
+):
+    pool, gate = waiting_worker
+    plan = evo.build_schedule(ham.pair_from_seed(n, 2), _MULTI_CHUNK_STEPS[n], pool)
+    caller, worker_started = threading.get_ident(), threading.Event()
+
+    def release_the_worker():
+        # at the reader's first decomposition, let the worker take its first chunk
+        if threading.get_ident() != caller:
+            worker_started.set()
+        elif not gate.is_set():
+            gate.set()
+            assert worker_started.wait(10)
+
+    calls = _recorded_midpoint_calls(monkeypatch, release_the_worker)
+    got = _plan_frames(plan)
+    monkeypatch.undo()
+    threads = {ident for ident, _ in calls}
+    assert caller in threads and len(threads) == 2
+    assert sum(size for _, size in calls) == plan.cells
+    for array, expected in zip(got, _one_thread_frames(plan)):
+        assert array.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_an_error_in_a_chunk_on_either_thread_is_raised_again_by_every_read(
+    monkeypatch, waiting_worker, n, failing
+):
+    pool, gate = waiting_worker
+    plan = evo.build_schedule(ham.pair_from_seed(n, 2), _MULTI_CHUNK_STEPS[n], pool)
+    caller = threading.get_ident()
+
+    def fails_on_one_thread():
+        if (threading.get_ident() == caller) == (failing == "caller"):
+            raise np.linalg.LinAlgError(f"eigh did not converge on the {failing}")
+
+    calls = _recorded_midpoint_calls(monkeypatch, fails_on_one_thread)
+    if failing == "worker":
+        gate.set()
+        pool.submit(lambda: None).result(timeout=10)  # the worker has failed on its first chunk
+    for read in ("mid_energies", "frame_maps", "c0", "mid_energies"):
+        with pytest.raises(np.linalg.LinAlgError, match=f"on the {failing}"):
+            getattr(plan, read)
+    gate.set()
+    pool.submit(lambda: None).result(timeout=10)
+    with pytest.raises(np.linalg.LinAlgError, match=f"on the {failing}"):
+        plan.frame_maps
+    # the failed chunk stopped the taking: one decomposition, on the failing thread
+    (ident, _), = calls
+    assert (ident == caller) == (failing == "caller")
+
+
+def test_plans_read_under_a_short_switch_interval_take_each_chunk_once(monkeypatch):
+    # four one-shot workers and the reader on two cores, the GIL handed over every 10 us:
+    # a chunk taken twice, or never, shows in the counts; a lost update to the in-flight
+    # count would leave the reads waiting, so they run on a thread joined with a timeout
+    taken, decompose = [], evo._MidpointFrames._decompose
+
+    def counted(frames, chunk, share):
+        taken.append((frames.pair.seed, chunk.start))
+        return decompose(frames, chunk, share)
+
+    monkeypatch.setattr(evo._MidpointFrames, "_decompose", counted)
+    pairs = [ham.pair_from_seed(5, seed) for seed in range(1, 5)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        plans = [evo.build_schedule(pair, 200) for pair in pairs]
+        reads = []
+        reader = threading.Thread(target=lambda: reads.extend(map(_plan_frames, plans)))
+        reader.start()
+        reader.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not reader.is_alive() and len(reads) == len(plans)
+    for plan, got in zip(plans, reads):
+        starts = [c.start for c in ham.chunk_slices(plan.cells, plan.pair.dim)]
+        assert sorted(a for seed, a in taken if seed == plan.pair.seed) == starts
+        for array, expected in zip(got, _one_thread_frames(plan)):
+            assert array.tobytes() == expected.tobytes()
 
 
 def _symmetric_pair(n):
@@ -265,7 +420,7 @@ def test_chunked_scans_fallback_and_trajectory_equal_one_whole_stack_bitwise(
         assert np.array_equal(got, want)
 
 
-def test_plan_worker_failure_surfaces_from_the_first_read(monkeypatch, capfd):
+def test_plan_worker_failure_surfaces_from_the_first_read(monkeypatch, capfd, join_plan_threads):
     caller = threading.get_ident()
     real = ham.spectrum_at
 
@@ -279,11 +434,14 @@ def test_plan_worker_failure_surfaces_from_the_first_read(monkeypatch, capfd):
     monkeypatch.setattr(ham, "spectrum_at", fails_off_the_caller)
     pair = ham.pair_from_seed(3, 2)
     inst = evo.Instance(pair, steps=128)  # the plan's grid is ready; its frames are not
+    join_plan_threads()  # the worker takes the plan's one chunk (a reader would take it first)
     for _ in range(2):  # every read re-raises
         with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
             inst.run([("linear", 1.0)])
+    inst = evo.Instance(pair, 128)
+    join_plan_threads()
     with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
-        evo.Instance(pair, 128).evolve("feedback", 0.1)
+        inst.evolve("feedback", 0.1)
     assert hooked == []
     assert capfd.readouterr() == ("", "")
 

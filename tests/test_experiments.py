@@ -5,6 +5,7 @@ import re
 import threading
 import tracemalloc
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -153,7 +154,7 @@ def _rung_by_rung_time_to_target(ctx, family, target_P, cap_factor=1e6, rtol=0.0
                 raise UnreachableTargetError(family)
             p = P(T)
         lo, hi = T / 2.0, T
-    p_hi = p
+    p_hi = dict(probes)[hi]  # after a walk down, p is P(lo)
     while hi / lo > 1.0 + rtol:
         mid = np.sqrt(lo * hi)
         p_mid = P(mid)
@@ -230,25 +231,58 @@ def test_cap_inside_a_ladder_pass_is_unreachable_like_rung_by_rung_scan(monkeypa
 
 
 def test_scan_evaluates_its_probes_in_three_passes(monkeypatch):
-    # one ladder pass (the crossing is within 15 rungs), then the 7 levels
-    # of bisection from ratio 2 to rtol 0.01 in passes of 4 and 3 levels
+    # one ladder pass (the crossing is within 15 rungs), then the bisection's predicted path:
+    # 7 midpoints from ratio 2 to rtol 0.01, and after a miss the path predicted again from
+    # the narrower bracket
     ctx = evo.Instance(ham.pair_from_seed(2, 1), 512)
     passes = _count_run_columns(monkeypatch)
-    for family in xp.CONTROLLER_FAMILIES:
+    for family, want in (("linear", [16, 7, 6]), ("feedback", [16, 7, 2])):
         passes.clear()
         res = xp._lockstep_scans(ctx, (family,), 0.9)[family]
-        assert passes == [16, 15, 7]
+        assert passes == want
         assert len(res.probes) < sum(passes)
+        _assert_same_scan(res, _rung_by_rung_time_to_target(ctx, family, 0.9))
+
+
+def _line_in_log_t(lines: dict):
+    """A stand-in instance whose P is exactly linear in log T: family -> (T at P 0.5, slope)."""
+    passes = []
+
+    def run(batches):
+        passes.append({family: list(T) for family, T in batches})
+        return [0.5 + lines[family][1] * np.log(np.asarray(T) / lines[family][0])
+                for family, T in batches]
+
+    plan = SimpleNamespace(psi0=None)
+    return SimpleNamespace(T_ad=1.0, plan=plan, ground_population=lambda c: 0.0, run=run), passes
+
+
+def test_a_bisection_on_a_line_in_log_t_takes_one_pass_along_its_path():
+    # the guess from the bracket's two probes is the crossing itself, so each family's first
+    # bisection pass is the path it visits; every probe between 0 and 1, the target 0.9
+    # crossed at 1.83 and 0.0299, inside the first ladder pass
+    inst, passes = _line_in_log_t({"linear": (0.37, 0.25), "feedback": (0.011, 0.4)})
+    results = xp._lockstep_scans(inst, xp.CONTROLLER_FAMILIES, 0.9)
+    ladder, bisection = passes
+    assert [len(ladder[family]) for family in xp.CONTROLLER_FAMILIES] == [16, 16]
+    for family, res in results.items():
+        visited = [T for T, _ in res.probes]
+        assert len(bisection[family]) == 7
+        assert bisection[family] == visited[-7:]
+        assert visited[:-7] == ladder[family][: len(visited) - 7]
+        assert res.P_at_T >= 0.9 > max(p for T, p in res.probes if T < res.T)
 
 
 @pytest.mark.parametrize(
     "seed, target, want_passes",
     [
         # the sudden limit (P 0.509) meets the target: start and halving ladder at once
-        pytest.param(5, 0.25, [21], id="sudden-limit-meets-target"),
-        # the start meets the target but the sudden limit (P 0.342) does not:
-        # nothing cheap predicts the walk down
-        pytest.param(1, 0.4, [16, 20, 15, 7], id="only-start-meets-target"),
+        pytest.param(5, 0.25, {"linear": [21], "feedback": [21]},
+                     id="sudden-limit-meets-target"),
+        # the start meets the target but the sudden limit (P 0.342) does not: nothing cheap
+        # predicts the walk down; then the bisection's predicted paths
+        pytest.param(1, 0.4, {"linear": [16, 20, 7, 3], "feedback": [16, 20, 7, 6, 2]},
+                     id="only-start-meets-target"),
     ],
 )
 def test_walk_down_is_speculated_from_the_sudden_limit(monkeypatch, seed, target, want_passes):
@@ -257,7 +291,8 @@ def test_walk_down_is_speculated_from_the_sudden_limit(monkeypatch, seed, target
     for family in xp.CONTROLLER_FAMILIES:
         passes.clear()
         got = xp._lockstep_scans(ctx, (family,), target)[family]
-        assert passes == want_passes
+        assert passes == want_passes[family]
+        assert len(got.probes) <= sum(passes)
         want = _rung_by_rung_time_to_target(ctx, family, target)
         assert [t for t, _ in got.probes] == [t for t, _ in want.probes]
         assert got.T == want.T
@@ -288,6 +323,10 @@ def _assert_same_scan(got, want):
 )
 # the scans part after the ladder: one scan's last bisection pass runs alone
 @example(n=2, seed=1, target=0.999)
+# n = 5, where (as at n = 4) a probe's P depends in its last bits on its pass's column layout
+@example(n=5, seed=1, target=0.9)
+@example(n=5, seed=6, target=0.6)
+@example(n=5, seed=11, target=0.3)
 def test_lockstep_scans_match_per_family_scans(n, seed, target):
     ctx = evo.Instance(ham.pair_from_seed(n, seed), 256)
     lockstep = xp._lockstep_scans(ctx, xp.CONTROLLER_FAMILIES, target)
@@ -303,11 +342,11 @@ def test_lockstep_scans_match_per_family_scans(n, seed, target):
 
 
 def test_instance_scans_share_three_passes(monkeypatch):
-    # each family alone takes passes of 16, 15 and 7 columns
+    # alone, linear takes passes of 16, 7 and 6 columns and feedback of 16, 7 and 2
     pair = ham.pair_from_seed(2, 1)
     passes = _count_run_columns(monkeypatch)
     got = xp._instance_times(evo.Instance(pair, 512), 0.9)
-    assert passes == [32, 30, 14]
+    assert passes == [32, 14, 8]
     for family in xp.CONTROLLER_FAMILIES:
         assert got[family] == xp.time_to_target(pair, family, 0.9, steps=512).T
 
@@ -551,12 +590,12 @@ def test_a_serial_ensemble_builds_one_instance_ahead_on_one_eigen_thread(
 ):
     join_plan_threads()  # any that earlier tests left
     before = set(threading.enumerate())
-    events, frames, scan = [], evo._midpoint_frames, evo._ground_scan
+    events, frames, scan = [], evo._MidpointFrames.work, evo._ground_scan
 
-    def on_thread(name, work):
-        def recorded(pair, *args):
-            events.append((name, pair.seed, threading.current_thread()))
-            return work(pair, *args)
+    def on_thread(name, work, seed):
+        def recorded(arg, *args):
+            events.append((name, seed(arg), threading.current_thread()))
+            return work(arg, *args)
 
         return recorded
 
@@ -569,8 +608,10 @@ def test_a_serial_ensemble_builds_one_instance_ahead_on_one_eigen_thread(
         events.append(("finish", inst.pair.seed))
         return inst.T_ad
 
-    monkeypatch.setattr(evo, "_midpoint_frames", on_thread("frames", frames))
-    monkeypatch.setattr(evo, "_ground_scan", on_thread("scan", scan))
+    # the worker's side of each plan's chunk queue, whatever share of the chunks it takes
+    monkeypatch.setattr(evo._MidpointFrames, "work",
+                        on_thread("frames", frames, lambda queue: queue.pair.seed))
+    monkeypatch.setattr(evo, "_ground_scan", on_thread("scan", scan, lambda pair: pair.seed))
     monkeypatch.setattr(evo, "Instance", Instance)
     records = xp.map_instances(xp._InstanceTask(finish, 64, scan=True), (3,), 3, 5)
     a, b, c = (r.seed for r in records)
