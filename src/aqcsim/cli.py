@@ -25,9 +25,10 @@ physical memory is refused.  What is alive together is summed: the plan's
 frame maps and energies (two plans in a serial ensemble of two or more
 instances, which builds the next instance while it runs the current one),
 one chunk of stacked decompositions (hamiltonians.chunk_size) on the
-worker thread and one on the caller, then per propagated column its cell
-times and its share of propagate's one reused chunk, whose cells
-evolution._phase_cells bounds by bytes.  Not counted:
+caller and, except in a process pool's tasks, one on the plan's worker
+thread, then per propagated column its cell times and its share of
+propagate's one reused chunk, whose cells evolution._phase_cells bounds
+by bytes.  Not counted:
 cells the bisection adds beyond steps (up to 80 in all on seeds 1-29 at
 n = 2..5), and the level solve's dense output (about 2 MiB at n = 5).
 """
@@ -183,10 +184,6 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-def _ascending(xs) -> bool:
-    return all(a < b for a, b in zip(xs, xs[1:]))
-
-
 def _rule(accepts, requirement):
     """A check(flag, value) that raises ValueError(f"{flag} {requirement}, got {value}")."""
 
@@ -217,7 +214,7 @@ _RULES = (
     ("workers", _rule(lambda x: 0 <= x <= (os.cpu_count() or 1),
                       f"must lie in [0, {os.cpu_count() or 1}] (the CPU count)")),
     ("k_grid", xp._ascending_grid),
-    ("n_values", _rule(lambda ns: ns[0] >= 2 and _ascending(ns),
+    ("n_values", _rule(lambda ns: ns[0] >= 2 and all(a < b for a, b in zip(ns, ns[1:])),
                        "must be ascending and each >= 2")),
     ("n_values", _rule(lambda ns: len(ns) >= 3, "needs >= 3 distinct sizes for the fit")),
     ("t_units", _rule(lambda u: u in ("tad", "abs"), "must be 'tad' or 'abs'")),
@@ -251,20 +248,20 @@ def _footprint(command: str, v: dict) -> list:
     scan = command == "scaling" or v.get("t_units") == "tad"
     curve = 2 * cells + 1 if live else 0  # |c2| at the plan's nodes and midpoints
     beside = max(curve, evo._SCAN_POINTS * scan)
-    # a serial ensemble builds the next instance's plan while it runs the current one
-    serial = command in ("scaling", "deltap") and v["workers"] == 0
+    # a serial ensemble (workers 0 or 1) builds the next instance's plan while it runs the
+    # current one; a pool's tasks have no eigen worker
+    serial = command in ("scaling", "deltap") and v["workers"] <= 1
     plans = 2 if serial and v["samples"] * len(n_values) > 1 else 1
     # each plan keeps frame maps, energies and lam vectors per cell, and until its first read
-    # a copy of each midpoint chunk's first and last eigenvectors; while midpoints are
-    # decomposed (on a worker from n = 3, which takes the T_ad scan too in a serial scaling
-    # run) the caller may hold a chunk of the T_ad scan, or of a live feedback sweep's
-    # curvature on either route, whose points hold 48 B of grid, c2 and |c2| each, or, at the
-    # plan's first read, a quarter chunk of the midpoints beside the worker's chunk (with one
-    # chunk, only one of them holds it); before, the bisection stacks its 65 base nodes
-    worker = stack(max(cells, evo._SCAN_POINTS * (serial and scan)))
+    # a copy of each midpoint chunk's first and last eigenvectors; the eigen worker (the T_ad
+    # scan too, for serial scaling) or the n = 2 builder holds a whole chunk, while the
+    # caller holds a chunk of the T_ad scan or of a live feedback curvature (48 B a point),
+    # or a quarter chunk of midpoints at the first read; before, the bisection's 65 nodes
+    whole = v.get("workers", 0) <= 1 or dim < evo._THREAD_MIN_DIM
+    worker = whole * stack(max(cells, evo._SCAN_POINTS * (serial and scan)))
     chunks = -(-cells // ham.chunk_size(dim))
     edges = 2 * chunks * 8 * dim * dim
-    reader = (chunks > 1) * max(3, ham.chunk_size(dim) // evo._READER_SHARE)
+    reader = (chunks > 1 or not whole) * max(3, ham.chunk_size(dim) // evo._READER_SHARE)
     plan = max((evo._BASE_CELLS + 1) * point,
                plans * (cells * (8 * dim * (dim + 1) + 40) + edges) + worker
                + stack(max(beside, reader)) + curve * 48)
@@ -494,9 +491,11 @@ def _cmd_run(cfg: RunConfig):
     pair = _instance(cfg)
     family = cfg["controller"]
     replay = replay_profile(cfg["replay"]) if cfg["replay"] is not None else None
-    inst = evo.Instance(pair, cfg["steps"], cfg["curvature_floor"], profile=replay)
-    record = inst.evolve(family, cfg[_CONTROLLER_OPTIONS[family][0]],
-                         sample_stride=cfg["sample_stride"])
+    with evo.eigen_worker() as eigen:  # the plan's frames, beside the level ODE
+        inst = evo.Instance(pair, cfg["steps"], cfg["curvature_floor"], profile=replay,
+                            executor=eigen)
+        record = inst.evolve(family, cfg[_CONTROLLER_OPTIONS[family][0]],
+                             sample_stride=cfg["sample_stride"])
     tables = {}
     if record.samples is not None:
         tables["trajectory.csv"] = (evo.SAMPLE_COLUMNS, record.samples)

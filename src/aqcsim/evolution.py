@@ -43,27 +43,18 @@ which bounds each stack by hamiltonians._STACK_BYTES; the callers fill
 preallocated outputs, so only those outlive a chunk.  The plan keeps its
 midpoint energies and frame maps, not the eigenvectors.
 
-From n = 3 up, build_schedule lays out the grid on the caller's thread
-and hands the midpoint eigendecomposition (the frame maps, the midpoint
-energies and c0) to a worker thread, as a queue of chunks that the worker
-takes from the front.  The first read of one of those fields, normally in
-the first propagate, does not only wait: it decomposes the chunks not yet
-taken from the back, waits for the chunk in flight and joins the chunks.
-LAPACK releases the GIL, while the level ODE and the propagation are
-Python-bound stepping, so the caller's T_ad scan and level ODE run on one
-core while the eigendecomposition runs on the other; a caller that needs
-the frames first takes its share of them.  The worker is the executor the
-caller passes, or else a one-worker ThreadPoolExecutor of the plan's own,
-shut down at once so that its thread exits when the work returns.  The
-serial ensembles pass one executor for a whole run
-(experiments.map_instances): an Instance built with scan=True queues T_ad's
-ground scan there ahead of its frames (the caller needs T_ad after its
-level ODE, the frames only at the first pass), and the ensemble builds the
-next instance while the caller finishes the current one.  At n = 2 (dim 4)
-a thread handover costs more than it overlaps, and the builder takes every
-chunk inline.  Each matrix is still decomposed by one LAPACK call, and
-each map computed by one matmul, so every output is bitwise the same on
-either thread.
+From n = 3 up, the plan's midpoint eigendecomposition (the frame maps,
+the midpoint energies and c0) is a queue of chunks: the worker of an
+executor the caller owns takes them from the front, and the plan's first
+read decomposes those left from the back (see build_schedule).  LAPACK
+releases the GIL, while the level ODE and the propagation are
+Python-bound stepping, so on two cores they overlap.  Plans start no
+thread of their own; an eigen_worker is owned for their call by the
+serial ensembles, time_to_target, sweep_T and the CLI's run, and an
+Instance built with scan=True queues T_ad's ground scan there ahead of
+its frames.  At n = 2 (dim 4) a thread handover costs more than it
+overlaps, and the builder takes every chunk inline.  Every output is
+bitwise the same on either thread.
 """
 
 from __future__ import annotations
@@ -89,6 +80,7 @@ __all__ = [
     "SchedulePlan",
     "Instance",
     "build_schedule",
+    "eigen_worker",
     "initial_coefficients",
     "propagate",
     "min_gap",
@@ -113,9 +105,7 @@ _PHASE_CHUNK = 64  # most cells whose phases and norms are computed in one call
 # 32 cells of a 32-column pass at n = 5, and _PHASE_CHUNK cells of every narrower pass
 _PHASE_BYTES = 5 << 18
 _SCAN_POINTS = 512  # uniform lam grid of the T_ad and min-gap scans
-# Smallest matrix dimension whose plan eigendecomposition runs on a worker
-# thread (n >= 3); at dim 4 the thread costs more than it overlaps.
-_THREAD_MIN_DIM = 8
+_THREAD_MIN_DIM = 8  # smallest dim whose plan frames go to a worker; at dim 4 it costs more
 # A plan's reader decomposes the chunks it takes in pieces of 1 / _READER_SHARE chunk
 # (16 matrices at n = 5), on top of the plan and a pass's buffers: with whole chunks, the
 # traced peak of an n = 5, 1024-step linear `run` rose from 9.98 to 10.60 MiB
@@ -166,11 +156,8 @@ class SchedulePlan:
 
     lams, mids, widths, psi0 and ground_index are ready when the plan is.
     mid_energies, frame_maps and c0 come from the midpoint
-    eigendecomposition, a queue of chunks that from n = 3 up a worker
-    thread takes from the front (see the module docstring).  The first
-    read of one of them decomposes the chunks not yet taken from the back,
-    waits for the chunk in flight and joins the chunks; every read raises
-    again an exception that either thread raised.
+    eigendecomposition (see build_schedule); every read raises again an
+    exception that either thread raised.
     """
 
     pair: ham.HamiltonianPair
@@ -205,10 +192,11 @@ class _MidpointFrames:
     """A plan's midpoint eigendecomposition: a queue of chunks that two threads share.
 
     The chunks are ham.chunk_slices of the midpoints.  work(), the plan's
-    worker (or at n = 2 its builder), takes them from the front.  result(),
-    the plan's reader, takes those left from the back, each in pieces of a
-    quarter chunk, so that the caller's thread holds only a quarter chunk of
-    decompositions; it then waits for the chunk in flight and fills the map
+    worker (or at n = 2 its builder), takes them from the front, if the
+    plan has one.  result(), the plan's reader, takes those left from the
+    back, each in pieces of a quarter chunk, so that the caller's thread
+    holds only a quarter chunk of decompositions; it then waits for the
+    chunk in flight and fills the map
     across each edge between chunks, and frame_maps[-1], from copies of the
     chunks' first and last eigenvectors.  Each matrix is decomposed by its
     own LAPACK call and each map computed by the same matmul on either
@@ -289,6 +277,11 @@ class _MidpointFrames:
         return self.energies, self.frame_maps, self._c0
 
 
+def eigen_worker() -> ThreadPoolExecutor:
+    """A one-worker executor for a caller to own, as a context, for its instances' eigen work."""
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="aqcsim-eigen")
+
+
 def _ground_rotation_cells(pair: ham.HamiltonianPair):
     """Bisect [1, 0] until the ground state turns <= _ROT_MAX per cell.
 
@@ -321,28 +314,29 @@ def _ground_rotation_cells(pair: ham.HamiltonianPair):
     return cells
 
 
+def _checked_ground(pair: ham.HamiltonianPair, steps: int) -> int:
+    """The problem's ground index; ValueError for steps < 1, then DegenerateGroundError."""
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    return ham.problem_ground_index(pair)
+
+
 def build_schedule(
     pair: ham.HamiltonianPair, steps: int = DEFAULT_STEPS, executor=None
 ) -> SchedulePlan:
     """Lay out the lam grid and cache the midpoint eigensystems.
 
     The grid, psi0 and ground_index are computed here, on the caller's
-    thread, and so are their errors (steps < 1, then a degenerate problem
-    ground state, before the bisection: on a tied pair the bisection can
-    split into 10^5 cells).  The midpoint eigendecomposition runs inline for
-    dim < 8 (n = 2) and otherwise on a worker thread that overlaps whatever
-    the caller does next (the T_ad scan, the level ODE) until the first
-    read of mid_energies, frame_maps or c0, which decomposes the chunks the
-    worker has not taken yet and waits only for the one in flight.  The
-    worker is `executor`'s (a concurrent.futures executor), or with None a
-    one-shot thread of the plan's own.  Such one-shot workers do not wait
-    for each other: nine n = 5 plans built before any was read took 9.4 s
-    on 2 cores, against 1.2 s when each was read at once; plans that share
-    one single-worker executor are decomposed one after another instead.
+    thread, and so are their errors (_checked_ground, before the bisection:
+    on a tied pair it can split into 10^5 cells).  The midpoint
+    eigendecomposition runs inline for dim < 8 (n = 2).  From n = 3 up it
+    is queued on `executor`, if the caller passes one (a concurrent.futures
+    executor it owns), until the first read of mid_energies, frame_maps or
+    c0, which decomposes the chunks not yet taken and waits only for the
+    one in flight.  Plans that share a one-worker executor are decomposed
+    one after another.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    ground_index = ham.problem_ground_index(pair)
+    ground_index = _checked_ground(pair, steps)
     cells = _ground_rotation_cells(pair)
     steps = max(steps, len(cells))
     tops, bottoms, rots = map(np.array, zip(*cells))
@@ -368,12 +362,6 @@ def build_schedule(
         frames.work()
     elif executor is not None:
         executor.submit(frames.work)
-    else:
-        # a pool per plan, never a module-level one: its thread exits when the
-        # work returns, so no idle plan thread is alive when map_instances forks
-        pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="aqcsim-plan")
-        pool.submit(frames.work)
-        pool.shutdown(wait=False)
     return SchedulePlan(
         pair=pair,
         lams=lams,
@@ -476,9 +464,10 @@ class Instance:
     run(batches) steps any mix of families and realized times together in
     one pass; evolve(family, gain) runs one sweep with its diagnostics.
 
-    executor takes the instance's eigen work (see build_schedule), and with
-    it scan=True queues T_ad's ground scan there too, ahead of the plan's
-    frames; otherwise T_ad scans on the caller when first read.
+    executor, a one-worker executor the caller owns, takes the instance's
+    eigen work (see build_schedule), and with it scan=True queues T_ad's
+    ground scan there too, ahead of the plan's frames; otherwise T_ad scans
+    on the caller when first read.  A refused pair or steps queues nothing.
     """
 
     def __init__(
@@ -494,8 +483,8 @@ class Instance:
         if curvature_floor is not None:  # else resolved on first use
             self.floor = ham.checked_positive("curvature_floor", curvature_floor)
         self.pair = pair
-        queued = scan and executor is not None
-        self._scan = executor.submit(_ground_scan, pair) if queued else None
+        _checked_ground(pair, steps)  # before the scan is queued
+        self._scan = executor.submit(_ground_scan, pair) if scan and executor is not None else None
         self.plan = build_schedule(pair, steps, executor)
         self.profile = profile
 

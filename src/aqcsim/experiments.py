@@ -26,9 +26,11 @@ propagation passes on the caller.  Instance i + 1 is started before
 instance i is finished, so that the second core decomposes the next
 instance while the caller steps the current one.  The order of every
 decomposition's inputs and of every pass is unchanged, so the records are
-bitwise those of one task per instance.  The process pool runs one whole
-task per instance (each plan on a one-shot worker thread of its own): with
-as many processes as cores, no idle core is left to overlap into.
+bitwise those of one task per instance.  time_to_target and sweep_T own
+such a worker for their call too.  The process pool runs one whole task
+per instance with no worker thread: with as many processes as cores, no
+idle core is left to overlap into.  Its module (and
+multiprocessing) is imported only when a pool runs.
 
 Instance seeding: instance_seed(master_seed, n, index) feeds the tuple
 (master_seed, n, index) through numpy's SeedSequence and keeps the first
@@ -42,7 +44,6 @@ from __future__ import annotations
 import math
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
@@ -206,10 +207,12 @@ def map_instances(task, n_values, samples: int, master_seed: int, workers: int =
         raise ValueError(f"workers must lie in [0, {cpus}] (the CPU count), got {workers}")
     keys = [(n, i, instance_seed(master_seed, n, i)) for n in n_values for i in range(samples)]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: pools only
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(partial(_run_instance, task), keys, chunksize=4))
     records, current = [], None
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="aqcsim-eigen") as eigen:
+    with evo.eigen_worker() as eigen:
         for key in [*keys, None]:
             # instance i + 1 is built, its eigen work queued, before instance i is finished;
             # only those two are alive at once
@@ -273,8 +276,9 @@ def sweep_T(
     each target T exactly by setting k = T over the unit-gain pace integral.
     """
     T_values = _ascending_grid("T_values", T_values)
-    inst = evo.Instance(pair, steps, curvature_floor)
-    P = inst.run([(fam, T_values) for fam in CONTROLLER_FAMILIES])
+    with evo.eigen_worker() as eigen:  # the plan's frames, beside the level ODE
+        inst = evo.Instance(pair, steps, curvature_floor, executor=eigen)
+        P = inst.run([(fam, T_values) for fam in CONTROLLER_FAMILIES])
     return {fam: np.column_stack([T_values, p]) for fam, p in zip(CONTROLLER_FAMILIES, P)}
 
 
@@ -301,32 +305,42 @@ def time_to_target(
     non-monotone probe sequence is flagged in the result, not hidden.
     Raises UnreachableTargetError beyond _CAP_FACTOR * T_ad.
 
-    The scan is sequential, but its probes are evaluated speculatively: a
-    probe that is not yet known is evaluated in one batched propagation
-    together with the probes the scan expects to need next -- the next 15
-    rungs of the doubling ladder (the whole halving ladder down to the
-    sudden floor, when even the sudden limit meets the target), or the
-    bisection's predicted path: the at most 7 midpoints it visits if P is
-    linear in log T between the bracket's two probes.  After a miss the
-    next pass predicts again from the narrower bracket.  Each speculative T
-    is computed by the same arithmetic as the sequential scan, so the
+    The scan is sequential, but it evaluates its probes speculatively, a
+    batched pass at a time (see the module docstring): the ladder rungs
+    ahead (_scan), then the bisection's predicted path (_predicted_path).
+    Each speculative T comes from the scan's own arithmetic, so the
     decisions, the T and the probes (only those the scan visits, in its
     order) are those of a probe-by-probe scan; a probe's P may move in its
-    last bits with the column layout of its pass (at n = 4 and 5).  A
-    typical scan takes three or four passes of 16 and then about 7 columns;
-    scaling_study runs both controllers' scans in lockstep, so that an
-    instance's two scans share them.
+    last bits with the column layout of its pass (at n = 4 and 5).
+
+    The call owns one eigen worker, joined before it returns, for the
+    plan's midpoints and, for "feedback", T_ad's ground scan before them
+    (_adiabatic_scale); a linear scan has no ODE to overlap, and scans T_ad.
     """
     if not 0.0 < target_P < 1.0:
         raise ValueError(f"target_P must lie in (0, 1), got {target_P}")
-    inst = evo.Instance(pair, steps)
-    result = _lockstep_scans(inst, (family,), target_P)[family]
+    with evo.eigen_worker() as eigen:
+        inst = evo.Instance(pair, steps, executor=eigen, scan=family == "feedback")
+        _adiabatic_scale(inst, (family,))
+        result = _lockstep_scans(inst, (family,), target_P)[family]
     if result is None:
         raise UnreachableTargetError(
             f"{family} sweep did not reach P >= {target_P} below "
             f"T = {_CAP_FACTOR:g} * T_ad = {_CAP_FACTOR * inst.T_ad:.3g}"
         )
     return result
+
+
+def _adiabatic_scale(inst: evo.Instance, families) -> float:
+    """inst.T_ad, after the level ODE if a family is "feedback" (T_ad's scan may run meanwhile).
+
+    The ODE's error is held, and raised again by the first feedback pass,
+    so that T_ad's SimulationError comes first.
+    """
+    if "feedback" in families:
+        with suppress(Exception):
+            inst.unit_dts
+    return inst.T_ad
 
 
 def _lockstep_scans(inst: evo.Instance, families, target_P: float):
@@ -459,12 +473,8 @@ def _finish(T, p, probes) -> TargetResult:
 
 def _instance_times(inst: evo.Instance, target_P):
     """Time to target per family on one instance; None for a family that cannot reach it."""
-    # the level ODE first, while T_ad's ground scan may still run on the eigen worker; an
-    # error here is raised again by the scans' first pass, so T_ad's exclusion comes first
-    with suppress(Exception):
-        inst.unit_dts
     try:  # every scan is scaled by T_ad: an instance without a finite one is excluded
-        inst.T_ad
+        _adiabatic_scale(inst, CONTROLLER_FAMILIES)
     except SimulationError as err:
         raise _Excluded("no finite T_ad") from err
     scans = _lockstep_scans(inst, CONTROLLER_FAMILIES, target_P)

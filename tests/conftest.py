@@ -1,5 +1,3 @@
-import threading
-
 import numpy as np
 import pytest
 
@@ -69,19 +67,6 @@ def level_problem(monkeypatch):
         return flow, args, kwargs
 
     return solve
-
-
-@pytest.fixture
-def join_plan_threads():
-    """Call to join every live aqcsim-plan* thread; each must finish within 10 s."""
-
-    def join():
-        for thread in threading.enumerate():
-            if thread.name.startswith("aqcsim-plan"):
-                thread.join(timeout=10)
-                assert not thread.is_alive(), f"{thread.name} is still running"
-
-    return join
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

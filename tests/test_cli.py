@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -228,7 +229,7 @@ _SYMMETRIC = {n: ",".join("1" if j & (j - 1) == 0 else "0" for j in range(1, 2**
          "scaling-fallback", "scaling-serial-n5"],
 )
 def test_the_traced_peak_of_each_command_meets_its_footprint(
-    tmp_path, monkeypatch, join_plan_threads, argv
+    tmp_path, monkeypatch, argv
 ):
     # sizes at which the counted terms outweigh the fixed cost, on the route the model
     # counts: a symmetric problem takes the diagonalization fallback, here and in scaling
@@ -241,7 +242,6 @@ def test_the_traced_peak_of_each_command_meets_its_footprint(
     # a first run, so that one-off imports and caches are not traced
     warm = ["run", "--controller", "linear", "--t-total", "1", "--steps", "1"]
     assert cli.main([*warm, "--out", str(tmp_path / "warm")]) == 0
-    join_plan_threads()  # an earlier plan's thread would be traced too
     out = tmp_path / "o"
     tracemalloc.start()
     try:
@@ -697,3 +697,39 @@ def test_a_command_runs_without_importing_scipy(tmp_path):
                          capture_output=True, text=True, timeout=120, check=True)
     assert out.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "profile.csv").is_file()
+
+
+def test_a_serial_ensemble_runs_without_importing_multiprocessing(tmp_path):
+    # in a fresh interpreter: the process pool's module is imported only when a pool runs
+    src = Path(__file__).resolve().parents[1] / "src"
+    args = ["deltap", "--n", "2", "--samples", "2", "--steps", "64", "--k-grid", "0.1,0.3"]
+    script = (
+        "import sys\n"
+        "from aqcsim import cli\n"
+        f"args = {args!r}\n"
+        f"assert cli.main([*args, '--out', {str(tmp_path / 'serial')!r}]) == 0\n"
+        "print('multiprocessing' in sys.modules)\n"
+        f"assert cli.main([*args, '--workers', '2', '--out', {str(tmp_path / 'pool')!r}]) == 0\n"
+        "print('multiprocessing' in sys.modules)\n"
+    )
+    path = os.pathsep.join([str(src), *filter(None, [os.environ.get("PYTHONPATH")])])
+    out = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, timeout=120, check=True)
+    # each command prints its summary line, then the check prints whether the pool was loaded
+    assert out.stdout.splitlines()[1::2] == ["False", "True"]
+    table = "fig4_deltap.csv"
+    assert (tmp_path / "serial" / table).read_bytes() == (tmp_path / "pool" / table).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["run", "--n", "4", "--controller", "feedback", "--k", "0.1", "--steps", "128"],
+     ["run", "--n", "4", "--controller", "linear", "--t-total", "2", "--steps", "128"],
+     ["sweep-t", "--n", "4", "--t-points", "3", "--steps", "128"],
+     ["profile", "--n", "4", "--resolution", "64"]],
+    ids=["run-feedback", "run-linear", "sweep-t", "profile"],
+)
+def test_no_thread_outlives_a_command(tmp_path, argv):
+    threads = threading.active_count()
+    assert cli.main([*argv, "--out", str(tmp_path / "o")]) == 0
+    assert threading.active_count() == threads, threading.enumerate()

@@ -5,6 +5,7 @@ import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 
 import numpy as np
 import pytest
@@ -110,7 +111,7 @@ def test_vectorized_node_layout_equals_a_linspace_per_cell_bitwise():
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_plan_grids_equal_a_linspace_per_cell_bitwise(monkeypatch, join_plan_threads, n):
+def test_plan_grids_equal_a_linspace_per_cell_bitwise(monkeypatch, n):
     layouts, real = [], evo._nodes
 
     def record(*args):
@@ -124,11 +125,9 @@ def test_plan_grids_equal_a_linspace_per_cell_bitwise(monkeypatch, join_plan_thr
             with monkeypatch.context() as patch:
                 patch.setattr(evo, "_nodes", record)
                 plan = evo.build_schedule(pair, steps)
-            plan.frame_maps  # one plan worker at a time
             ((args, lams),) = layouts
             assert plan.lams is lams
             assert lams.tobytes() == _linspace_nodes(*args).tobytes()
-    join_plan_threads()
 
 
 def _depth_first_rotation_cells(pair):
@@ -190,9 +189,7 @@ def test_plan_frames_equal_a_serial_reference_bitwise(n):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_plan_midpoints_are_decomposed_off_the_caller_thread_from_n_3(
-    monkeypatch, join_plan_threads, n
-):
+def test_plan_midpoints_are_decomposed_off_the_caller_thread_from_n_3(monkeypatch, n):
     calls = []
     real = ham.spectrum_at
 
@@ -202,8 +199,9 @@ def test_plan_midpoints_are_decomposed_off_the_caller_thread_from_n_3(
 
     monkeypatch.setattr(ham, "spectrum_at", recording)
     # 300 cells: one chunk at n = 2 and 3, two of 150 at n = 4, five of 60 at n = 5
-    plan = evo.build_schedule(ham.pair_from_seed(n, 3), steps=300)
-    join_plan_threads()  # the worker, if any, takes every chunk before the plan is read
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        plan = evo.build_schedule(ham.pair_from_seed(n, 3), steps=300, executor=pool)
+        pool.submit(lambda: None).result(timeout=10)  # the worker takes every chunk first
     plan.frame_maps
     assert plan.cells == 300
     # psi0's single lam comes last on the caller; every call after it is a midpoint chunk
@@ -255,7 +253,7 @@ _MULTI_CHUNK_STEPS = {3: 2100, 4: 600, 5: 200}
 def waiting_worker():
     """(executor, gate): a one-thread executor whose thread waits until gate is set."""
     gate = threading.Event()
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="aqcsim-plan-test") as pool:
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="waiting-worker") as pool:
         pool.submit(gate.wait, 10)
         yield pool, gate
         gate.set()
@@ -355,7 +353,7 @@ def test_an_error_in_a_chunk_on_either_thread_is_raised_again_by_every_read(
 
 
 def test_plans_read_under_a_short_switch_interval_take_each_chunk_once(monkeypatch):
-    # four one-shot workers and the reader on two cores, the GIL handed over every 10 us:
+    # four workers, one a plan, and the reader on two cores, the GIL handed over every 10 us:
     # a chunk taken twice, or never, shows in the counts; a lost update to the in-flight
     # count would leave the reads waiting, so they run on a thread joined with a timeout
     taken, decompose = [], evo._MidpointFrames._decompose
@@ -369,11 +367,13 @@ def test_plans_read_under_a_short_switch_interval_take_each_chunk_once(monkeypat
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        plans = [evo.build_schedule(pair, 200) for pair in pairs]
-        reads = []
-        reader = threading.Thread(target=lambda: reads.extend(map(_plan_frames, plans)))
-        reader.start()
-        reader.join(timeout=60)
+        with ExitStack() as stack:
+            pools = [stack.enter_context(ThreadPoolExecutor(max_workers=1)) for _ in pairs]
+            plans = [evo.build_schedule(pair, 200, pool) for pair, pool in zip(pairs, pools)]
+            reads = []
+            reader = threading.Thread(target=lambda: reads.extend(map(_plan_frames, plans)))
+            reader.start()
+            reader.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
     assert not reader.is_alive() and len(reads) == len(plans)
@@ -420,7 +420,7 @@ def test_chunked_scans_fallback_and_trajectory_equal_one_whole_stack_bitwise(
         assert np.array_equal(got, want)
 
 
-def test_plan_worker_failure_surfaces_from_the_first_read(monkeypatch, capfd, join_plan_threads):
+def test_plan_worker_failure_surfaces_from_the_first_read(monkeypatch, capfd):
     caller = threading.get_ident()
     real = ham.spectrum_at
 
@@ -433,26 +433,31 @@ def test_plan_worker_failure_surfaces_from_the_first_read(monkeypatch, capfd, jo
     monkeypatch.setattr(threading, "excepthook", hooked.append)
     monkeypatch.setattr(ham, "spectrum_at", fails_off_the_caller)
     pair = ham.pair_from_seed(3, 2)
-    inst = evo.Instance(pair, steps=128)  # the plan's grid is ready; its frames are not
-    join_plan_threads()  # the worker takes the plan's one chunk (a reader would take it first)
-    for _ in range(2):  # every read re-raises
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        # the plan's grid is ready; its frames are not
+        inst = evo.Instance(pair, steps=128, executor=pool)
+        # the worker takes the plan's one chunk (a reader would take it first)
+        pool.submit(lambda: None).result(timeout=10)
+        for _ in range(2):  # every read re-raises
+            with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+                inst.run([("linear", 1.0)])
+        inst = evo.Instance(pair, 128, executor=pool)
+        pool.submit(lambda: None).result(timeout=10)
         with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
-            inst.run([("linear", 1.0)])
-    inst = evo.Instance(pair, 128)
-    join_plan_threads()
-    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
-        inst.evolve("feedback", 0.1)
+            inst.evolve("feedback", 0.1)
     assert hooked == []
     assert capfd.readouterr() == ("", "")
 
 
-def test_plan_threads_finish_once_their_frames_are_read(join_plan_threads):
-    join_plan_threads()  # any that earlier tests left
+def test_a_plan_without_an_executor_starts_no_thread():
     threads = threading.active_count()
-    for seed in range(8):
-        evo.build_schedule(ham.pair_from_seed(3, seed), steps=64).frame_maps
-    join_plan_threads()
-    assert threading.active_count() == threads
+    for n in (3, 4, 5):
+        plan = evo.build_schedule(ham.pair_from_seed(n, 1), steps=200)
+        assert threading.active_count() == threads
+        for got, want in zip(_plan_frames(plan), _one_thread_frames(plan)):
+            assert got.tobytes() == want.tobytes()
+        evo.Instance(ham.pair_from_seed(n, 2), 64).evolve("feedback", 0.1)
+        assert threading.active_count() == threads
 
 
 def test_plan_argument_errors_raise_on_the_caller_thread_before_any_worker():
@@ -464,6 +469,27 @@ def test_plan_argument_errors_raise_on_the_caller_thread_before_any_worker():
         with pytest.raises(ValueError, match="steps must be >= 1"):
             build(ham.pair_from_seed(3, 1), 0)
     assert threading.active_count() == threads
+
+
+def test_an_instance_it_refuses_queues_no_work_on_its_executor(monkeypatch):
+    # a refused pair queues nothing: the caller that owns the executor would otherwise wait
+    # for a whole 512-point T_ad scan before it could raise
+    queued = []
+
+    class Recording(ThreadPoolExecutor):
+        def submit(self, fn, *args):
+            queued.append(fn)
+            return super().submit(fn, *args)
+
+    tied = ham.make_pair(3, np.zeros(7))
+    with Recording(max_workers=1) as pool:
+        with pytest.raises(DegenerateGroundError, match="tied ground states"):
+            evo.Instance(tied, 64, executor=pool, scan=True)
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            evo.Instance(ham.pair_from_seed(3, 1), 0, executor=pool, scan=True)
+        assert queued == []
+        evo.Instance(ham.pair_from_seed(3, 1), 64, executor=pool, scan=True).T_ad
+    assert queued[0] is evo._ground_scan and len(queued) == 2
 
 
 def test_the_ground_state_guard_runs_before_the_rotation_bisection(monkeypatch):

@@ -5,6 +5,8 @@ import re
 import threading
 import tracemalloc
 from collections import Counter
+from concurrent import futures
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -351,16 +353,20 @@ def test_instance_scans_share_three_passes(monkeypatch):
         assert got[family] == xp.time_to_target(pair, family, 0.9, steps=512).T
 
 
-def test_an_n5_instance_holds_one_chunk_of_decompositions_a_thread(join_plan_threads):
+def test_an_n5_instance_holds_one_chunk_of_decompositions_a_thread():
     # plan, T_ad scan, level curvature and both scans of one n = 5, 1024-step instance: the
-    # plan's 8 MiB of frame maps, one 1 MiB chunk of H(lam) and eigenvectors on the plan's
-    # thread and one on the caller's, the level solve's dense output and the passes' columns
+    # plan's 8 MiB of frame maps, one 1 MiB chunk of H(lam) and eigenvectors on the eigen
+    # worker and one on the caller's, the level solve's dense output and the passes' columns
     # (the whole midpoint and scan stacks side by side would take 24.4 MiB)
-    xp._instance_times(evo.Instance(ham.pair_from_seed(5, 2), 1024), 0.9)  # untraced warm-up
-    join_plan_threads()
+    def times(seed):
+        with ThreadPoolExecutor(max_workers=1) as eigen:
+            inst = evo.Instance(ham.pair_from_seed(5, seed), 1024, executor=eigen, scan=True)
+            return xp._instance_times(inst, 0.9)
+
+    times(2)  # untraced warm-up
     tracemalloc.start()
     try:
-        xp._instance_times(evo.Instance(ham.pair_from_seed(5, 1), 1024), 0.9)
+        times(1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -555,6 +561,71 @@ def test_the_t_ad_exclusion_wins_over_a_curvature_failure(monkeypatch):
         xp.scaling_study((2, 3, 4), samples=2, master_seed=9, steps=64)
 
 
+def test_a_standalone_feedback_scan_raises_t_ads_error_before_a_curvature_failure(monkeypatch):
+    # as in an ensemble, the level ODE runs before T_ad is read, and its error is held
+    failed = []
+
+    def curvature_profile(pair, lams):
+        failed.append(pair)
+        raise SimulationError("the level_dynamics route gave a non-finite curvature c2")
+
+    monkeypatch.setattr(spectral, "curvature_profile", curvature_profile)
+    with pytest.raises(SimulationError, match="no finite adiabatic time"):
+        xp.time_to_target(_NO_T_AD, "feedback", steps=64)
+    assert failed == [_NO_T_AD]
+    # with a finite T_ad, the curvature's error is raised
+    with pytest.raises(SimulationError, match="non-finite curvature"):
+        xp.time_to_target(ham.pair_from_seed(3, 1), "feedback", steps=64)
+
+
+@pytest.mark.parametrize("family", xp.CONTROLLER_FAMILIES)
+def test_a_standalone_scan_takes_t_ads_ground_scan_off_the_caller_for_feedback_only(
+    monkeypatch, family
+):
+    threads, scan = [], evo._ground_scan
+
+    def recorded(pair):
+        threads.append(threading.current_thread())
+        return scan(pair)
+
+    monkeypatch.setattr(evo, "_ground_scan", recorded)
+    xp.time_to_target(ham.pair_from_seed(3, 2), family, steps=128)
+    (thread,) = threads
+    if family == "feedback":  # on the call's own worker, joined before it returned
+        assert thread.name.startswith("aqcsim-eigen") and not thread.is_alive()
+    else:  # a linear scan has no level ODE to overlap
+        assert thread is threading.current_thread()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_a_standalone_scan_equals_one_run_on_the_caller_alone(n):
+    # the call's worker and the order of the level ODE and T_ad move no bit of the result
+    pair = ham.pair_from_seed(n, 4)
+    for family in xp.CONTROLLER_FAMILIES:
+        alone = xp._lockstep_scans(evo.Instance(pair, 256), (family,), 0.9)[family]
+        assert repr(xp.time_to_target(pair, family, 0.9, steps=256)) == repr(alone)
+
+
+_PUBLIC_CALLS = {
+    "time_to_target-linear":
+        lambda: xp.time_to_target(ham.pair_from_seed(4, 1), "linear", steps=128),
+    "time_to_target-feedback":
+        lambda: xp.time_to_target(ham.pair_from_seed(4, 1), "feedback", steps=128),
+    "sweep_T": lambda: xp.sweep_T(ham.pair_from_seed(4, 1), [0.5, 2.0], steps=128),
+    "evolve": lambda: evo.Instance(ham.pair_from_seed(4, 1), 128).evolve("feedback", 0.1),
+    "map_instances-serial": lambda: xp.scaling_study((2, 3, 4), samples=1, steps=64),
+    "map_instances-pool":
+        lambda: xp.delta_p_sweep([0.1], n=3, samples=2, steps=64, workers=2),
+}
+
+
+@pytest.mark.parametrize("call", _PUBLIC_CALLS.values(), ids=list(_PUBLIC_CALLS))
+def test_no_thread_outlives_a_public_call(call):
+    threads = threading.active_count()
+    call()
+    assert threading.active_count() == threads, threading.enumerate()
+
+
 def test_an_error_building_the_next_instance_is_recorded_against_it(monkeypatch):
     seeds = [xp.instance_seed(5, 3, i) for i in range(3)]
     finished, built = [], evo.Instance
@@ -585,10 +656,7 @@ def test_an_error_building_the_next_instance_is_recorded_against_it(monkeypatch)
     assert finished == seeds[:1]
 
 
-def test_a_serial_ensemble_builds_one_instance_ahead_on_one_eigen_thread(
-    monkeypatch, join_plan_threads
-):
-    join_plan_threads()  # any that earlier tests left
+def test_a_serial_ensemble_builds_one_instance_ahead_on_one_eigen_thread(monkeypatch):
     before = set(threading.enumerate())
     events, frames, scan = [], evo._MidpointFrames.work, evo._ground_scan
 
@@ -712,22 +780,25 @@ def test_delta_p_sweep_worker_pool_matches_serial():
     assert serial.records == pooled.records
 
 
-def test_no_plan_thread_is_alive_when_map_instances_forks(monkeypatch, join_plan_threads):
-    # a plan built in this process first: its thread must be gone by the fork
-    evo.build_schedule(ham.pair_from_seed(3, 1), steps=64).frame_maps
-    join_plan_threads()
+def test_no_plan_thread_is_alive_when_map_instances_forks(monkeypatch):
+    # plans built in this process first, on a worker of the caller's and on the worker a
+    # serial ensemble owns: no such thread may be left by the fork
+    before = {thread.name for thread in threading.enumerate()}
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        evo.build_schedule(ham.pair_from_seed(3, 1), steps=64, executor=pool).frame_maps
+    xp.delta_p_sweep([0.1], n=3, samples=2, steps=64)
     at_fork = []
 
-    class RecordingPool(xp.ProcessPoolExecutor):
+    class RecordingPool(futures.ProcessPoolExecutor):
         def map(self, *args, **kwargs):
             at_fork.append([thread.name for thread in threading.enumerate()])
             return super().map(*args, **kwargs)
 
-    monkeypatch.setattr(xp, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", RecordingPool)
     res = xp.delta_p_sweep([0.1, 0.3], n=3, samples=2, workers=2, steps=64)
     assert res.count + res.excluded == 2
     (names,) = at_fork
-    assert not [name for name in names if name.startswith("aqcsim-plan")]
+    assert set(names) <= before
 
 
 def test_delta_p_sweep_validates_gains():

@@ -319,11 +319,10 @@ def test_a_level_profile_in_chunks_equals_one_whole_grid_bitwise(monkeypatch, n,
             np.testing.assert_array_equal(a, b)
 
 
-def test_a_level_profile_holds_only_the_rows_it_reads(join_plan_threads):
+def test_a_level_profile_holds_only_the_rows_it_reads():
     # with every row of every step kept, this profile's traced peak was 17.8 MiB
     pair = ham.pair_from_seed(5, 3)
     lams = np.linspace(1.0, 0.0, 1024)
-    join_plan_threads()  # an earlier test's plan thread would be traced too
     tracemalloc.start()
     try:
         *_, route = spectral.curvature_profile(pair, lams)
