@@ -31,6 +31,12 @@ propagate's one reused chunk, whose cells evolution._phase_cells bounds
 by bytes.  Not counted:
 cells the bisection adds beyond steps (up to 80 in all on seeds 1-29 at
 n = 2..5), and the level solve's dense output (about 2 MiB at n = 5).
+
+A command imports only the layers it runs, when it runs: profile needs
+the spectral layer alone, which `import aqcsim` loads; run imports
+evolution, and sweep-t, scaling and deltap experiments too.  Every call
+into the library goes through a module attribute (xp.sweep_T, never a
+name imported from it), so a wrapped or patched attribute sees it.
 """
 
 from __future__ import annotations
@@ -45,8 +51,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from . import evolution as evo
-from . import experiments as xp
 from . import hamiltonians as ham
 from . import spectral
 from .errors import ProfileFormatError, SimulationError
@@ -103,7 +107,7 @@ _OPTIONS = {
     "curvature_floor": (float, None, "pace floor on |c2| (default: 1e-6 of the profile max)"),
     "replay": (str, None, "(lambda, c2) profile CSV that feedback replays instead of "
                           "the live level dynamics"),
-    "steps": (int, evo.DEFAULT_STEPS, "number of schedule cells"),
+    "steps": (int, ham.DEFAULT_STEPS, "number of schedule cells"),
     "sample_stride": (int, 0, "trajectory rows every N nodes (0 = no dump)"),
     "resolution": (int, 1024, "number of lambda samples"),
     "t_min": (float, 0.5, "smallest sweep time in the grid"),
@@ -194,10 +198,17 @@ def _rule(accepts, requirement):
     return check
 
 
+def _known_controller(flag: str, value) -> None:
+    """The --controller rule: a family evolution knows (imported here: only run takes it)."""
+    from . import evolution as evo
+
+    _rule(lambda c: c in evo.CONTROLLER_FAMILIES, "must be 'linear' or 'feedback'")(flag, value)
+
+
 # (key, check(flag, value)) for every value a command's library call would refuse, checked
 # in order; a key the command does not take, or leaves unset (None), is skipped.  A scale
 # or a gain grid is checked by the library's own rule, ham.checked_positive or
-# xp._ascending_grid.  Rules that tie two options together are in _validate.
+# ham.checked_ascending.  Rules that tie two options together are in _validate.
 _RULES = (
     ("epsilon", _rule(lambda x: all(map(math.isfinite, x)), "must be finite")),
     ("n", _rule(lambda x: x >= 1, "must be >= 1")),
@@ -213,12 +224,12 @@ _RULES = (
     ("target_p", _rule(lambda x: 0 < x < 1, "must lie in (0, 1)")),
     ("workers", _rule(lambda x: 0 <= x <= (os.cpu_count() or 1),
                       f"must lie in [0, {os.cpu_count() or 1}] (the CPU count)")),
-    ("k_grid", xp._ascending_grid),
+    ("k_grid", ham.checked_ascending),
     ("n_values", _rule(lambda ns: ns[0] >= 2 and all(a < b for a, b in zip(ns, ns[1:])),
                        "must be ascending and each >= 2")),
     ("n_values", _rule(lambda ns: len(ns) >= 3, "needs >= 3 distinct sizes for the fit")),
     ("t_units", _rule(lambda u: u in ("tad", "abs"), "must be 'tad' or 'abs'")),
-    ("controller", _rule(lambda c: c in xp.CONTROLLER_FAMILIES, "must be 'linear' or 'feedback'")),
+    ("controller", _known_controller),
 )
 
 # run's parameters per controller: the first is required, the other's are refused
@@ -243,6 +254,8 @@ def _footprint(command: str, v: dict) -> list:
         return [(f"n = {n}", fixed + point, "the parser, the pair and the manifest"),
                 ("--resolution", stack(res) + res * (24 + 3 * csv),
                  "the curvature and the table on the grid, and a chunk of either route")]
+    from . import evolution as evo  # every other command runs it
+
     cells = max(v["steps"], evo._BASE_CELLS)
     live = command != "run" or (v["controller"] == "feedback" and v["replay"] is None)
     scan = command == "scaling" or v.get("t_units") == "tad"
@@ -273,7 +286,11 @@ def _footprint(command: str, v: dict) -> list:
         return columns * (9 * cells + chunk * (40 * dim + 24) + 48 * dim)
 
     # run's one sweep, or scaling's widest lockstep pass
-    columns = {"run": 1, "scaling": xp._WIDEST_PASS}.get(command, 0)
+    columns = 1 if command == "run" else 0
+    if command == "scaling":
+        from . import experiments as xp
+
+        columns = xp._WIDEST_PASS
     terms = [(f"n = {n}", fixed + plan + propagated(columns),
               "the pair, the plan(s), a chunk of decompositions a thread, and the fixed columns")]
     if command == "run" and v["sample_stride"] > 0:
@@ -488,6 +505,8 @@ def _instance(cfg: RunConfig) -> ham.HamiltonianPair:
 
 
 def _cmd_run(cfg: RunConfig):
+    from . import evolution as evo
+
     pair = _instance(cfg)
     family = cfg["controller"]
     replay = replay_profile(cfg["replay"]) if cfg["replay"] is not None else None
@@ -523,6 +542,9 @@ def _cmd_profile(cfg: RunConfig):
 
 
 def _cmd_sweep_t(cfg: RunConfig):
+    from . import evolution as evo
+    from . import experiments as xp
+
     pair = _instance(cfg)
     grid = np.linspace(cfg["t_min"], cfg["t_max"], cfg["t_points"])
     results: dict = {}
@@ -544,6 +566,8 @@ def _cmd_sweep_t(cfg: RunConfig):
 
 
 def _cmd_scaling(cfg: RunConfig):
+    from . import experiments as xp
+
     summary = xp.scaling_study(cfg["n_values"], cfg["samples"], cfg["master_seed"],
                                cfg["target_p"], steps=cfg["steps"], workers=cfg["workers"])
     for c in summary.cells:
@@ -582,6 +606,8 @@ def _cmd_scaling(cfg: RunConfig):
 
 
 def _cmd_deltap(cfg: RunConfig):
+    from . import experiments as xp
+
     res = xp.delta_p_sweep(
         cfg["k_grid"],
         n=cfg["n"],

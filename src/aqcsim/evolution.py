@@ -62,7 +62,6 @@ from __future__ import annotations
 import math
 import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, zip_longest
@@ -94,7 +93,8 @@ SAMPLE_COLUMNS = ("lambda", "t", "P_instantaneous", "gap", "abs_curvature")
 # the controller alone would run unboundedly fast where the curvature
 # vanishes (the lam -> 1 plateau), which no stepper can follow.
 DEFAULT_FLOOR_FRACTION = 1e-6
-DEFAULT_STEPS = 2048  # schedule cells of every plan whose caller names none
+DEFAULT_STEPS = ham.DEFAULT_STEPS  # re-exported: the steps default of every plan
+CONTROLLER_FAMILIES = ("linear", "feedback")  # the families Instance.unit_sweep knows
 
 _ROT_MAX = 0.08  # max ground-state rotation per grid cell, radians
 _BASE_CELLS = 64  # uniform cells seeding the adaptive bisection
@@ -277,8 +277,14 @@ class _MidpointFrames:
         return self.energies, self.frame_maps, self._c0
 
 
-def eigen_worker() -> ThreadPoolExecutor:
-    """A one-worker executor for a caller to own, as a context, for its instances' eigen work."""
+def eigen_worker():
+    """A one-worker ThreadPoolExecutor for a caller to own, as a context, for its eigen work.
+
+    Its module is imported here: a call that makes no worker (Instance(pair).evolve,
+    min_gap, adiabatic_time) loads neither concurrent.futures nor logging.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
     return ThreadPoolExecutor(max_workers=1, thread_name_prefix="aqcsim-eigen")
 
 

@@ -76,7 +76,7 @@ __all__ = [
     "delta_p_sweep",
 ]
 
-CONTROLLER_FAMILIES = ("linear", "feedback")
+CONTROLLER_FAMILIES = evo.CONTROLLER_FAMILIES
 
 
 def instance_seed(master_seed: int, n: int, index: int) -> int:
@@ -252,17 +252,6 @@ def _finish_instance(task, key: tuple, started) -> InstanceRecord:
         return InstanceRecord(*key, excluded=reason.args[0])
 
 
-def _ascending_grid(name: str, values) -> np.ndarray:
-    """values as a float array; ValueError unless non-empty, finite, positive and strictly ascending."""
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise ValueError(f"{name} must not be empty")
-    ham.checked_positive(name, values)
-    if np.any(np.diff(values) <= 0):
-        raise ValueError(f"{name} must be strictly ascending, got {values}")
-    return values
-
-
 def sweep_T(
     pair: ham.HamiltonianPair,
     T_values,
@@ -275,7 +264,7 @@ def sweep_T(
     T_values must be non-empty, positive and ascending.  Feedback runs hit
     each target T exactly by setting k = T over the unit-gain pace integral.
     """
-    T_values = _ascending_grid("T_values", T_values)
+    T_values = ham.checked_ascending("T_values", T_values)
     with evo.eigen_worker() as eigen:  # the plan's frames, beside the level ODE
         inst = evo.Instance(pair, steps, curvature_floor, executor=eigen)
         P = inst.run([(fam, T_values) for fam in CONTROLLER_FAMILIES])
@@ -578,7 +567,7 @@ def delta_p_sweep(
     Instances with degenerate ground states or numerically zero P_lin are
     excluded and counted.  k_values must be non-empty and samples >= 1.
     """
-    k_values = _ascending_grid("k_values", k_values)
+    k_values = ham.checked_ascending("k_values", k_values)
     task = _InstanceTask(partial(_instance_delta_p, k_values=k_values), steps)
     records = map_instances(task, (n,), samples, master_seed, workers)
 

@@ -27,6 +27,9 @@ from .errors import DegenerateGroundError
 # Bytes of H(lam) and eigenvectors that one stacked decomposition may hold:
 # at most 64 matrices at n = 5, 256 at n = 4, 1024 at n = 3 (chunk_slices).
 _STACK_BYTES = 1 << 20
+# Schedule cells of every plan whose caller names none; stated here, below every layer,
+# so that the CLI's --steps default needs no import of the evolution layer
+DEFAULT_STEPS = 2048
 
 __all__ = [
     "HamiltonianPair",
@@ -39,6 +42,7 @@ __all__ = [
     "pair_from_seed",
     "checked_lams",
     "checked_positive",
+    "checked_ascending",
     "total_hamiltonian",
     "spectrum_at",
     "chunk_size",
@@ -191,6 +195,17 @@ def checked_positive(name: str, value):
     if not np.all((entries > 0) & (entries < np.inf)):
         raise ValueError(f"{name} must be finite and positive, got {value}")
     return value
+
+
+def checked_ascending(name: str, values) -> np.ndarray:
+    """values as a float array; ValueError unless non-empty, finite, positive and strictly ascending."""
+    values = np.asarray(values, dtype=float)
+    if values.size == 0:
+        raise ValueError(f"{name} must not be empty")
+    checked_positive(name, values)
+    if np.any(np.diff(values) <= 0):
+        raise ValueError(f"{name} must be strictly ascending, got {values}")
+    return values
 
 
 def total_hamiltonian(pair: HamiltonianPair, lam) -> np.ndarray:

@@ -721,6 +721,70 @@ def test_a_serial_ensemble_runs_without_importing_multiprocessing(tmp_path):
     assert (tmp_path / "serial" / table).read_bytes() == (tmp_path / "pool" / table).read_bytes()
 
 
+def test_a_command_imports_only_the_layers_it_runs(tmp_path):
+    # in a fresh interpreter: this test session has every layer loaded already
+    src = Path(__file__).resolve().parents[1] / "src"
+    tables = {"deltap": ["deltap", "--n", "2", "--samples", "2", "--steps", "64",
+                         "--k-grid", "0.1,0.3"],
+              "scaling": ["scaling", "--n-values", "2,3,4", "--samples", "1", "--steps", "64"]}
+    script = (
+        "import json, sys\n"
+        "import aqcsim\n"
+        "lazy = ('aqcsim.evolution', 'aqcsim.experiments', 'concurrent.futures')\n"
+        "def loaded():\n"
+        "    return [m for m in lazy if m in sys.modules]\n"
+        "seen = {'import': loaded()}\n"
+        "from aqcsim import cli\n"
+        f"out = {str(tmp_path / 'lazy')!r}\n"
+        "assert cli.main(['profile', '--n', '2', '--resolution', '64', '--out', out]) == 0\n"
+        "seen['profile'] = loaded()\n"
+        "assert cli.main(['run', '--n', '2', '--controller', 'linear', '--t-total', '1',\n"
+        "                 '--steps', '64', '--out', out]) == 0\n"
+        "seen['run'] = loaded()\n"
+        f"for name, argv in {tables!r}.items():\n"
+        "    assert cli.main([*argv, '--out', f'{out}-{name}']) == 0\n"
+        "print(json.dumps(seen))\n"
+    )
+    path = os.pathsep.join([str(src), *filter(None, [os.environ.get("PYTHONPATH")])])
+    out = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert json.loads(out.stdout.splitlines()[-1]) == {
+        "import": [], "profile": [], "run": ["aqcsim.evolution", "concurrent.futures"]}
+    # the lazily imported ensembles write the tables of a process that imported every layer first
+    for name, argv in tables.items():
+        eager = tmp_path / f"eager-{name}"
+        assert cli.main([*argv, "--out", str(eager)]) == 0
+        table = "fig4_deltap.csv" if name == "deltap" else "fig3_scaling.csv"
+        assert (tmp_path / f"lazy-{name}" / table).read_bytes() == (eager / table).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, module, name",
+    [(["profile", "--n", "2", "--resolution", "16"], spectral, "curvature_profile"),
+     (["run", "--n", "2", "--controller", "linear", "--t-total", "1", "--steps", "64"],
+      evo, "Instance"),
+     (["sweep-t", "--n", "2", "--t-points", "2", "--steps", "64"], xp, "sweep_T"),
+     (["scaling", "--n-values", "2,3,4", "--samples", "1", "--steps", "64"],
+      xp, "scaling_study"),
+     (["deltap", "--n", "2", "--samples", "1", "--steps", "64", "--k-grid", "0.1,0.3"],
+      xp, "delta_p_sweep")],
+    ids=["profile", "run", "sweep-t", "scaling", "deltap"],
+)
+def test_a_command_calls_the_library_through_module_attributes(tmp_path, monkeypatch, argv,
+                                                                module, name):
+    # a wrapped module attribute (perfbench's tracer, the degenerate_seed fixture) sees the call
+    calls = []
+    real = getattr(module, name)
+
+    def record(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, record)
+    assert cli.main([*argv, "--out", str(tmp_path / "o")]) == 0
+    assert calls == [name]
+
+
 @pytest.mark.parametrize(
     "argv",
     [["run", "--n", "4", "--controller", "feedback", "--k", "0.1", "--steps", "128"],
