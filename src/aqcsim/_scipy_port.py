@@ -442,12 +442,15 @@ def solve_ivp(fun, t_span, y0, rtol, atol, rows) -> OdeResult:
         h_abs *= min(1, factor) if rejected else factor
         # the 7 coefficients of the step's interpolant, from three extra stages
         nfev += _stages(fun, t, y, h, extra_stages, y_stage)
-        # scipy's elementwise expressions on the kept rows, and its product D K cut to them
+        # scipy's elementwise expressions and its product D K, on the kept rows only
         f_kept, y_kept = f[rows], y[rows]
-        delta_y = y_new[rows] - y_kept
-        F.append(np.vstack([delta_y, h * f_kept - delta_y,
-                            2 * delta_y - h * (f_new[rows] + f_kept),
-                            h * np.dot(D, K)[:, rows]]))
+        coeffs = np.empty((INTERPOLATOR_POWER, y_kept.size))
+        delta_y = np.subtract(y_new[rows], y_kept, out=coeffs[0])
+        np.subtract(np.multiply(h, f_kept, out=coeffs[1]), delta_y, out=coeffs[1])
+        np.add(f_new[rows], f_kept, out=coeffs[2])
+        np.subtract(2 * delta_y, np.multiply(h, coeffs[2], out=coeffs[2]), out=coeffs[2])
+        np.multiply(h, np.dot(D, K[:, rows], out=coeffs[3:]), out=coeffs[3:])
+        F.append(coeffs)
         ts.append(t_new)
         y_old.append(y_kept)
         t, y, f = t_new, y_new, f_new

@@ -34,7 +34,9 @@ n = 2..5), and the level solve's dense output (about 2 MiB at n = 5).
 
 A command imports only the layers it runs, when it runs: profile needs
 the spectral layer alone, which `import aqcsim` loads; run imports
-evolution, and sweep-t, scaling and deltap experiments too.  Every call
+evolution, and sweep-t, scaling and deltap experiments too.  The thread
+pool (concurrent.futures) is imported by the first job queued on an eigen
+worker: an n = 2 run, sweep-t or deltap queues none.  Every call
 into the library goes through a module attribute (xp.sweep_T, never a
 name imported from it), so a wrapped or patched attribute sees it.
 """
@@ -206,9 +208,10 @@ def _known_controller(flag: str, value) -> None:
 
 
 # (key, check(flag, value)) for every value a command's library call would refuse, checked
-# in order; a key the command does not take, or leaves unset (None), is skipped.  A scale
-# or a gain grid is checked by the library's own rule, ham.checked_positive or
-# ham.checked_ascending.  Rules that tie two options together are in _validate.
+# in order; a key the command does not take, or leaves unset (None), is skipped.  A scale,
+# a gain grid or the target P is checked by the library's own rule, ham.checked_positive,
+# ham.checked_ascending or ham.checked_fraction.  Rules that tie two options together are
+# in _validate.
 _RULES = (
     ("epsilon", _rule(lambda x: all(map(math.isfinite, x)), "must be finite")),
     ("n", _rule(lambda x: x >= 1, "must be >= 1")),
@@ -221,7 +224,7 @@ _RULES = (
     ("t_points", _rule(lambda x: x >= 1, "must be >= 1")),
     *((key, ham.checked_positive)
       for key in ("t_min", "t_max", "t_total", "k", "curvature_floor")),
-    ("target_p", _rule(lambda x: 0 < x < 1, "must lie in (0, 1)")),
+    ("target_p", ham.checked_fraction),
     ("workers", _rule(lambda x: 0 <= x <= (os.cpu_count() or 1),
                       f"must lie in [0, {os.cpu_count() or 1}] (the CPU count)")),
     ("k_grid", ham.checked_ascending),
@@ -267,9 +270,11 @@ def _footprint(command: str, v: dict) -> list:
     plans = 2 if serial and v["samples"] * len(n_values) > 1 else 1
     # each plan keeps frame maps, energies and lam vectors per cell, and until its first read
     # a copy of each midpoint chunk's first and last eigenvectors; the eigen worker (the T_ad
-    # scan too, for serial scaling) or the n = 2 builder holds a whole chunk, while the
-    # caller holds a chunk of the T_ad scan or of a live feedback curvature (48 B a point),
-    # or a quarter chunk of midpoints at the first read; before, the bisection's 65 nodes
+    # scan too, for serial scaling) holds a whole chunk, while the caller holds a chunk of the
+    # T_ad scan or of a live feedback curvature (48 B a point), or a quarter chunk of
+    # midpoints at the first read; before, the bisection's 65 nodes.  An n = 2 plan queues
+    # nothing and its reader takes quarter chunks, but a whole chunk is still counted for
+    # it: an upper bound
     whole = v.get("workers", 0) <= 1 or dim < evo._THREAD_MIN_DIM
     worker = whole * stack(max(cells, evo._SCAN_POINTS * (serial and scan)))
     chunks = -(-cells // ham.chunk_size(dim))

@@ -52,9 +52,11 @@ Python-bound stepping, so on two cores they overlap.  Plans start no
 thread of their own; an eigen_worker is owned for their call by the
 serial ensembles, time_to_target, sweep_T and the CLI's run, and an
 Instance built with scan=True queues T_ad's ground scan there ahead of
-its frames.  At n = 2 (dim 4) a thread handover costs more than it
-overlaps, and the builder takes every chunk inline.  Every output is
-bitwise the same on either thread.
+its frames.  An eigen_worker makes its thread on its first job, so a
+call that queues none starts no thread.  At n = 2 (dim 4) a thread
+handover costs more than it overlaps: the plan queues nothing, and its
+first read decomposes every chunk.  Every output is bitwise the same on
+either thread.
 """
 
 from __future__ import annotations
@@ -192,11 +194,11 @@ class _MidpointFrames:
     """A plan's midpoint eigendecomposition: a queue of chunks that two threads share.
 
     The chunks are ham.chunk_slices of the midpoints.  work(), the plan's
-    worker (or at n = 2 its builder), takes them from the front, if the
-    plan has one.  result(), the plan's reader, takes those left from the
-    back, each in pieces of a quarter chunk, so that the caller's thread
-    holds only a quarter chunk of decompositions; it then waits for the
-    chunk in flight and fills the map
+    worker, takes them from the front, if the plan has one (from n = 3 up,
+    see build_schedule).  result(), the plan's reader, takes those left
+    from the back, each in pieces of a quarter chunk, so that the caller's
+    thread holds only a quarter chunk of decompositions; it then waits for
+    the chunk in flight and fills the map
     across each edge between chunks, and frame_maps[-1], from copies of the
     chunks' first and last eigenvectors.  Each matrix is decomposed by its
     own LAPACK call and each map computed by the same matmul on either
@@ -277,15 +279,38 @@ class _MidpointFrames:
         return self.energies, self.frame_maps, self._c0
 
 
-def eigen_worker():
-    """A one-worker ThreadPoolExecutor for a caller to own, as a context, for its eigen work.
+class _EigenWorker:
+    """One worker thread, made by the first submit; see eigen_worker."""
 
-    Its module is imported here: a call that makes no worker (Instance(pair).evolve,
-    min_gap, adiabatic_time) loads neither concurrent.futures nor logging.
+    def __init__(self):
+        self._pool = None
+
+    def submit(self, fn, *args):
+        """fn(*args) on the worker, as a concurrent.futures Future; the first call makes it."""
+        if self._pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            self._pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="aqcsim-eigen")
+        return self._pool.submit(fn, *args)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
+
+
+def eigen_worker() -> _EigenWorker:
+    """A one-worker executor for a caller to own, as a context, for its eigen work.
+
+    Its ThreadPoolExecutor is made by the first submit, and concurrent.futures
+    imported there: a call that queues nothing (an n = 2 plan, a linear scan,
+    Instance(pair).evolve) makes no thread and loads neither concurrent.futures
+    nor logging.  The context's exit joins the thread, if one was made; an
+    exception raised in the `with` body propagates.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="aqcsim-eigen")
+    return _EigenWorker()
 
 
 def _ground_rotation_cells(pair: ham.HamiltonianPair):
@@ -335,12 +360,13 @@ def build_schedule(
     The grid, psi0 and ground_index are computed here, on the caller's
     thread, and so are their errors (_checked_ground, before the bisection:
     on a tied pair it can split into 10^5 cells).  The midpoint
-    eigendecomposition runs inline for dim < 8 (n = 2).  From n = 3 up it
-    is queued on `executor`, if the caller passes one (a concurrent.futures
-    executor it owns), until the first read of mid_energies, frame_maps or
-    c0, which decomposes the chunks not yet taken and waits only for the
-    one in flight.  Plans that share a one-worker executor are decomposed
-    one after another.
+    eigendecomposition is queued on `executor` only from n = 3 (dim 8) up,
+    and only if the caller passes one (an executor it owns, such as an
+    eigen_worker): at dim 4 a thread handover costs more than it overlaps.
+    The first read of mid_energies, frame_maps or c0 decomposes the chunks
+    not yet taken (every chunk of an n = 2 plan, or of a plan built without
+    an executor) and waits only for the one in flight.  Plans that share a
+    one-worker executor are decomposed one after another.
     """
     ground_index = _checked_ground(pair, steps)
     cells = _ground_rotation_cells(pair)
@@ -364,9 +390,7 @@ def build_schedule(
 
     psi0 = ham.spectrum_at(pair, 1.0).states[:, 0].astype(complex)
     frames = _MidpointFrames(pair, mids, psi0)
-    if pair.dim < _THREAD_MIN_DIM:
-        frames.work()
-    elif executor is not None:
+    if executor is not None and pair.dim >= _THREAD_MIN_DIM:
         executor.submit(frames.work)
     return SchedulePlan(
         pair=pair,

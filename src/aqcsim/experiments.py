@@ -27,10 +27,12 @@ instance i is finished, so that the second core decomposes the next
 instance while the caller steps the current one.  The order of every
 decomposition's inputs and of every pass is unchanged, so the records are
 bitwise those of one task per instance.  time_to_target and sweep_T own
-such a worker for their call too.  The process pool runs one whole task
-per instance with no worker thread: with as many processes as cores, no
-idle core is left to overlap into.  Its module (and
-multiprocessing) is imported only when a pool runs.
+such a worker for their call too.  The worker's thread is made by its
+first job, so a call that queues none (an n = 2 delta_p_sweep or sweep_T,
+a linear n = 2 time_to_target) starts no thread and imports no thread
+pool.  The process pool runs one whole task per instance with no worker
+thread: with as many processes as cores, no idle core is left to overlap
+into.  Its module (and multiprocessing) is imported only when a pool runs.
 
 Instance seeding: instance_seed(master_seed, n, index) feeds the tuple
 (master_seed, n, index) through numpy's SeedSequence and keeps the first
@@ -194,9 +196,10 @@ def map_instances(task, n_values, samples: int, master_seed: int, workers: int =
 
     Serially, an _InstanceTask is pipelined (see the module docstring):
     instance i + 1 is built and its eigen work queued on one worker thread
-    before instance i is finished, and the worker is joined before the
-    call returns.  An error raised while building an instance is recorded
-    against it (or raised) when its turn comes, after every earlier record.
+    (made by its first job) before instance i is finished, and the worker
+    is joined before the call returns.  An error raised while building an
+    instance is recorded against it (or raised) when its turn comes, after
+    every earlier record.
     The pool keeps one task per instance: with `workers` processes on as
     many cores, no core is idle for a second thread to use.
     """
@@ -303,11 +306,11 @@ def time_to_target(
     last bits with the column layout of its pass (at n = 4 and 5).
 
     The call owns one eigen worker, joined before it returns, for the
-    plan's midpoints and, for "feedback", T_ad's ground scan before them
-    (_adiabatic_scale); a linear scan has no ODE to overlap, and scans T_ad.
+    plan's midpoints (from n = 3) and, for "feedback", T_ad's ground scan
+    before them (_adiabatic_scale); a linear scan has no ODE to overlap,
+    and scans T_ad.  A linear n = 2 scan queues nothing and starts no thread.
     """
-    if not 0.0 < target_P < 1.0:
-        raise ValueError(f"target_P must lie in (0, 1), got {target_P}")
+    ham.checked_fraction("target_P", target_P)
     with evo.eigen_worker() as eigen:
         inst = evo.Instance(pair, steps, executor=eigen, scan=family == "feedback")
         _adiabatic_scale(inst, (family,))
@@ -489,8 +492,7 @@ def scaling_study(
     The arguments are checked before any instance is built.
     """
     n_values = tuple(int(n) for n in n_values)
-    if not 0.0 < target_P < 1.0:
-        raise ValueError(f"target_P must lie in (0, 1), got {target_P}")
+    ham.checked_fraction("target_P", target_P)
     if any(n < 2 for n in n_values) or any(b <= a for a, b in zip(n_values, n_values[1:])):
         raise ValueError("n_values must be ascending and each >= 2")
     if len(set(n_values)) < 3:

@@ -42,6 +42,7 @@ __all__ = [
     "pair_from_seed",
     "checked_lams",
     "checked_positive",
+    "checked_fraction",
     "checked_ascending",
     "total_hamiltonian",
     "spectrum_at",
@@ -194,6 +195,13 @@ def checked_positive(name: str, value):
     entries = np.asarray(value)
     if not np.all((entries > 0) & (entries < np.inf)):
         raise ValueError(f"{name} must be finite and positive, got {value}")
+    return value
+
+
+def checked_fraction(name: str, value):
+    """value; a ValueError naming it unless it lies strictly between 0 and 1 (NaN does not)."""
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1), got {value}")
     return value
 
 

@@ -748,14 +748,63 @@ def test_a_command_imports_only_the_layers_it_runs(tmp_path):
     path = os.pathsep.join([str(src), *filter(None, [os.environ.get("PYTHONPATH")])])
     out = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, timeout=120, check=True)
+    # an n = 2 linear run queues no eigen work, so it imports no thread pool either
     assert json.loads(out.stdout.splitlines()[-1]) == {
-        "import": [], "profile": [], "run": ["aqcsim.evolution", "concurrent.futures"]}
+        "import": [], "profile": [], "run": ["aqcsim.evolution"]}
     # the lazily imported ensembles write the tables of a process that imported every layer first
     for name, argv in tables.items():
         eager = tmp_path / f"eager-{name}"
         assert cli.main([*argv, "--out", str(eager)]) == 0
         table = "fig4_deltap.csv" if name == "deltap" else "fig3_scaling.csv"
         assert (tmp_path / f"lazy-{name}" / table).read_bytes() == (eager / table).read_bytes()
+
+
+def test_an_n_2_command_starts_no_thread_and_an_n_3_one_joins_its_eigen_worker(tmp_path):
+    # in a fresh interpreter: this test session has imported concurrent.futures already
+    src = Path(__file__).resolve().parents[1] / "src"
+    small = ["--samples", "2", "--steps", "64", "--k-grid", "0.1,0.3"]
+    commands = {
+        "deltap": ["deltap", "--n", "2", *small],
+        "run-linear": ["run", "--n", "2", "--controller", "linear", "--t-total", "1",
+                       "--steps", "64"],
+        "run-feedback": ["run", "--n", "2", "--controller", "feedback", "--k", "0.05",
+                         "--steps", "64"],
+        "sweep-t": ["sweep-t", "--n", "2", "--t-points", "3", "--steps", "64"],
+    }
+    script = (
+        "import json, sys, threading\n"
+        "started, start = [], threading.Thread.start\n"
+        "def recorded(thread):\n"
+        "    started.append(thread.name)\n"
+        "    return start(thread)\n"
+        "threading.Thread.start = recorded\n"
+        "from aqcsim import cli, evolution as evo\n"
+        "def pool():\n"
+        "    return [m for m in ('concurrent.futures', 'logging') if m in sys.modules]\n"
+        f"out, seen = {str(tmp_path / 'o')!r}, {{}}\n"
+        f"for name, argv in {commands!r}.items():\n"
+        "    assert cli.main([*argv, '--out', f'{out}-{name}']) == 0\n"
+        "    seen[name] = [pool(), list(started)]\n"
+        "workers, work = [], evo._MidpointFrames.work\n"
+        "def recorded_work(frames):\n"
+        "    workers.append(threading.current_thread().name)\n"
+        "    return work(frames)\n"
+        "evo._MidpointFrames.work = recorded_work\n"
+        f"assert cli.main(['deltap', '--n', '3', *{small!r}, '--out', f'{{out}}-n3']) == 0\n"
+        "seen['deltap-n3'] = [pool(), started, workers,\n"
+        "                     [thread.name for thread in threading.enumerate()]]\n"
+        "print(json.dumps(seen))\n"
+    )
+    path = os.pathsep.join([str(src), *filter(None, [os.environ.get("PYTHONPATH")])])
+    out = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, timeout=120, check=True)
+    seen = json.loads(out.stdout.splitlines()[-1])
+    assert seen == {
+        **{name: [[], []] for name in commands},
+        # the n = 3 plans' midpoints go to one worker thread, joined before the command returns
+        "deltap-n3": [["concurrent.futures", "logging"], ["aqcsim-eigen_0"],
+                      ["aqcsim-eigen_0"] * 2, ["MainThread"]],
+    }
 
 
 @pytest.mark.parametrize(

@@ -460,6 +460,46 @@ def test_a_plan_without_an_executor_starts_no_thread():
         assert threading.active_count() == threads
 
 
+class _RecordingExecutor:
+    """An executor that records what it is given and runs nothing."""
+
+    def __init__(self):
+        self.queued = []
+
+    def submit(self, fn, *args):
+        self.queued.append(fn)
+
+
+@pytest.mark.parametrize("steps, pieces", [(1024, [1024]), (2048, [1024, 1024])])
+def test_an_n_2_plan_queues_nothing_and_its_first_read_decomposes_it(monkeypatch, steps, pieces):
+    # at dim 4 the reader's pieces hold up to 1024 matrices: 2048 cells are two, joined
+    executor = _RecordingExecutor()
+    plan = evo.build_schedule(ham.pair_from_seed(2, 3), steps, executor)
+    assert executor.queued == [] and plan.cells == steps
+    calls = _recorded_midpoint_calls(monkeypatch)
+    got = _plan_frames(plan)
+    monkeypatch.undo()
+    assert calls == [(threading.get_ident(), size) for size in pieces]
+    for array, expected in zip(got, _one_thread_frames(plan)):
+        assert array.tobytes() == expected.tobytes()
+
+
+def test_an_eigen_worker_makes_its_thread_on_the_first_job_and_joins_it():
+    threads = threading.active_count()
+    with evo.eigen_worker() as idle:
+        pass
+    assert idle._pool is None and threading.active_count() == threads
+    with pytest.raises(KeyError, match="raised in the body"):
+        with evo.eigen_worker():
+            raise KeyError("raised in the body")
+    with pytest.raises(KeyError, match="raised after a job"):
+        with evo.eigen_worker() as eigen:
+            worker = eigen.submit(threading.current_thread).result(timeout=10)
+            raise KeyError("raised after a job")
+    assert worker.name.startswith("aqcsim-eigen") and not worker.is_alive()
+    assert threading.active_count() == threads
+
+
 def test_plan_argument_errors_raise_on_the_caller_thread_before_any_worker():
     threads = threading.active_count()
     tied = ham.make_pair(3, np.zeros(7))
